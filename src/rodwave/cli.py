@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_conv)
     p_conv.add_argument("--dt-list", default=None, help="comma-separated dt sweep")
     p_conv.add_argument("--dxi-list", default=None, help="comma-separated dxi sweep")
-    p_conv.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
     p_plot = sub.add_parser("emit-plots", help="write gnuplot scripts for a run directory")
     p_plot.add_argument("artifacts_dir", help="directory containing manifest.json")
@@ -108,7 +107,6 @@ def main(argv=None) -> int:
                 dt_list=_parse_floats(args.dt_list),
                 dxi_list=_parse_floats(args.dxi_list),
                 quiet=args.quiet,
-                jobs=args.jobs,
             )
         return 0
     except (RodwaveError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:

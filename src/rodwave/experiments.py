@@ -15,7 +15,6 @@ import math
 import subprocess
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import metadata
 from pathlib import Path
@@ -494,7 +493,6 @@ def converge_experiment(
     dt_list=None,
     dxi_list=None,
     quiet: bool = False,
-    jobs: int = 1,
 ) -> dict:
     """Error-vs-resolution sweeps with fitted log-log slopes.
 
@@ -522,8 +520,7 @@ def converge_experiment(
     if dt_list:
         ref_dt = min(dt_list) * cfg.reference_dt_factor
         reference = final_state(cfg.dxi, ref_dt, "strang")
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            finals = list(pool.map(lambda d: final_state(cfg.dxi, d, cfg.scheme), dt_list))
+        finals = [final_state(cfg.dxi, d, cfg.scheme) for d in dt_list]
         errors = [distance_f(s, reference) for s in finals]
         report["dt_sweep"] = {
             "dt": dt_list,
@@ -536,11 +533,7 @@ def converge_experiment(
         peakon = (
             cfg.initial_data.get("kind") == "peakon" and cfg.gamma == 1.0
         )
-        pairs = [(dxi, dxi / 4.0) for dxi in dxi_list]
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            finals = list(
-                pool.map(lambda p: final_state(p[0], p[1], cfg.scheme), pairs)
-            )
+        finals = [final_state(dxi, dxi / 4.0, cfg.scheme) for dxi in dxi_list]
         if peakon:
             c = float(cfg.initial_data.get("c", 1.0))
             x0 = float(cfg.initial_data.get("x0", 0.0))
@@ -559,7 +552,7 @@ def converge_experiment(
         ]
         report["dxi_sweep"] = {
             "dxi": dxi_list,
-            "dt": [p[1] for p in pairs],
+            "dt": [dxi / 4.0 for dxi in dxi_list],
             "error": errors,
             "slope": convergence_order(fit_pairs),
             "against": "exact_peakon" if peakon else "finest_run",

@@ -1,10 +1,13 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 import rodwave as rw
+from rodwave import source_terms
 from rodwave.errors import NonMonotoneY
+from rodwave.stepping import midpoint_substep
 
 from helpers import random_admissible_state, rel_entrywise
 
@@ -13,6 +16,32 @@ def zero_state(n_half=8, dxi=0.25, gamma=1.0):
     return rw.LagrangianState.zero(
         rw.GridSpec.from_cells(n_half, dxi), rw.Parameters(gamma)
     )
+
+
+def with_y(state, y):
+    xi = state.grid.cells
+    return state.replace(
+        zeta=y - xi,
+        zeta_minus=float(y[0] - xi[0]),
+        zeta_plus=float(y[-1] - xi[-1]),
+    )
+
+
+def folded(state, start, width, depth):
+    """Push cells start..start+width-1 back by up to `depth` behind their
+    left neighbour: a fold of that depth with a tapering inverted run."""
+    y = state.y.copy()
+    y[start:start + width] -= depth * np.linspace(1.0, 0.5, width) + (
+        y[start] - y[start - 1]
+    )
+    return with_y(state, y)
+
+
+def assert_close_at_scale(terms, ref, rtol=1e-12):
+    """P and Q of `terms` within rtol * max|ref.P| of `ref`."""
+    scale = np.abs(ref.P).max()
+    assert np.abs(terms.P - ref.P).max() <= rtol * scale
+    assert np.abs(terms.Q - ref.Q).max() <= rtol * scale
 
 
 class TestIntegrand:
@@ -120,7 +149,7 @@ class TestFast:
         assert exc.value.index == 5
 
     def test_fallback_is_reported_and_logged(self, caplog):
-        s = zero_state(8, 0.25)
+        s = zero_state(8, 0.25).replace(h=np.linspace(0.5, 1.5, 16))
         zeta = s.zeta.copy()
         zeta[13] = -0.3
         bad = s.replace(zeta=zeta)
@@ -128,7 +157,7 @@ class TestFast:
             terms, fallback = rw.evaluate_source_terms(bad)
         assert fallback
         assert any("falling back" in r.message for r in caplog.records)
-        np.testing.assert_array_equal(terms.P, rw.source_terms_direct(bad).P)
+        assert_close_at_scale(terms, rw.source_terms_direct(bad))
         with pytest.raises(NonMonotoneY):
             rw.evaluate_source_terms(bad, allow_fallback=False)
 
@@ -137,3 +166,97 @@ class TestFast:
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
         _, fallback = rw.evaluate_source_terms(s)
         assert not fallback
+
+    def test_wide_position_span_does_not_overflow(self):
+        # y spans ~2000 kernel lengths: a single rescaled sum would need
+        # exp(2000); the blocked sum must stay finite, exact and silent
+        rng = np.random.default_rng(17)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(128, 0.1), 1.0)
+        y = s.y * (2000.0 / np.ptp(s.y))
+        s = with_y(s, y)
+        assert np.ptp(s.y) >= 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = rw.source_terms_fast(s)
+            d = rw.source_terms_direct(s)
+        assert_close_at_scale(f, d)
+
+    def test_monotone_path_looks_up_fast_kernel_by_module_name(self, monkeypatch):
+        # callers that wrap the fast kernel patch it on the module
+        calls = []
+        original = source_terms.source_terms_fast
+
+        def spy(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(source_terms, "source_terms_fast", spy)
+        rng = np.random.default_rng(4)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
+        rw.evaluate_source_terms(s)
+        assert calls == [s]
+
+
+class TestFolded:
+    """Crossing particles interact through index sign x exp(-|dy|)."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
+    def test_shallow_folds_match_direct(self, gamma, monkeypatch):
+        rng = np.random.default_rng(int(10 * gamma))
+        direct = source_terms.source_terms_direct
+        served_by_direct = []
+        monkeypatch.setattr(
+            source_terms,
+            "source_terms_direct",
+            lambda st: served_by_direct.append(st) or direct(st),
+        )
+        for _ in range(25):
+            n_half = int(rng.integers(8, 200))
+            grid = rw.GridSpec.from_cells(n_half, rng.uniform(0.05, 0.3))
+            s = random_admissible_state(rng, grid, gamma)
+            for _ in range(int(rng.integers(1, 4))):
+                start = int(rng.integers(1, grid.n_cells - 1))
+                width = int(rng.integers(1, min(8, grid.n_cells - start) + 1))
+                s = folded(s, start, width, rng.uniform(0.001, 0.3))
+            terms, fallback = rw.evaluate_source_terms(s)
+            assert fallback
+            assert_close_at_scale(terms, direct(s))
+        assert served_by_direct == []
+
+    @pytest.mark.parametrize("depth", [1.5, 6.0])
+    def test_deep_fold_is_the_direct_sum(self, depth):
+        rng = np.random.default_rng(8)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.0)
+        s = folded(s, 30, 6, depth)
+        terms, fallback = rw.evaluate_source_terms(s)
+        d = rw.source_terms_direct(s)
+        assert fallback
+        np.testing.assert_array_equal(terms.P, d.P)
+        np.testing.assert_array_equal(terms.Q, d.Q)
+
+    def test_wide_fold_is_the_direct_sum(self):
+        # shallow but long: more candidate pairs than the O(N) budget
+        rng = np.random.default_rng(9)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.02), 1.0)
+        y = s.y.copy()
+        y[16:] -= y[16] - y[15] + 0.9
+        s = with_y(s, y)
+        assert (np.maximum.accumulate(y) - y).max() < 1.0
+        terms, _ = rw.evaluate_source_terms(s)
+        d = rw.source_terms_direct(s)
+        np.testing.assert_array_equal(terms.P, d.P)
+        np.testing.assert_array_equal(terms.Q, d.Q)
+
+    @pytest.mark.parametrize("depth", [0.05, 3.0])
+    def test_any_fold_sets_the_step_report_flag(self, depth):
+        rng = np.random.default_rng(12)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
+        s = folded(s, 10, 3, depth)
+        _, fallback = rw.evaluate_source_terms(s)
+        assert fallback
+        # g1 freezes y, so every iterate of the substep stays folded
+        _, report = midpoint_substep(s, 0.01, "g1", rw.StepperConfig(dt=0.01))
+        assert report.monotonicity_fallback
+        cfg = rw.StepperConfig(dt=0.01, scheme="explicit_euler")
+        _, reports = rw.evolve(s, 0.01, cfg)
+        assert reports[0].monotonicity_fallback
