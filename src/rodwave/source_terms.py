@@ -37,8 +37,11 @@ cannot overflow.
 When the particle map folds over (y_j > y_i for some j < i), the same signed
 sums run without the monotone guard, and then the K inverted pairs are
 corrected from exp(+d) to exp(-d) in one vectorised pass; the pairs are found
-through the running maximum of y.  Folds deeper than ``_FOLD_DEPTH`` or with more than
-``_FOLD_PAIRS * N`` candidate pairs go to the O(N^2) direct sum instead.
+through the running maximum of y.  The candidate list holds at most
+N(N-1)/2 pairs, so even a long fold costs no more than the direct sum's N x N
+matrices.  Folds deeper than ``_FOLD_DEPTH``, where the exp(+d) terms would
+cancel against exp(-d) at a loss of up to e^(2d) in relative accuracy, go to
+the O(N^2) direct sum instead.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ logger = logging.getLogger(__name__)
 
 _SPAN = 300.0        # largest position span in one block: exp(300) ~ 2e130
 _FOLD_DEPTH = 1.0    # deepest fold (max_{j<i} y_j - y_i) corrected pairwise
-_FOLD_PAIRS = 4      # candidate inverted pairs allowed per cell
 
 
 class SourceTerms(NamedTuple):
@@ -165,8 +167,6 @@ def _inverted_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     first = np.searchsorted(top, y, side="right")
     counts = np.maximum(np.arange(n) - first, 0)
     total = int(counts.sum())
-    if total > _FOLD_PAIRS * n:
-        return None
     i = np.repeat(np.arange(n), counts)
     starts = np.cumsum(counts) - counts
     j = np.arange(total) + np.repeat(first - starts, counts)

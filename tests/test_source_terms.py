@@ -234,18 +234,19 @@ class TestFolded:
         np.testing.assert_array_equal(terms.P, d.P)
         np.testing.assert_array_equal(terms.Q, d.Q)
 
-    def test_wide_fold_is_the_direct_sum(self):
-        # shallow but long: more candidate pairs than the O(N) budget
+    def test_wide_shallow_fold_is_corrected_pairwise(self, monkeypatch):
+        # shallow but long: about N^2/4 candidate pairs, all corrected
+        direct = source_terms.source_terms_direct
+        monkeypatch.setattr(source_terms, "source_terms_direct", None)
         rng = np.random.default_rng(9)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.02), 1.0)
         y = s.y.copy()
         y[16:] -= y[16] - y[15] + 0.9
         s = with_y(s, y)
         assert (np.maximum.accumulate(y) - y).max() < 1.0
-        terms, _ = rw.evaluate_source_terms(s)
-        d = rw.source_terms_direct(s)
-        np.testing.assert_array_equal(terms.P, d.P)
-        np.testing.assert_array_equal(terms.Q, d.Q)
+        terms, fallback = rw.evaluate_source_terms(s)
+        assert fallback
+        assert_close_at_scale(terms, direct(s))
 
     @pytest.mark.parametrize("depth", [0.05, 3.0])
     def test_any_fold_sets_the_step_report_flag(self, depth):
