@@ -19,14 +19,7 @@ from .source_terms import (
     source_terms_direct,
     source_terms_fast,
 )
-from .dynamics import (
-    Tangent,
-    apply_tangent,
-    state_midpoint,
-    vector_field_full,
-    vector_field_g1,
-    vector_field_g2,
-)
+from .dynamics import vector_field_full, vector_field_g1, vector_field_g2
 from .stepping import (
     SCHEMES,
     StepReport,

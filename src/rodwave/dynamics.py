@@ -16,91 +16,37 @@ construction.  Boundary constants never move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .source_terms import SourceTerms
 from .state import LagrangianState
 
 
-@dataclass(frozen=True)
-class Tangent:
-    """Time derivative of the six field arrays (boundary constants fixed)."""
-
-    zeta: np.ndarray
-    U: np.ndarray
-    H: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-
-    def __add__(self, other: "Tangent") -> "Tangent":
-        return Tangent(
-            zeta=self.zeta + other.zeta,
-            U=self.U + other.U,
-            H=self.H + other.H,
-            v=self.v + other.v,
-            w=self.w + other.w,
-            h=self.h + other.h,
-        )
-
-
-def vector_field_g1(state: LagrangianState, terms: SourceTerms) -> Tangent:
-    """Sub-flow moving only the derivative fields v, w, h."""
+def vector_field_g1(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
+    """Sub-flow moving only the derivative fields v, w, h (rows of a
+    (6, 2N) array laid out like ``state.x``)."""
     g = state.params.gamma
     U = state.U
     U2 = U * U
-    zero = np.zeros(state.n_cells)
-    return Tangent(
-        zeta=zero,
-        U=zero,
-        H=zero,
-        v=g * state.w,
-        w=0.5 * g * state.h + (0.5 * (3.0 - 2.0 * g) * U2 - terms.P) * state.q,
-        h=(3.0 * U2 - 2.0 * terms.P) * state.w,
-    )
+    out = np.zeros(state.x.shape)
+    out[3] = g * state.w
+    out[4] = 0.5 * g * state.h + (0.5 * (3.0 - 2.0 * g) * U2 - terms.P) * state.q
+    out[5] = (3.0 * U2 - 2.0 * terms.P) * state.w
+    return out
 
 
-def vector_field_g2(state: LagrangianState, terms: SourceTerms) -> Tangent:
+def vector_field_g2(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
     """Sub-flow moving zeta, U, H and the advected part of h."""
     g = state.params.gamma
     U = state.U
-    zero = np.zeros(state.n_cells)
-    return Tangent(
-        zeta=g * U,
-        U=-terms.Q,
-        H=U * U * U - 2.0 * terms.P * U,
-        v=zero,
-        w=zero,
-        h=-2.0 * terms.Q * U * state.q,
-    )
+    out = np.zeros(state.x.shape)
+    out[0] = g * U
+    out[1] = -terms.Q
+    out[2] = U * U * U - 2.0 * terms.P * U
+    out[5] = -2.0 * terms.Q * U * state.q
+    return out
 
 
-def vector_field_full(state: LagrangianState, terms: SourceTerms) -> Tangent:
+def vector_field_full(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
     """Full right-hand side; exactly the sum of the two sub-flows."""
     return vector_field_g1(state, terms) + vector_field_g2(state, terms)
-
-
-def apply_tangent(state: LagrangianState, tan: Tangent, dt: float) -> LagrangianState:
-    """state + dt * tangent (new state, boundary constants unchanged)."""
-    return state.replace(
-        zeta=state.zeta + dt * tan.zeta,
-        U=state.U + dt * tan.U,
-        H=state.H + dt * tan.H,
-        v=state.v + dt * tan.v,
-        w=state.w + dt * tan.w,
-        h=state.h + dt * tan.h,
-    )
-
-
-def state_midpoint(a: LagrangianState, b: LagrangianState) -> LagrangianState:
-    """Fieldwise average of two states sharing grid and constants."""
-    return a.replace(
-        zeta=0.5 * (a.zeta + b.zeta),
-        U=0.5 * (a.U + b.U),
-        H=0.5 * (a.H + b.H),
-        v=0.5 * (a.v + b.v),
-        w=0.5 * (a.w + b.w),
-        h=0.5 * (a.h + b.h),
-    )

@@ -36,8 +36,8 @@ from .observables import (
     exact_peakon_error,
     sup_graph_error,
 )
-from .state import GridSpec, LagrangianState, Parameters, invariants
-from .stepping import SCHEMES, StepperConfig, evolve, plan_steps, step_adaptive_rk
+from .state import GridSpec, LagrangianState, Parameters, distance_f, invariants
+from .stepping import SCHEMES, StepperConfig, evolve
 
 DEFAULT_SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
@@ -70,6 +70,8 @@ class ExperimentConfig:
         for s in (self.scheme,) + tuple(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.initial_data.get("kind") == "profile_file":
             path = Path(self.initial_data.get("path", ""))
             if not path.is_file():
@@ -358,7 +360,7 @@ def run_experiment(
         snapshots.append(run_dir / fname)
         snap_meta.append((step, t, fname))
 
-    evolve(
+    _, reports = evolve(
         state0,
         cfg.t_final,
         cfg.stepper_config(),
@@ -381,7 +383,7 @@ def run_experiment(
     if not quiet:
         rows = recorder.rows
         print(
-            f"[{cfg.name}] scheme={cfg.scheme} steps={round(cfg.t_final / cfg.dt)} "
+            f"[{cfg.name}] scheme={cfg.scheme} steps={len(reports)} "
             f"energy={rows[-1].total_energy:.6f} min_q={recorder.min_q_overall:.3e} "
             f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
         )
@@ -389,32 +391,18 @@ def run_experiment(
 
 
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
-    """Evolve one scheme, tracking internal minima for the adaptive comparator."""
+    """Evolve one scheme, recording every step, and return the final state,
+    the recorder and the run's minima of q and h."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
-    scfg = cfg.stepper_config(scheme=scheme)
-    if scheme == "adaptive_rk":
-        mins = {"q": math.inf, "h": math.inf}
-
-        def on_accept(t, s):
-            mins["q"] = min(mins["q"], float(np.min(s.q)))
-            mins["h"] = min(mins["h"], float(np.min(s.h)))
-
-        state = state0
-        recorder(0, 0.0, state, None)
-        t = 0.0
-        for j, dt_j in enumerate(plan_steps(cfg.t_final, cfg.dt), start=1):
-            state, report = step_adaptive_rk(state, dt_j, scfg, on_accept=on_accept)
-            t += dt_j
-            recorder(j, t, state, report)
-        min_q, min_h = mins["q"], mins["h"]
-    else:
-        state, _ = evolve(state0, cfg.t_final, scfg, observers=(recorder,),
-                          observe_stride=1)
-        min_q, min_h = recorder.min_q_overall, recorder.min_h_overall
+    state, reports = evolve(
+        state0, cfg.t_final, cfg.stepper_config(scheme=scheme), observers=(recorder,)
+    )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
-    return state, recorder, min_q, min_h
+    if scheme == "adaptive_rk":  # its internal accepted steps, t=0 excluded
+        return state, recorder, min(r.min_q for r in reports), min(r.min_h for r in reports)
+    return state, recorder, recorder.min_q_overall, recorder.min_h_overall
 
 
 def compare_experiment(
@@ -501,8 +489,6 @@ def converge_experiment(
     peakon when available, otherwise against the finest run via nearest-xi
     graph matching.
     """
-    from .state import distance_f  # local import to avoid cycle at module load
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dt_list = list(dt_list or cfg.sweep.get("dt", []))

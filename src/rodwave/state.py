@@ -1,15 +1,20 @@
 """Discrete Lagrangian state for the compressible hyperelastic rod wave equation.
 
 The solver follows particle trajectories y(t, xi) moving in the velocity
-field gamma*u.  A state bundles six piecewise-constant fields on a uniform
-xi-grid truncated to [-r, r):
+field gamma*u.  A state holds six piecewise-constant fields on a uniform
+xi-grid truncated to [-r, r), stored as the rows of one (6, 2N) float64
+array ``x``, in this order:
 
-    zeta   position offset, y = xi + zeta
-    U      velocity along the characteristic
-    H      cumulative energy,  H(xi) = integral of u^2 + u_x^2 up to y(xi)
-    v      density offset, q = 1 + v  (q plays the role of y_xi)
-    w      velocity derivative (U_xi)
-    h      energy density (H_xi)
+    x[0]  zeta   position offset, y = xi + zeta
+    x[1]  U      velocity along the characteristic
+    x[2]  H      cumulative energy,  H(xi) = integral of u^2 + u_x^2 up to y(xi)
+    x[3]  v      density offset, q = 1 + v  (q plays the role of y_xi)
+    x[4]  w      velocity derivative (U_xi)
+    x[5]  h      energy density (H_xi)
+
+The integrators do their arithmetic on ``x`` directly (a time derivative is
+another (6, 2N) array); ``state.zeta`` ... ``state.h`` are read-only views
+of the rows.
 
 q, w, h are carried as independent unknowns.  This keeps the evolution
 semilinear and lets trajectories continue through wave breaking, where u_x
@@ -99,27 +104,24 @@ class GridSpec:
         return position - self.n_half
 
 
-def _as_field(x, n: int) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != (n,):
-        raise ValueError(f"field has shape {a.shape}, expected ({n},)")
-    return a
+ROWS = ("zeta", "U", "H", "v", "w", "h")
+
+
+def _row(k: int, doc: str) -> property:
+    return property(lambda self: self.x[k], doc=doc)
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianState:
-    """Six piecewise-constant fields plus the boundary constants.
+    """The (6, 2N) field array ``x`` (rows in ``ROWS`` order) plus the
+    boundary constants.
 
-    Treated as immutable: every operation returns a new state.  Instances can
-    therefore be shared freely across threads.
+    Treated as immutable: ``x`` is a read-only view and every operation
+    returns a new state.  Instances can therefore be shared freely across
+    threads.
     """
 
-    zeta: np.ndarray
-    U: np.ndarray
-    H: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
+    x: np.ndarray
     zeta_minus: float
     zeta_plus: float
     H_plus: float
@@ -127,16 +129,25 @@ class LagrangianState:
     params: Parameters
 
     def __post_init__(self):
-        n = self.grid.n_cells
-        for name in ("zeta", "U", "H", "v", "w", "h"):
-            object.__setattr__(self, name, _as_field(getattr(self, name), n))
+        x = np.asarray(self.x, dtype=np.float64).view()
+        if x.shape != (len(ROWS), self.grid.n_cells):
+            raise ValueError(
+                f"field array has shape {x.shape}, expected ({len(ROWS)}, {self.grid.n_cells})"
+            )
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
+
+    zeta = _row(0, "Position offset, y = xi + zeta.")
+    U = _row(1, "Velocity along the characteristic.")
+    H = _row(2, "Cumulative energy.")
+    v = _row(3, "Density offset, q = 1 + v.")
+    w = _row(4, "Velocity derivative U_xi.")
+    h = _row(5, "Energy density H_xi.")
 
     @classmethod
     def zero(cls, grid: GridSpec, params: Parameters) -> "LagrangianState":
-        z = np.zeros(grid.n_cells)
         return cls(
-            zeta=z.copy(), U=z.copy(), H=z.copy(),
-            v=z.copy(), w=z.copy(), h=z.copy(),
+            x=np.zeros((len(ROWS), grid.n_cells)),
             zeta_minus=0.0, zeta_plus=0.0, H_plus=0.0,
             grid=grid, params=params,
         )
@@ -158,11 +169,20 @@ class LagrangianState:
         """Total-energy constant including the last cell, for output."""
         return float(self.H[-1] + self.grid.dxi * self.h[-1])
 
-    def replace(self, **changes) -> "LagrangianState":
-        return replace(self, **changes)
+    def with_x(self, x: np.ndarray) -> "LagrangianState":
+        """Same grid, parameters and boundary constants around a new array."""
+        return LagrangianState(
+            x, self.zeta_minus, self.zeta_plus, self.H_plus, self.grid, self.params
+        )
 
-    def field_arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.zeta, self.U, self.H, self.v, self.w, self.h)
+    def replace(self, **changes) -> "LagrangianState":
+        """Copy with fields replaced by keyword: rows by name (``U=...``),
+        or any of ``x``, the boundary constants, ``grid`` and ``params``."""
+        if any(name in changes for name in ROWS):
+            changes["x"] = np.stack(
+                [changes.pop(name, row) for name, row in zip(ROWS, self.x)]
+            )
+        return replace(self, **changes)
 
 
 def invariants(state: LagrangianState) -> np.ndarray:
@@ -180,49 +200,39 @@ def _weighted_l2(x: np.ndarray, dxi: float) -> float:
     return float(np.sqrt(dxi * np.dot(x, x)))
 
 
+def _norm(d: np.ndarray, zeta_minus: float, zeta_plus: float, H_plus: float,
+          dxi: float) -> float:
+    zeta, U, H, v, w, h = d
+    sup_zeta = max(float(np.max(np.abs(zeta))), abs(zeta_minus), abs(zeta_plus))
+    # H equals 0 left of the grid and H_plus right of it.
+    sup_H = max(float(np.max(np.abs(H))), abs(H_plus))
+    return (
+        sup_zeta
+        + _weighted_l2(U, dxi)
+        + float(np.max(np.abs(U)))
+        + sup_H
+        + _weighted_l2(v, dxi)
+        + _weighted_l2(w, dxi)
+        + _weighted_l2(h, dxi)
+    )
+
+
 def norm_f(state: LagrangianState) -> float:
     """State-space norm: sup norms on zeta, U, H (boundary constants included)
     plus dxi-weighted l2 norms on U, v, w, h."""
-    dxi = state.grid.dxi
-    sup_zeta = max(
-        float(np.max(np.abs(state.zeta))),
-        abs(state.zeta_minus),
-        abs(state.zeta_plus),
-    )
-    # H equals 0 left of the grid and H_plus right of it.
-    sup_H = max(float(np.max(np.abs(state.H))), abs(state.H_plus))
-    sup_U = float(np.max(np.abs(state.U)))
-    return (
-        sup_zeta
-        + _weighted_l2(state.U, dxi)
-        + sup_U
-        + sup_H
-        + _weighted_l2(state.v, dxi)
-        + _weighted_l2(state.w, dxi)
-        + _weighted_l2(state.h, dxi)
-    )
+    return _norm(state.x, state.zeta_minus, state.zeta_plus, state.H_plus, state.grid.dxi)
 
 
 def distance_f(a: LagrangianState, b: LagrangianState) -> float:
     """Norm of the difference of two states on the same grid."""
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-    dxi = a.grid.dxi
-    sup_zeta = max(
-        float(np.max(np.abs(a.zeta - b.zeta))),
-        abs(a.zeta_minus - b.zeta_minus),
-        abs(a.zeta_plus - b.zeta_plus),
-    )
-    sup_H = max(float(np.max(np.abs(a.H - b.H))), abs(a.H_plus - b.H_plus))
-    dU = a.U - b.U
-    return (
-        sup_zeta
-        + _weighted_l2(dU, dxi)
-        + float(np.max(np.abs(dU)))
-        + sup_H
-        + _weighted_l2(a.v - b.v, dxi)
-        + _weighted_l2(a.w - b.w, dxi)
-        + _weighted_l2(a.h - b.h, dxi)
+    return _norm(
+        a.x - b.x,
+        a.zeta_minus - b.zeta_minus,
+        a.zeta_plus - b.zeta_plus,
+        a.H_plus - b.H_plus,
+        a.grid.dxi,
     )
 
 

@@ -10,23 +10,20 @@ conserves the per-cell quadratic invariants exactly; the source terms are
 recomputed at every midpoint iterate (no lagging), which the conservation
 argument requires.  An explicit Euler step and an embedded Dormand-Prince
 4(5) pair are provided as non-conservative comparators.
+
+Every scheme has the same interface,
+``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
+``dt`` (default cfg.dt); ``evolve`` drives any of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    Tangent,
-    apply_tangent,
-    state_midpoint,
-    vector_field_full,
-    vector_field_g1,
-    vector_field_g2,
-)
+from .dynamics import vector_field_full, vector_field_g1, vector_field_g2
 from .errors import FixedPointDiverged, StepSizeUnderflow
 from .source_terms import evaluate_source_terms
 from .state import LagrangianState, distance_f
@@ -50,19 +47,28 @@ class StepperConfig:
             raise ValueError("fp_tol must be positive")
         if self.fp_max_iter < 1:
             raise ValueError("fp_max_iter must be >= 1")
+        if not (self.rk_rel_tol > 0 and self.rk_abs_tol > 0):
+            raise ValueError("rk_rel_tol and rk_abs_tol must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
 @dataclass
 class StepReport:
-    """Bookkeeping for one step (or one adaptive segment)."""
+    """Bookkeeping for one step (or one adaptive segment).
+
+    ``min_q`` and ``min_h`` are the minima of q and h over the states the
+    step accepted: the end state of a fixed step, every accepted internal
+    state of an adaptive segment.
+    """
 
     fp_iterations: tuple[int, ...] = ()
     final_residual: float = 0.0
     monotonicity_fallback: bool = False
     accepted: int = 0
     rejected: int = 0
+    min_q: float = math.inf
+    min_h: float = math.inf
 
     def merge(self, other: "StepReport") -> "StepReport":
         return StepReport(
@@ -71,7 +77,16 @@ class StepReport:
             monotonicity_fallback=self.monotonicity_fallback or other.monotonicity_fallback,
             accepted=self.accepted + other.accepted,
             rejected=self.rejected + other.rejected,
+            min_q=min(self.min_q, other.min_q),
+            min_h=min(self.min_h, other.min_h),
         )
+
+
+def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState, StepReport]:
+    """Record the minima of q and h on the state a fixed step ends at."""
+    report.min_q = float(np.min(state.q))
+    report.min_h = float(np.min(state.h))
+    return state, report
 
 
 _FIELDS = {"g1": vector_field_g1, "g2": vector_field_g2}
@@ -86,14 +101,15 @@ def midpoint_substep(
     FixedPointDiverged when |dt| is too large for the contraction to hold.
     """
     field_fn = _FIELDS[which]
+    y = state.x
     z = state
     fallback = False
     residual = math.inf
     for m in range(1, cfg.fp_max_iter + 1):
-        mid = state_midpoint(state, z)
+        mid = state.with_x(0.5 * (y + z.x))
         terms, fb = evaluate_source_terms(mid)
         fallback = fallback or fb
-        z_next = apply_tangent(state, field_fn(mid, terms), dt)
+        z_next = state.with_x(y + dt * field_fn(mid, terms))
         residual = distance_f(z_next, z)
         z = z_next
         if residual <= cfg.fp_tol:
@@ -113,7 +129,7 @@ def step_lie_trotter(
     dt = cfg.dt if dt is None else dt
     s1, r1 = midpoint_substep(state, dt, "g1", cfg)
     s2, r2 = midpoint_substep(s1, dt, "g2", cfg)
-    return s2, r1.merge(r2)
+    return _ended(s2, r1.merge(r2))
 
 
 def step_strang(
@@ -123,22 +139,17 @@ def step_strang(
     s1, r1 = midpoint_substep(state, 0.5 * dt, "g1", cfg)
     s2, r2 = midpoint_substep(s1, dt, "g2", cfg)
     s3, r3 = midpoint_substep(s2, 0.5 * dt, "g1", cfg)
-    return s3, r1.merge(r2).merge(r3)
-
-
-def _euler_step(
-    state: LagrangianState, dt: float
-) -> tuple[LagrangianState, bool]:
-    terms, fb = evaluate_source_terms(state)
-    return apply_tangent(state, vector_field_full(state, terms), dt), fb
+    return _ended(s3, r1.merge(r2).merge(r3))
 
 
 def step_explicit_euler(
     state: LagrangianState, cfg: StepperConfig, dt: float | None = None
-) -> LagrangianState:
+) -> tuple[LagrangianState, StepReport]:
     """Forward Euler; does not conserve the invariants (contrast scheme)."""
-    new, _ = _euler_step(state, cfg.dt if dt is None else dt)
-    return new
+    dt = cfg.dt if dt is None else dt
+    terms, fb = evaluate_source_terms(state)
+    new = state.with_x(state.x + dt * vector_field_full(state, terms))
+    return _ended(new, StepReport(monotonicity_fallback=fb))
 
 
 # ---------------------------------------------------------------------------
@@ -162,51 +173,37 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
-def _pack(state: LagrangianState) -> np.ndarray:
-    return np.concatenate(state.field_arrays())
-
-
-def _unpack(vec: np.ndarray, template: LagrangianState) -> LagrangianState:
-    n = template.n_cells
-    parts = vec.reshape(6, n)
-    return template.replace(
-        zeta=parts[0], U=parts[1], H=parts[2], v=parts[3], w=parts[4], h=parts[5]
-    )
-
-
 def step_adaptive_rk(
-    state: LagrangianState,
-    t_target: float,
-    cfg: StepperConfig,
-    on_accept=None,
+    state: LagrangianState, cfg: StepperConfig, dt: float | None = None
 ) -> tuple[LagrangianState, StepReport]:
-    """Integrate the full field to ``t_target`` with an embedded 4(5) pair.
+    """Integrate the full field over ``dt`` with an embedded 4(5) pair.
 
-    Standard PI step-size control on a scaled RMS error norm.  ``on_accept``
-    (if given) is called as on_accept(t, state) after every accepted step.
-    Raises StepSizeUnderflow when the controller cannot satisfy the
-    tolerances.
+    Standard PI step-size control on a scaled RMS error norm, starting from
+    internal step cfg.dt.  Raises StepSizeUnderflow when the controller
+    cannot satisfy the tolerances.
     """
+    t_target = cfg.dt if dt is None else dt
     if t_target <= 0:
         return state, StepReport()
-    template = state
+    shape = state.x.shape
     fallback = False
 
     def rhs(vec: np.ndarray) -> np.ndarray:
         nonlocal fallback
-        s = _unpack(vec, template)
+        s = state.with_x(vec.reshape(shape))
         terms, fb = evaluate_source_terms(s)
         fallback = fallback or fb
-        tan = vector_field_full(s, terms)
-        return np.concatenate((tan.zeta, tan.U, tan.H, tan.v, tan.w, tan.h))
+        return vector_field_full(s, terms).ravel()
 
-    y = _pack(state)
+    y = state.x.ravel()
     t = 0.0
     h = min(cfg.dt, t_target)
     h_floor = 1e-14 * max(1.0, t_target)
     err_prev = 1.0
     accepted = 0
     rejected = 0
+    min_q = min_h = math.inf
+    out = state
     k = np.empty((7, y.size))
 
     while t < t_target:
@@ -227,8 +224,9 @@ def step_adaptive_rk(
             t += h
             y = y_new
             accepted += 1
-            if on_accept is not None:
-                on_accept(t, _unpack(y, template))
+            out = state.with_x(y.reshape(shape))
+            min_q = min(min_q, float(np.min(out.q)))
+            min_h = min(min_h, float(np.min(out.h)))
             # PI controller (order 5): safety * err^-0.14 * err_prev^0.08
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
@@ -239,20 +237,15 @@ def step_adaptive_rk(
             fac = 0.2 if not np.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
         h *= min(5.0, max(0.2, fac))
 
-    return _unpack(y, template), StepReport(
-        monotonicity_fallback=fallback, accepted=accepted, rejected=rejected
+    return out, StepReport(
+        monotonicity_fallback=fallback, accepted=accepted, rejected=rejected,
+        min_q=min_q, min_h=min_h,
     )
 
 
 # ---------------------------------------------------------------------------
 # Time loop
 # ---------------------------------------------------------------------------
-
-_FIXED_STEPPERS = {
-    "lie_trotter": step_lie_trotter,
-    "strang": step_strang,
-}
-
 
 def plan_steps(t_final: float, dt: float) -> list[float]:
     """Uniform steps of size dt, with one shortened final step if needed."""
@@ -286,28 +279,14 @@ def evolve(
         observers = (observers,)
     for obs in observers:
         obs(0, 0.0, state, None)
+    # Looked up at call time, so a replaced module-level stepper is used.
+    step = globals()[f"step_{cfg.scheme}"]
     reports: list[StepReport] = []
     steps = plan_steps(t_final, cfg.dt)
     t = 0.0
-
-    if cfg.scheme == "adaptive_rk":
-        # Land exactly on the fixed-scheme observation times.
-        for j, dt_j in enumerate(steps, start=1):
-            t += dt_j
-            state, report = step_adaptive_rk(state, dt_j, cfg)
-            reports.append(report)
-            if j % observe_stride == 0 or j == len(steps):
-                for obs in observers:
-                    obs(j, t, state, report)
-        return state, reports
-
     for j, dt_j in enumerate(steps, start=1):
         t += dt_j
-        if cfg.scheme == "explicit_euler":
-            state, fb = _euler_step(state, dt_j)
-            report = StepReport(monotonicity_fallback=fb)
-        else:
-            state, report = _FIXED_STEPPERS[cfg.scheme](state, cfg, dt_j)
+        state, report = step(state, cfg, dt_j)
         reports.append(report)
         if j % observe_stride == 0 or j == len(steps):
             for obs in observers:

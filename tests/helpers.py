@@ -20,7 +20,7 @@ def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.
     y -= y[n // 2]
     cs = np.cumsum(h)
     H = grid.dxi * np.concatenate(([0.0], cs[:-1]))
-    return LagrangianState(
+    return LagrangianState.zero(grid, Parameters(gamma)).replace(
         zeta=y - xi,
         U=U,
         H=H,
@@ -30,14 +30,12 @@ def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.
         zeta_minus=float(y[0] - xi[0]),
         zeta_plus=float(y[-1] - xi[-1]),
         H_plus=float(grid.dxi * cs[-1]),
-        grid=grid,
-        params=Parameters(gamma),
     )
 
 
 def states_equal(a: LagrangianState, b: LagrangianState) -> bool:
     return (
-        all(np.array_equal(x, y) for x, y in zip(a.field_arrays(), b.field_arrays()))
+        np.array_equal(a.x, b.x)
         and a.zeta_minus == b.zeta_minus
         and a.zeta_plus == b.zeta_plus
         and a.H_plus == b.H_plus

@@ -318,6 +318,21 @@ class TestCuspon:
                           grid.cells[n + i], grid.cells[n + i + 1], limit=200)
             assert s.y[n + i + 1] - s.y[n + i] == pytest.approx(seg, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [2.0, 5.0])
+    def test_y_offset_closed_form_matches_quadrature(self, gamma):
+        crest = 1.0 / gamma
+        curves = _CusponCurves(gamma, 1.0, 1.0, 0.1 * math.sqrt(crest), 0.2 * math.sqrt(crest))
+
+        def integrand(t):
+            z = math.exp(t)
+            return math.sqrt((1.0 - gamma * z) / (1.0 - z))
+
+        for u in (1e-12, 1e-6, 0.5 * crest, crest * (1 - 1e-4), crest * (1 - 1e-8)):
+            ref, _ = quad(integrand, math.log(u), math.log(crest),
+                          epsabs=1e-15, epsrel=1e-13, limit=200)
+            assert curves.y_offset(u) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert curves.y_offset(crest) == 0.0
+
     def test_spec_default_blend_would_fold(self):
         # the wider blend makes U increase inside [a, b]; construction refuses
         sqrt_crest = math.sqrt(0.2)

@@ -68,10 +68,23 @@ class TestLagrangianState:
         z = np.zeros(7)  # wrong length
         with pytest.raises(ValueError):
             rw.LagrangianState(
-                zeta=z, U=z, H=z, v=z, w=z, h=z,
+                x=np.zeros((6, 7)),
                 zeta_minus=0.0, zeta_plus=0.0, H_plus=0.0,
                 grid=g, params=rw.Parameters(1.0),
             )
+        s = rw.LagrangianState.zero(g, rw.Parameters(1.0))
+        with pytest.raises(ValueError):
+            s.replace(zeta=z, U=z, H=z, v=z, w=z, h=z)
+        with pytest.raises(ValueError):
+            s.replace(U=z)
+
+    def test_rows_are_read_only_views(self):
+        g = rw.GridSpec.from_cells(4, 0.25)
+        s = rw.LagrangianState.zero(g, rw.Parameters(1.0)).replace(U=np.arange(8.0))
+        np.testing.assert_array_equal(s.x[1], np.arange(8.0))
+        for name in ("zeta", "U", "H", "v", "w", "h"):
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = 1.0
 
     def test_reported_H_plus_extends_last_cell(self):
         g = rw.GridSpec.from_cells(2, 0.5)

@@ -28,6 +28,8 @@ class TestStepperConfig:
             {"dt": 0.1, "fp_tol": 0.0},
             {"dt": 0.1, "fp_max_iter": 0},
             {"dt": 0.1, "scheme": "leapfrog"},
+            {"dt": 0.1, "rk_rel_tol": 0.0},
+            {"dt": 0.1, "rk_abs_tol": -1e-9},
         ],
     )
     def test_validation(self, kw):
@@ -83,7 +85,9 @@ class TestSplittingSteps:
         for step in (rw.step_lie_trotter, rw.step_strang):
             out, _ = step(s, CFG)
             assert states_equal(out, s)
-        assert states_equal(rw.step_explicit_euler(s, CFG), s)
+        out, report = rw.step_explicit_euler(s, CFG)
+        assert states_equal(out, s)
+        assert (report.min_q, report.min_h) == (1.0, 0.0)
 
     def test_one_step_invariant_preservation(self):
         s = small_peakon(dxi=0.05, r=20.0)
@@ -124,7 +128,7 @@ class TestSplittingSteps:
     def test_euler_breaks_invariants(self):
         s = small_peakon(dxi=0.05, r=20.0)
         cfg = rw.StepperConfig(dt=0.1, scheme="explicit_euler")
-        out = rw.step_explicit_euler(s, cfg)
+        out, _ = rw.step_explicit_euler(s, cfg)
         drift = np.abs(rw.invariants(out) - rw.invariants(s)).max()
         assert drift > 1e-8
 
@@ -137,7 +141,7 @@ class TestSplittingSteps:
         for dt in dts:
             cfg = rw.StepperConfig(dt=dt)
             lt, _ = rw.step_lie_trotter(s, cfg)
-            eu = rw.step_explicit_euler(s, cfg)
+            eu, _ = rw.step_explicit_euler(s, cfg)
             diffs.append(rw.distance_f(lt, eu))
         slope = rw.convergence_order(zip(dts, diffs))
         assert 1.7 <= slope <= 2.3
@@ -146,7 +150,7 @@ class TestSplittingSteps:
 class TestAdaptiveRK:
     def test_zero_state(self):
         s = zero_state()
-        out, report = rw.step_adaptive_rk(s, 1.0, CFG)
+        out, report = rw.step_adaptive_rk(s, CFG, 1.0)
         assert states_equal(out, s)
         assert report.accepted >= 1
 
@@ -155,22 +159,29 @@ class TestAdaptiveRK:
         s = rw.make_smooth_tw(spec, rw.GridSpec.from_radius(0.25, 15.0))
         cfg = rw.StepperConfig(dt=0.1)
         strang, _ = rw.evolve(s, 2.0, cfg)
-        adaptive, _ = rw.step_adaptive_rk(s, 2.0, cfg)
+        adaptive, _ = rw.step_adaptive_rk(s, cfg, 2.0)
         # measured baseline ~5.4e-3, dominated by Strang's own O(dt^2) error
         assert rw.distance_f(strang, adaptive) < 2e-2
 
-    def test_accept_callback_sees_every_accepted_step(self):
-        s = small_peakon()
-        seen = []
-        _, report = rw.step_adaptive_rk(s, 0.5, CFG, on_accept=lambda t, st: seen.append(t))
-        assert len(seen) == report.accepted
-        assert seen[-1] == pytest.approx(0.5)
+    def test_report_minima_cover_internal_steps(self):
+        # peakon-antipeakon collision: min q falls to ~1e-3 at t ~ 1.45, then recovers
+        g = rw.GridSpec.from_radius(0.1, 10.0)
+        s = rw.make_peakon_pair([(1.0, 0.0), (-1.0, 1.0)], g, gamma=1.0)
+        cfg = rw.StepperConfig(dt=0.05)
+        # q falls monotonically up to t = 1: the end state holds the minimum
+        out, report = rw.step_adaptive_rk(s, cfg, 1.0)
+        assert report.accepted > 1
+        assert report.min_q == out.q.min()
+        assert report.min_h <= out.h.min()
+        # across the collision the minimum is reached between the end points
+        out, report = rw.step_adaptive_rk(s, cfg, 2.0)
+        assert report.min_q < 0.05 < min(s.q.min(), out.q.min())
 
     def test_step_size_underflow(self):
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.1, rk_rel_tol=1e-300, rk_abs_tol=1e-300)
         with pytest.raises(StepSizeUnderflow):
-            rw.step_adaptive_rk(s, 1.0, cfg)
+            rw.step_adaptive_rk(s, cfg, 1.0)
 
 
 class TestEvolve:
