@@ -40,7 +40,6 @@ from .initial_data import (
     eulerian_to_lagrangian,
     make_cuspon,
     make_gaussian_derivative,
-    make_peakon,
     make_peakon_pair,
     make_smooth_tw,
     project_to_grid,

@@ -15,7 +15,7 @@ import math
 import subprocess
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import metadata
 from pathlib import Path
 
@@ -32,17 +32,18 @@ from .initial_data import (
 )
 from .observables import (
     DiagnosticsRecorder,
+    DiagnosticsRow,
     convergence_order,
     exact_peakon_error,
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, Parameters, distance_f, invariants
-from .stepping import SCHEMES, StepperConfig, evolve
+from .stepping import StepperConfig, evolve
 
 DEFAULT_SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
-GRAPH_COLUMNS = ("xi", "y", "U", "q", "w", "h", "I")
-DIAG_COLUMNS = ("t", "total_energy", "min_q", "min_h", "max_inv_drift", "fp_iters_max")
+# initial_data keys a wave spec takes; gamma comes from the config itself
+_WAVE_KEYS = {f.name for f in fields(TravelingWaveSpec)} - {"kind", "gamma"}
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,25 @@ class ExperimentConfig:
     description: str = ""
 
     def __post_init__(self):
-        for s in (self.scheme,) + tuple(self.schemes):
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        """Reject a bad config before any run starts or any file is written,
+        through the validators of the objects the run builds from it."""
+        for s in (self.scheme, *self.schemes):
+            self.stepper_config(scheme=s)
+        self.grid_spec()
+        FineGrid(m_ref=self.m_ref)
         if self.initial_data.get("kind") == "profile_file":
+            extra = set(self.initial_data) - {"kind", "path"}
+            if extra:
+                raise ValueError(f"unknown profile_file keys: {sorted(extra)}")
             path = Path(self.initial_data.get("path", ""))
             if not path.is_file():
                 raise ValueError(f"profile file not found: {path}")
+        else:
+            self.wave_spec()
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        if self.t_final < 0:
+            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             warnings.warn(
@@ -135,6 +146,17 @@ class ExperimentConfig:
     def grid_spec(self) -> GridSpec:
         return GridSpec.from_radius(self.dxi, self.r)
 
+    def wave_spec(self) -> TravelingWaveSpec:
+        """The initial data of every kind but profile_file, as a wave spec."""
+        spec = dict(self.initial_data)
+        kind = spec.pop("kind")
+        unknown = set(spec) - _WAVE_KEYS
+        if unknown:
+            raise ValueError(f"unknown initial_data keys: {sorted(unknown)}")
+        if spec.get("blend") is not None:
+            spec["blend"] = tuple(spec["blend"])
+        return TravelingWaveSpec(kind=kind, gamma=self.gamma, **spec)
+
     def stepper_config(
         self, scheme: str | None = None, dt: float | None = None
     ) -> StepperConfig:
@@ -159,19 +181,12 @@ def load_config(path) -> ExperimentConfig:
 
 def build_initial_state(cfg: ExperimentConfig) -> LagrangianState:
     grid = cfg.grid_spec()
-    spec = dict(cfg.initial_data)
-    kind = spec.pop("kind")
     fine = FineGrid(m_ref=cfg.m_ref)
-    if kind == "profile_file":
-        profile = EulerianProfile.from_file(spec.pop("path"))
-        if spec:
-            raise ValueError(f"unknown profile_file keys: {sorted(spec)}")
+    if cfg.initial_data["kind"] == "profile_file":
+        profile = EulerianProfile.from_file(cfg.initial_data["path"])
         data = eulerian_to_lagrangian(profile, fine, grid)
         return project_to_grid(data, grid, Parameters(cfg.gamma))
-    if "blend" in spec and spec["blend"] is not None:
-        spec["blend"] = tuple(spec["blend"])
-    wave = TravelingWaveSpec(kind=kind, gamma=cfg.gamma, **spec)
-    return build_from_spec(wave, grid, fine)
+    return build_from_spec(cfg.wave_spec(), grid, fine)
 
 
 # ---------------------------------------------------------------------------
@@ -264,41 +279,37 @@ def resolve_config(name_or_path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV artifact.  The csv module writes a Python float as
+    repr(), the shortest string that reads back to the same bits."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_graph_csv(path: Path, state: LagrangianState) -> None:
-    I = invariants(state)
-    xi = state.grid.cells
-    y = state.y
-    q = state.q
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(GRAPH_COLUMNS)
-        for k in range(state.n_cells):
-            out.writerow(
-                [
-                    _fmt(xi[k]), _fmt(y[k]), _fmt(state.U[k]), _fmt(q[k]),
-                    _fmt(state.w[k]), _fmt(state.h[k]), _fmt(I[k]),
-                ]
-            )
+    """One row per cell: the graph point (y, U) and its Lagrangian fields."""
+    columns = {
+        "xi": state.grid.cells, "y": state.y, "U": state.U, "q": state.q,
+        "w": state.w, "h": state.h, "I": invariants(state),
+    }
+    _write_csv(path, list(columns), np.stack(list(columns.values())).T.tolist())
 
 
 def write_diagnostics_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(DIAG_COLUMNS)
-        for r in rows:
-            out.writerow(
-                [
-                    _fmt(r.t), _fmt(r.total_energy), _fmt(r.min_q),
-                    _fmt(r.min_h), _fmt(r.max_inv_drift), str(r.fp_iters_max),
-                ]
-            )
+    _write_csv(path, [f.name for f in fields(DiagnosticsRow)], map(astuple, rows))
 
 
 def _version_string() -> str:
+    """Package version, plus the git revision of the checkout this module
+    was loaded from (not of the caller's working directory)."""
     try:
         base = metadata.version("rodwave")
     except Exception:
@@ -306,7 +317,7 @@ def _version_string() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=5,
         )
         rev = out.stdout.strip() if out.returncode == 0 else ""
     except Exception:
@@ -314,27 +325,14 @@ def _version_string() -> str:
     return f"rodwave {base}" + (f" ({rev})" if rev else "")
 
 
-@dataclass
-class RunArtifacts:
-    run_dir: Path
-    manifest: Path
-    diagnostics: Path
-    snapshots: list[Path]
-    summary: Path | None = None
-
-
-def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, extra: dict) -> Path:
+def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, extra: dict) -> None:
     manifest = {
         "config": cfg.to_dict(),
         "version": _version_string(),
         "wall_time_s": wall,
         **extra,
     }
-    path = run_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(run_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +340,20 @@ def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, extra: di
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(
-    cfg: ExperimentConfig, run_dir: Path, quiet: bool = False
-) -> RunArtifacts:
-    """Run one experiment, writing graph snapshots, diagnostics and a manifest."""
+def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) -> Path:
+    """Run one experiment, writing graph snapshots, diagnostics and a
+    manifest into ``run_dir``, which is returned."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
     recorder = DiagnosticsRecorder()
-    snapshots: list[Path] = []
-    snap_meta: list[tuple[int, float, str]] = []
+    snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
     def snapshot(step, t, state, report):
         fname = f"graph_{len(snapshots):04d}.csv"
         write_graph_csv(run_dir / fname, state)
-        snapshots.append(run_dir / fname)
-        snap_meta.append((step, t, fname))
+        snapshots.append((len(snapshots), step, t, fname))
 
     _, reports = evolve(
         state0,
@@ -367,18 +362,13 @@ def run_experiment(
         observers=(recorder, snapshot),
         observe_stride=cfg.output_stride,
     )
-    diag_path = run_dir / "diagnostics.csv"
-    write_diagnostics_csv(diag_path, recorder.rows)
-    with open(run_dir / "snapshots.csv", "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(("index", "step", "t", "file"))
-        for k, (step, t, fname) in enumerate(snap_meta):
-            out.writerow([str(k), str(step), _fmt(t), fname])
+    write_diagnostics_csv(run_dir / "diagnostics.csv", recorder.rows)
+    _write_csv(run_dir / "snapshots.csv", ("index", "step", "t", "file"), snapshots)
     wall = time.perf_counter() - t_start
-    manifest = _write_manifest(
+    _write_manifest(
         run_dir, cfg, wall,
         {"artifacts": {"diagnostics": "diagnostics.csv",
-                       "snapshots": [m[2] for m in snap_meta]}},
+                       "snapshots": [s[3] for s in snapshots]}},
     )
     if not quiet:
         rows = recorder.rows
@@ -387,12 +377,13 @@ def run_experiment(
             f"energy={rows[-1].total_energy:.6f} min_q={recorder.min_q_overall:.3e} "
             f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
         )
-    return RunArtifacts(run_dir, manifest, diag_path, snapshots)
+    return run_dir
 
 
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
     """Evolve one scheme, recording every step, and return the final state,
-    the recorder and the run's minima of q and h."""
+    the recorder and the minima of q and h over the run: over t=0, every
+    step's end state and every internal state a step accepted."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     state, reports = evolve(
@@ -400,20 +391,19 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
-    if scheme == "adaptive_rk":  # its internal accepted steps, t=0 excluded
-        return state, recorder, min(r.min_q for r in reports), min(r.min_h for r in reports)
-    return state, recorder, recorder.min_q_overall, recorder.min_h_overall
+    min_q = min([recorder.min_q_overall, *(r.min_q for r in reports)])
+    min_h = min([recorder.min_h_overall, *(r.min_h for r in reports)])
+    return state, recorder, min_q, min_h
 
 
-def compare_experiment(
-    cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
-) -> RunArtifacts:
-    """Run every scheme in cfg.schemes from identical initial data.
+def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
+    """Run every scheme in cfg.schemes from identical initial data, writing
+    into ``out_dir``, which is returned.
 
     The summary table reports the final graph distance to a fine reference
     (Strang at dt * reference_dt_factor), the invariant drift and the minima
-    of q and h over the run (internal accepted steps for the adaptive
-    comparator).
+    of q and h over the run.  The minima take in t=0 and every state a
+    scheme accepted, the internal steps of the adaptive comparator included.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -428,38 +418,27 @@ def compare_experiment(
         state, recorder, min_q, min_h = _run_one_scheme(
             cfg, state0, scheme, out_dir / scheme
         )
-        rows.append(
-            {
-                "scheme": scheme,
-                "graph_error_vs_ref": sup_graph_error(state, reference),
-                "max_inv_drift": recorder.max_invariant_drift,
-                "min_q": min_q,
-                "min_h": min_h,
-            }
-        )
+        err = sup_graph_error(state, reference)
+        drift = recorder.max_invariant_drift
+        rows.append((scheme, err, drift, min_q, min_h))
         if not quiet:
             print(
-                f"[{cfg.name}] {scheme:>14}: err={rows[-1]['graph_error_vs_ref']:.4e} "
-                f"inv_drift={rows[-1]['max_inv_drift']:.3e} min_q={min_q:.3e} "
-                f"min_h={min_h:.3e}"
+                f"[{cfg.name}] {scheme:>14}: err={err:.4e} inv_drift={drift:.3e} "
+                f"min_q={min_q:.3e} min_h={min_h:.3e}"
             )
 
-    summary = out_dir / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"))
-        for r in rows:
-            out.writerow(
-                [r["scheme"], _fmt(r["graph_error_vs_ref"]), _fmt(r["max_inv_drift"]),
-                 _fmt(r["min_q"]), _fmt(r["min_h"])]
-            )
+    _write_csv(
+        out_dir / "summary.csv",
+        ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"),
+        rows,
+    )
     wall = time.perf_counter() - t_start
-    manifest = _write_manifest(
+    _write_manifest(
         out_dir, cfg, wall,
         {"artifacts": {"summary": "summary.csv",
                        "schemes": list(cfg.schemes)}},
     )
-    return RunArtifacts(out_dir, manifest, summary, [], summary=summary)
+    return out_dir
 
 
 def _nearest_xi_error(coarse: LagrangianState, fine: LagrangianState) -> float:
@@ -532,7 +511,7 @@ def converge_experiment(
                 _nearest_xi_error(s, finals[fine_idx]) if k != fine_idx else math.nan
                 for k, s in enumerate(finals)
             ]
-            # drop the self-comparison entry for the fit
+        # drop the self-comparison entry for the fit
         fit_pairs = [
             (d, e) for d, e in zip(dxi_list, errors) if not math.isnan(e)
         ]
@@ -544,16 +523,17 @@ def converge_experiment(
             "against": "exact_peakon" if peakon else "finest_run",
         }
 
-    with open(out_dir / "order_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "errors.csv", "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(("sweep", "resolution", "error"))
-        for key, col in (("dt_sweep", "dt"), ("dxi_sweep", "dxi")):
-            if key in report:
-                for rres, err in zip(report[key][col], report[key]["error"]):
-                    out.writerow([key, _fmt(rres), _fmt(err)])
+    _write_json(out_dir / "order_report.json", report)
+    # float(): a sweep read from JSON may hold ints, written as 1.0, not 1
+    _write_csv(
+        out_dir / "errors.csv",
+        ("sweep", "resolution", "error"),
+        [
+            (key, float(res), float(err))
+            for key, col in (("dt_sweep", "dt"), ("dxi_sweep", "dxi")) if key in report
+            for res, err in zip(report[key][col], report[key]["error"])
+        ],
+    )
     if not quiet:
         for key in ("dt_sweep", "dxi_sweep"):
             if key in report:
@@ -579,54 +559,42 @@ def emit_plots(artifacts_dir: Path) -> list[Path]:
     arts = manifest.get("artifacts", {})
     written: list[Path] = []
 
+    def emit(name: str, labels: str, plots: list[str]) -> None:
+        path = artifacts_dir / name
+        path.write_text(_GP_PREAMBLE + labels + "plot " + ", \\\n     ".join(plots) + "\n")
+        written.append(path)
+
     if "schemes" in arts:  # compare layout
-        lines = [_GP_PREAMBLE, 'set xlabel "x"\nset ylabel "u"\n']
         plots = ['"reference_graph.csv" using 2:3 with lines title "reference"']
         for scheme in arts["schemes"]:
             plots.append(f'"{scheme}/final_graph.csv" using 2:3 with points title "{scheme}"')
-        lines.append("plot " + ", \\\n     ".join(plots) + "\n")
-        path = artifacts_dir / "overlay.gp"
-        path.write_text("".join(lines))
-        written.append(path)
-
-        lines = [_GP_PREAMBLE, 'set xlabel "x"\nset ylabel "h/q"\n']
+        emit("overlay.gp", 'set xlabel "x"\nset ylabel "u"\n', plots)
         plots = [
             f'"{scheme}/final_graph.csv" using 2:($6/$4) with linespoints title "{scheme}"'
             for scheme in arts["schemes"]
         ]
-        lines.append("plot " + ", \\\n     ".join(plots) + "\n")
-        path = artifacts_dir / "energy_density.gp"
-        path.write_text("".join(lines))
-        written.append(path)
+        emit("energy_density.gp", 'set xlabel "x"\nset ylabel "h/q"\n', plots)
         return written
 
     snapshots = arts.get("snapshots", [])
     if not snapshots:
         raise RodwaveError(f"{artifacts_dir} has no graph snapshots to plot")
 
-    lines = [_GP_PREAMBLE, 'set xlabel "x"\nset ylabel "u"\n']
-    lines.append(
-        f'plot "{snapshots[0]}" using 2:3 with lines title "t0", '
-        f'"{snapshots[-1]}" using 2:3 with linespoints title "final"\n'
+    emit(
+        "overlay.gp",
+        'set xlabel "x"\nset ylabel "u"\n',
+        [f'"{snapshots[0]}" using 2:3 with lines title "t0", '
+         f'"{snapshots[-1]}" using 2:3 with linespoints title "final"'],
     )
-    path = artifacts_dir / "overlay.gp"
-    path.write_text("".join(lines))
-    written.append(path)
-
-    lines = [_GP_PREAMBLE, 'set xlabel "x"\nset ylabel "u + offset"\nunset key\n']
     offset = 0.5
     plots = [
         f'"{snap}" using 2:($3 + {k * offset}) with lines'
         for k, snap in enumerate(snapshots)
     ]
-    lines.append("plot " + ", \\\n     ".join(plots) + "\n")
-    path = artifacts_dir / "waterfall.gp"
-    path.write_text("".join(lines))
-    written.append(path)
-
-    lines = [_GP_PREAMBLE, 'set xlabel "x"\nset ylabel "h/q"\n']
-    lines.append(f'plot "{snapshots[-1]}" using 2:($6/$4) with linespoints title "final"\n')
-    path = artifacts_dir / "energy_density.gp"
-    path.write_text("".join(lines))
-    written.append(path)
+    emit("waterfall.gp", 'set xlabel "x"\nset ylabel "u + offset"\nunset key\n', plots)
+    emit(
+        "energy_density.gp",
+        'set xlabel "x"\nset ylabel "h/q"\n',
+        [f'"{snapshots[-1]}" using 2:($6/$4) with linespoints title "final"'],
+    )
     return written

@@ -53,8 +53,9 @@ class FineGrid:
 class TravelingWaveSpec:
     """Parameters of a traveling-wave (or collision) initial condition.
 
-    Decaying waves need m = 0 and c = M; smooth crests exist for gamma < 1,
-    peakons at gamma = 1 and cusped crests (height c/gamma) for gamma > 1.
+    Only decaying waves are built: the profile equation's constants are
+    m = 0 and M = c.  Smooth crests exist for gamma < 1, peakons at
+    gamma = 1 and cusped crests (height c/gamma) for gamma > 1.
     ``blend`` is the cuspon partition interval [a, b] over which the
     parabolic crest parameterization is faded into the exponential tail.
     """
@@ -62,8 +63,6 @@ class TravelingWaveSpec:
     kind: str
     gamma: float
     c: float = 1.0
-    M: float | None = None
-    m: float = 0.0
     x0: float = 0.0
     blend: tuple[float, float] | None = None
     separation: float = 1.0  # peakon_antipeakon: distance to the antipeakon
@@ -71,22 +70,15 @@ class TravelingWaveSpec:
     def __post_init__(self):
         if self.kind not in WAVE_KINDS:
             raise ValueError(f"unknown wave kind {self.kind!r}; choose from {WAVE_KINDS}")
-        if self.m != 0.0:
-            raise ValueError("only decaying waves (m = 0) are supported")
-        M = self.M_resolved
         if self.kind == "smooth":
-            if not (self.gamma < 1.0 and self.c == M and self.c > 0):
-                raise ValueError("smooth traveling wave requires gamma < 1 and c = M > 0")
+            if not (self.gamma < 1.0 and self.c > 0):
+                raise ValueError("smooth traveling wave requires gamma < 1 and c > 0")
         elif self.kind == "peakon":
             if self.gamma != 1.0:
                 raise ValueError("peakon traveling wave requires gamma = 1")
         elif self.kind == "cuspon":
-            if not (self.gamma > 1.0 and self.c == M and self.c > 0):
-                raise ValueError("cuspon traveling wave requires gamma > 1 and c = M > 0")
-
-    @property
-    def M_resolved(self) -> float:
-        return self.c if self.M is None else self.M
+            if not (self.gamma > 1.0 and self.c > 0):
+                raise ValueError("cuspon traveling wave requires gamma > 1 and c > 0")
 
     @property
     def blend_resolved(self) -> tuple[float, float]:
@@ -307,25 +299,14 @@ def _relabeled_state(
     )
 
 
-def make_peakon(
-    c: float, x0: float, grid: GridSpec, gamma: float = 1.0
-) -> LagrangianState:
-    """Single peakon u = c*exp(-|x - x0|), relabeled construction.
-
-    h equals 2 U^2 on every cell, the crest included; a crest sitting on a
-    grid node gets w = 0 (mean of the one-sided limits)."""
-    xi = grid.cells
-    s = xi - x0
-    U = c * np.exp(-np.abs(s))
-    w_left = np.where(s > 0, -U, U)
-    w_right = np.where(s < 0, U, -U)
-    return _relabeled_state(U, w_left, w_right, grid, gamma)
-
-
 def make_peakon_pair(
     peaks: list[tuple[float, float]], grid: GridSpec, gamma: float = 1.0
 ) -> LagrangianState:
-    """Superposed peakons sum c_k exp(-|x - x_k|)."""
+    """Superposed peakons sum c_k exp(-|x - x_k|), relabeled construction;
+    ``[(c, x0)]`` gives a single peakon.
+
+    A single peakon has h = 2 U^2 on every cell, the crest included; a
+    crest sitting on a grid node gets w = 0 (mean of the one-sided limits)."""
     xi = grid.cells
     U = np.zeros(grid.n_cells)
     w_left = np.zeros(grid.n_cells)
@@ -400,10 +381,9 @@ def make_smooth_tw(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     """Smooth decaying traveling wave (gamma < 1, c = M), relabeled."""
     if spec.kind != "smooth":
         raise ValueError(f"expected a smooth wave spec, got kind={spec.kind!r}")
-    M = spec.M_resolved
     dx = grid.dxi / 32.0
     xs, us, ps = integrate_smooth_profile(
-        spec.gamma, spec.c, M, dx, x_max=grid.r + grid.dxi
+        spec.gamma, spec.c, spec.c, dx, x_max=grid.r + grid.dxi
     )
     s = grid.cells - spec.x0
     d = np.abs(s)
@@ -542,7 +522,7 @@ def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     if spec.kind != "cuspon":
         raise ValueError(f"expected a cuspon spec, got kind={spec.kind!r}")
     a, b = spec.blend_resolved
-    curves = _CusponCurves(spec.gamma, spec.c, spec.M_resolved, a, b)
+    curves = _CusponCurves(spec.gamma, spec.c, spec.c, a, b)
     curves.scan_monotone(grid.r)
 
     xi = grid.cells
@@ -592,7 +572,7 @@ def build_from_spec(
     if spec.kind == "smooth":
         return make_smooth_tw(spec, grid)
     if spec.kind == "peakon":
-        return make_peakon(spec.c, spec.x0, grid, gamma=spec.gamma)
+        return make_peakon_pair([(spec.c, spec.x0)], grid, gamma=spec.gamma)
     if spec.kind == "cuspon":
         return make_cuspon(spec, grid)
     if spec.kind == "peakon_antipeakon":

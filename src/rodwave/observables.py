@@ -100,6 +100,8 @@ def convergence_order(points) -> float:
 
 @dataclass
 class DiagnosticsRow:
+    """One row of diagnostics.csv; the field order is the column order."""
+
     t: float
     total_energy: float
     min_q: float

@@ -195,9 +195,7 @@ def source_terms_folded(state: LagrangianState) -> SourceTerms:
     return _combine(f, b, a, state.grid.dxi)
 
 
-def evaluate_source_terms(
-    state: LagrangianState, allow_fallback: bool = True
-) -> tuple[SourceTerms, bool]:
+def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
     """Fast path, with a fold-aware fallback on non-monotone positions.
 
     Returns the terms and whether y was folded (the fallback flag).  The
@@ -212,8 +210,6 @@ def evaluate_source_terms(
     try:
         return source_terms_fast(state), False
     except NonMonotoneY as err:
-        if not allow_fallback:
-            raise
         logger.debug(
             "non-monotone particle positions (first at cell %d); "
             "falling back to fold-aware summation",

@@ -87,6 +87,8 @@ class GridSpec:
     @classmethod
     def from_radius(cls, dxi: float, r: float) -> "GridSpec":
         """Grid whose radius is the closest multiple of dxi to ``r``."""
+        if not dxi > 0:
+            raise ValueError("dxi must be positive")
         n_half = max(1, int(round(r / dxi)))
         return cls.from_cells(n_half, dxi)
 

@@ -275,6 +275,8 @@ def evolve(
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")
+    if observe_stride < 1:
+        raise ValueError(f"observe_stride must be >= 1, got {observe_stride}")
     if callable(observers):
         observers = (observers,)
     for obs in observers:

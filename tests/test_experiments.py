@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rodwave as rw
-from rodwave import cli
+from rodwave import cli, experiments
 
 # TINY's t_final is deliberately not a multiple of dt
 pytestmark = pytest.mark.filterwarnings("ignore:t_final=.*not a multiple:UserWarning")
@@ -58,6 +60,33 @@ class TestRun:
         assert "steps=3 " in capsys.readouterr().out
 
 
+class TestWriters:
+    def test_graph_csv_reads_back_bit_for_bit(self, tmp_path):
+        special = [0.1 + 0.2, -0.0, 1e-300, 5e-324, -2.5, 1.0]
+        s = rw.LagrangianState.zero(rw.GridSpec.from_cells(3, 0.1), rw.Parameters(1.0))
+        s = s.replace(U=special, w=special[::-1], h=np.abs(special), zeta=special)
+        path = tmp_path / "graph.csv"
+        rw.experiments.write_graph_csv(path, s)
+        header, *rows = path.read_text().splitlines()
+        assert header == "xi,y,U,q,w,h,I"
+        read = np.array([[float(v) for v in row.split(",")] for row in rows])
+        expected = np.stack([s.grid.cells, s.y, s.U, s.q, s.w, s.h, rw.invariants(s)]).T
+        assert np.array_equal(read.view(np.uint64), expected.view(np.uint64))
+
+    def test_integer_sweep_resolutions_are_written_as_floats(self, tmp_path):
+        config = write_config(tmp_path, sweep={"dxi": [1, 0.5, 0.25]})
+        assert run_cli("converge", "--config", config, "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "tiny_converge" / "errors.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["dxi_sweep", "1.0"], ["dxi_sweep", "0.5"], ["dxi_sweep", "0.25"]]
+
+    def test_version_names_the_package_checkout(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(Path(experiments.__file__).parent)
+        here = experiments._version_string()
+        monkeypatch.chdir(tmp_path)
+        assert experiments._version_string() == here
+
+
 class TestCompareConverge:
     def test_compare_writes_every_scheme(self, tmp_path):
         config = write_config(tmp_path)
@@ -68,6 +97,18 @@ class TestCompareConverge:
         for scheme in rw.experiments.DEFAULT_SCHEMES:
             assert (out / scheme / "diagnostics.csv").is_file()
             assert (out / scheme / "final_graph.csv").is_file()
+
+    def test_adaptive_minima_include_initial_state(self, tmp_path):
+        # the smooth wave's far cells hold h = 0 exactly at t=0 only
+        smooth = {"initial_data": {"kind": "smooth", "c": 1.0, "x0": 0.0}, "gamma": 0.2,
+                  "grid": {"dxi": 0.5, "r": 15.0}}
+        config = write_config(tmp_path, **smooth)
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "tiny_compare" / "summary.csv").read_text().splitlines()
+        adaptive = dict(zip(rows[0].split(","), rows[-1].split(",")))
+        assert adaptive["scheme"] == "adaptive_rk"
+        h0 = rw.build_initial_state(rw.load_config(config)).h
+        assert float(adaptive["min_h"]) <= h0.min()
 
     def test_converge_writes_order_report(self, tmp_path):
         config = write_config(tmp_path, t_final=0.2)
@@ -96,11 +137,15 @@ class TestErrors:
             (["run", "--scheme", "leapfrog"], {}),
             (["run"], {"output_stride": 0}),
             (["compare", "--scheme", "strang,leapfrog"], {}),
+            (["run"], {"stepper": {"dt": 0}}),
+            (["run"], {"grid": {"dxi": 0, "r": 5.0}}),
+            (["run"], {"initial_data": {"kind": "peakon", "c": 1.0, "M": 2.0}}),
+            (["run"], {"t_final": -1.0}),
         ],
     )
     def test_json_error_report_and_exit_code(self, tmp_path, capsys, argv, changes):
         if changes is not None:
-            argv = [*argv, "--config", write_config(tmp_path, t_final=0.2, **changes)]
+            argv = [*argv, "--config", write_config(tmp_path, **{"t_final": 0.2, **changes})]
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 1
         report = json.loads(capsys.readouterr().err)
@@ -110,7 +155,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "changes",
         [{"output_stride": 0}, {"output_stride": -1}, {"scheme": "leapfrog"},
-         {"schemes": ("strang", "rk4")}],
+         {"schemes": ("strang", "rk4")}, {"m_ref": 0},
+         {"initial_data": {"kind": "peakon", "c": 1.0, "m": 0.0}}],
     )
     def test_config_validation(self, changes):
         base = rw.bundled_config("peakon_c1")

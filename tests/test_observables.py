@@ -23,7 +23,7 @@ class TestGraph:
 
     def test_peakon_graph_matches_formula(self):
         grid = rw.GridSpec.from_radius(0.1, 15.0)
-        s = rw.make_peakon(0.7, 0.3, grid)
+        s = rw.make_peakon_pair([(0.7, 0.3)], grid)
         g = rw.to_graph(s)
         np.testing.assert_allclose(g.u, 0.7 * np.exp(-np.abs(g.x - 0.3)), rtol=1e-14)
 
@@ -46,7 +46,7 @@ class TestDensities:
     def test_peakon_energy_density(self):
         grid = rw.GridSpec.from_radius(0.1, 15.0)
         c = 1.0
-        s = rw.make_peakon(c, 0.0, grid)
+        s = rw.make_peakon_pair([(c, 0.0)], grid)
         pts = rw.energy_density_points(s)
         expected = 2.0 * c * c * np.exp(-2.0 * np.abs(pts.x))
         np.testing.assert_allclose(pts.value, expected, rtol=1e-13)
@@ -62,7 +62,7 @@ class TestDensities:
 
     def test_unit_particle_density_for_relabeled_data(self):
         grid = rw.GridSpec.from_radius(0.1, 10.0)
-        s = rw.make_peakon(1.0, 0.0, grid)
+        s = rw.make_peakon_pair([(1.0, 0.0)], grid)
         pts = rw.particle_density_points(s)
         np.testing.assert_array_equal(pts.value, np.ones(grid.n_cells))
 
@@ -82,11 +82,11 @@ class TestDensities:
 
 class TestSupGraphError:
     def test_identical_states(self):
-        s = rw.make_peakon(1.0, 0.0, rw.GridSpec.from_radius(0.25, 5.0))
+        s = rw.make_peakon_pair([(1.0, 0.0)], rw.GridSpec.from_radius(0.25, 5.0))
         assert rw.sup_graph_error(s, s) == 0.0
 
     def test_velocity_offset(self):
-        s = rw.make_peakon(1.0, 0.0, rw.GridSpec.from_radius(0.25, 5.0))
+        s = rw.make_peakon_pair([(1.0, 0.0)], rw.GridSpec.from_radius(0.25, 5.0))
         b = s.replace(U=s.U + 0.125)
         assert rw.sup_graph_error(s, b) == pytest.approx(0.125, rel=1e-15)
 
@@ -109,12 +109,12 @@ class TestSupGraphError:
 class TestExactPeakonError:
     def test_initial_data_is_exact(self):
         grid = rw.GridSpec.from_radius(0.05, 20.0)
-        s = rw.make_peakon(1.0, 0.0, grid)
+        s = rw.make_peakon_pair([(1.0, 0.0)], grid)
         assert rw.exact_peakon_error(s, 0.0, 1.0) < 1e-14
 
     def test_offset_and_speed_enter(self):
         grid = rw.GridSpec.from_radius(0.05, 20.0)
-        s = rw.make_peakon(1.0, 2.0, grid)
+        s = rw.make_peakon_pair([(1.0, 2.0)], grid)
         assert rw.exact_peakon_error(s, 0.0, 1.0, x0=2.0) < 1e-14
         assert rw.exact_peakon_error(s, 1.0, 1.0, x0=2.0) > 0.1
 
@@ -163,7 +163,7 @@ class TestConvergenceOrder:
 class TestDiagnosticsRecorder:
     def test_records_rows_with_drift_relative_to_start(self):
         grid = rw.GridSpec.from_radius(0.1, 10.0)
-        s = rw.make_peakon(1.0, 0.0, grid)
+        s = rw.make_peakon_pair([(1.0, 0.0)], grid)
         rec = rw.DiagnosticsRecorder()
         rw.evolve(s, 0.5, rw.StepperConfig(dt=0.1, scheme="strang"),
                   observers=(rec,), observe_stride=1)

@@ -158,8 +158,6 @@ class TestFast:
         assert fallback
         assert any("falling back" in r.message for r in caplog.records)
         assert_close_at_scale(terms, rw.source_terms_direct(bad))
-        with pytest.raises(NonMonotoneY):
-            rw.evaluate_source_terms(bad, allow_fallback=False)
 
     def test_monotone_state_does_not_fall_back(self):
         rng = np.random.default_rng(2)

@@ -174,7 +174,7 @@ class TestNormDistance:
 class TestCheckAdmissible:
     def test_peakon_data_passes(self):
         g = rw.GridSpec.from_cells(100, 0.1)
-        s = rw.make_peakon(1.0, 0.0, g)
+        s = rw.make_peakon_pair([(1.0, 0.0)], g)
         # relabeled data has q + h = 1 + h >= 1
         report = rw.check_admissible(s, c_floor=0.5)
         assert report.ok

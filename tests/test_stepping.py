@@ -9,7 +9,7 @@ from helpers import random_admissible_state, states_equal
 
 
 def small_peakon(dxi=0.1, r=15.0, c=1.0):
-    return rw.make_peakon(c, 0.0, rw.GridSpec.from_radius(dxi, r))
+    return rw.make_peakon_pair([(c, 0.0)], rw.GridSpec.from_radius(dxi, r))
 
 
 def zero_state():
@@ -218,7 +218,7 @@ class TestEvolve:
     def test_peakon_transport_speed(self):
         # crest within one cell + c*dt of x = c*T
         g = rw.GridSpec.from_radius(0.05, 25.0)
-        s = rw.make_peakon(1.0, 0.0, g)
+        s = rw.make_peakon_pair([(1.0, 0.0)], g)
         cfg = rw.StepperConfig(dt=0.2, scheme="strang")
         out, _ = rw.evolve(s, 5.0, cfg)
         crest_x = out.y[np.argmax(out.U)]
@@ -234,3 +234,7 @@ class TestEvolve:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             rw.evolve(small_peakon(), -1.0, CFG)
+        seen = []
+        with pytest.raises(ValueError):
+            rw.evolve(small_peakon(), 0.5, CFG, lambda *obs: seen.append(obs), observe_stride=0)
+        assert seen == []  # rejected before the t=0 observation
