@@ -31,10 +31,9 @@ def _config_from_args(args) -> experiments.ExperimentConfig:
     cfg = experiments.resolve_config(args.config)
     if getattr(args, "scheme", None):
         schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
-        if len(schemes) == 1:
-            cfg = replace(cfg, scheme=schemes[0], schemes=schemes)
-        else:
-            cfg = replace(cfg, schemes=schemes)
+        # a single scheme also becomes the run's scheme
+        stepper = replace(cfg.stepper, scheme=schemes[0]) if len(schemes) == 1 else cfg.stepper
+        cfg = replace(cfg, stepper=stepper, schemes=schemes)
     return cfg
 
 

@@ -15,13 +15,13 @@ import math
 import subprocess
 import time
 import warnings
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, make_dataclass, replace
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from .errors import RodwaveError
+from .errors import DegenerateFit, RodwaveError
 from .initial_data import (
     EulerianProfile,
     FineGrid,
@@ -38,31 +38,56 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, Parameters, distance_f, invariants
-from .stepping import StepperConfig, evolve
+from .stepping import SCHEMES, StepperConfig, evolve
 
-DEFAULT_SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
+_GRID_KEYS = ("dxi", "r")
+_CASTS = {"float": float, "int": int, "str": str, "dict": dict, "tuple": tuple}
+# initial_data of kind profile_file: a two-column ``x u`` text file
+_ProfileFile = make_dataclass("_ProfileFile", [("kind", "str"), ("path", "str")])
 
-# initial_data keys a wave spec takes; gamma comes from the config itself
-_WAVE_KEYS = {f.name for f in fields(TravelingWaveSpec)} - {"kind", "gamma"}
+
+def _read_section(cls, section, where: str, only=None, **given) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from one JSON object, plus
+    ``given``.  The keys must be fields (of ``only``, when given) not in
+    ``given``, and must include each such field without a default, or
+    ValueError names them.  Values are cast to the declared type: a JSON 1
+    is 1.0 for a float field, a list a tuple."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, got {section!r}")
+    declared = {f.name: f for f in fields(cls)
+                if f.name not in given and (only is None or f.name in only)}
+    unknown = sorted(set(section) - set(declared))
+    missing = [name for name, f in declared.items() if name not in section
+               and f.default is MISSING and f.default_factory is MISSING]
+    if unknown or missing:
+        raise ValueError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    kwargs = dict(given)
+    for name, value in section.items():
+        declared_type = declared[name].type  # a string: annotations are postponed
+        optional_none = value is None and declared_type.endswith("| None")
+        cast = _CASTS.get(declared_type.split("[")[0], lambda v: v)
+        try:
+            kwargs[name] = value if optional_none else cast(value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}.{name}: {err}") from None
+    return kwargs
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  The fields are the JSON layout of a config file,
+    whose ``"grid"`` object holds ``dxi`` and ``r``."""
+
     name: str
     initial_data: dict
     gamma: float
     dxi: float
     r: float
-    dt: float
+    stepper: StepperConfig
     t_final: float
-    scheme: str = "strang"
     output_stride: int = 1
-    schemes: tuple[str, ...] = DEFAULT_SCHEMES
-    m_ref: int = 16
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 50
-    rk_rel_tol: float = 1e-6
-    rk_abs_tol: float = 1e-9
+    schemes: tuple[str, ...] = SCHEMES
+    m_ref: int = FineGrid.m_ref
     reference_dt_factor: float = 0.1
     sweep: dict = field(default_factory=dict)
     description: str = ""
@@ -70,15 +95,12 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject a bad config before any run starts or any file is written,
         through the validators of the objects the run builds from it."""
-        for s in (self.scheme, *self.schemes):
-            self.stepper_config(scheme=s)
+        for s in self.schemes:
+            replace(self.stepper, scheme=s)
         self.grid_spec()
         FineGrid(m_ref=self.m_ref)
         if self.initial_data.get("kind") == "profile_file":
-            extra = set(self.initial_data) - {"kind", "path"}
-            if extra:
-                raise ValueError(f"unknown profile_file keys: {sorted(extra)}")
-            path = Path(self.initial_data.get("path", ""))
+            path = Path(_read_section(_ProfileFile, self.initial_data, "initial_data")["path"])
             if not path.is_file():
                 raise ValueError(f"profile file not found: {path}")
         else:
@@ -87,87 +109,34 @@ class ExperimentConfig:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.t_final < 0:
             raise ValueError(f"t_final must be >= 0, got {self.t_final}")
-        ratio = self.t_final / self.dt
+        ratio = self.t_final / self.stepper.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             warnings.warn(
-                f"t_final={self.t_final} is not a multiple of dt={self.dt}; "
+                f"t_final={self.t_final} is not a multiple of dt={self.stepper.dt}; "
                 "the last step will be shortened",
                 stacklevel=2,
             )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "initial_data": dict(self.initial_data),
-            "gamma": self.gamma,
-            "grid": {"dxi": self.dxi, "r": self.r},
-            "stepper": {
-                "dt": self.dt,
-                "scheme": self.scheme,
-                "fp_tol": self.fp_tol,
-                "fp_max_iter": self.fp_max_iter,
-                "rk_rel_tol": self.rk_rel_tol,
-                "rk_abs_tol": self.rk_abs_tol,
-            },
-            "t_final": self.t_final,
-            "output_stride": self.output_stride,
-            "schemes": list(self.schemes),
-            "m_ref": self.m_ref,
-            "reference_dt_factor": self.reference_dt_factor,
-            "sweep": dict(self.sweep),
-        }
+        d = asdict(self)
+        d["grid"] = {key: d.pop(key) for key in _GRID_KEYS}
+        d["schemes"] = list(self.schemes)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        grid = d.get("grid", {})
-        stepper = d.get("stepper", {})
-        return cls(
-            name=d["name"],
-            description=d.get("description", ""),
-            initial_data=dict(d["initial_data"]),
-            gamma=float(d["gamma"]),
-            dxi=float(grid["dxi"]),
-            r=float(grid["r"]),
-            dt=float(stepper["dt"]),
-            scheme=stepper.get("scheme", "strang"),
-            fp_tol=float(stepper.get("fp_tol", 1e-12)),
-            fp_max_iter=int(stepper.get("fp_max_iter", 50)),
-            rk_rel_tol=float(stepper.get("rk_rel_tol", 1e-6)),
-            rk_abs_tol=float(stepper.get("rk_abs_tol", 1e-9)),
-            t_final=float(d["t_final"]),
-            output_stride=int(d.get("output_stride", 1)),
-            schemes=tuple(d.get("schemes", DEFAULT_SCHEMES)),
-            m_ref=int(d.get("m_ref", 16)),
-            reference_dt_factor=float(d.get("reference_dt_factor", 0.1)),
-            sweep=dict(d.get("sweep", {})),
-        )
+        d = dict(d)
+        grid = _read_section(cls, d.pop("grid", {}), "grid", only=_GRID_KEYS)
+        stepper = StepperConfig(**_read_section(StepperConfig, d.pop("stepper", {}), "stepper"))
+        return cls(**_read_section(cls, d, "config", stepper=stepper, **grid))
 
     def grid_spec(self) -> GridSpec:
         return GridSpec.from_radius(self.dxi, self.r)
 
     def wave_spec(self) -> TravelingWaveSpec:
         """The initial data of every kind but profile_file, as a wave spec."""
-        spec = dict(self.initial_data)
-        kind = spec.pop("kind")
-        unknown = set(spec) - _WAVE_KEYS
-        if unknown:
-            raise ValueError(f"unknown initial_data keys: {sorted(unknown)}")
-        if spec.get("blend") is not None:
-            spec["blend"] = tuple(spec["blend"])
-        return TravelingWaveSpec(kind=kind, gamma=self.gamma, **spec)
-
-    def stepper_config(
-        self, scheme: str | None = None, dt: float | None = None
-    ) -> StepperConfig:
-        return StepperConfig(
-            dt=self.dt if dt is None else dt,
-            scheme=self.scheme if scheme is None else scheme,
-            fp_tol=self.fp_tol,
-            fp_max_iter=self.fp_max_iter,
-            rk_rel_tol=self.rk_rel_tol,
-            rk_abs_tol=self.rk_abs_tol,
-        )
+        return TravelingWaveSpec(**_read_section(
+            TravelingWaveSpec, self.initial_data, "initial_data", gamma=self.gamma))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -344,9 +313,9 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     """Run one experiment, writing graph snapshots, diagnostics and a
     manifest into ``run_dir``, which is returned."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
+    run_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
@@ -358,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     _, reports = evolve(
         state0,
         cfg.t_final,
-        cfg.stepper_config(),
+        cfg.stepper,
         observers=(recorder, snapshot),
         observe_stride=cfg.output_stride,
     )
@@ -373,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     if not quiet:
         rows = recorder.rows
         print(
-            f"[{cfg.name}] scheme={cfg.scheme} steps={len(reports)} "
+            f"[{cfg.name}] scheme={cfg.stepper.scheme} steps={len(reports)} "
             f"energy={rows[-1].total_energy:.6f} min_q={recorder.min_q_overall:.3e} "
             f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
         )
@@ -387,7 +356,7 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     state, reports = evolve(
-        state0, cfg.t_final, cfg.stepper_config(scheme=scheme), observers=(recorder,)
+        state0, cfg.t_final, replace(cfg.stepper, scheme=scheme), observers=(recorder,)
     )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
@@ -406,10 +375,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     scheme accepted, the internal steps of the adaptive comparator included.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
-    ref_cfg = cfg.stepper_config(scheme="strang", dt=cfg.dt * cfg.reference_dt_factor)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ref_cfg = replace(cfg.stepper, scheme="strang", dt=cfg.stepper.dt * cfg.reference_dt_factor)
     reference, _ = evolve(state0, cfg.t_final, ref_cfg)
     write_graph_csv(out_dir / "reference_graph.csv", reference)
 
@@ -469,23 +438,27 @@ def converge_experiment(
     graph matching.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dt_list = list(dt_list or cfg.sweep.get("dt", []))
     dxi_list = list(dxi_list or cfg.sweep.get("dxi", []))
     if not dt_list and not dxi_list:
         raise RodwaveError("converge needs a dt and/or dxi sweep")
-    report: dict = {"name": cfg.name, "scheme": cfg.scheme}
+    peakon = cfg.initial_data.get("kind") == "peakon"  # validated: gamma = 1, exact solution known
+    # a fit needs 3 points; a space sweep against its finest run loses one
+    for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if peakon else 4)):
+        if values and len(values) < need:
+            raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
+    report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
 
     def final_state(dxi, dt, scheme):
-        run_cfg = replace(cfg, dxi=dxi, dt=dt, scheme=scheme)
+        run_cfg = replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dt, scheme=scheme))
         state0 = build_initial_state(run_cfg)
-        state, _ = evolve(state0, cfg.t_final, run_cfg.stepper_config())
+        state, _ = evolve(state0, cfg.t_final, run_cfg.stepper)
         return state
 
     if dt_list:
         ref_dt = min(dt_list) * cfg.reference_dt_factor
         reference = final_state(cfg.dxi, ref_dt, "strang")
-        finals = [final_state(cfg.dxi, d, cfg.scheme) for d in dt_list]
+        finals = [final_state(cfg.dxi, d, cfg.stepper.scheme) for d in dt_list]
         errors = [distance_f(s, reference) for s in finals]
         report["dt_sweep"] = {
             "dt": dt_list,
@@ -495,15 +468,11 @@ def converge_experiment(
         }
 
     if dxi_list:
-        peakon = (
-            cfg.initial_data.get("kind") == "peakon" and cfg.gamma == 1.0
-        )
-        finals = [final_state(dxi, dxi / 4.0, cfg.scheme) for dxi in dxi_list]
+        finals = [final_state(dxi, dxi / 4.0, cfg.stepper.scheme) for dxi in dxi_list]
         if peakon:
-            c = float(cfg.initial_data.get("c", 1.0))
-            x0 = float(cfg.initial_data.get("x0", 0.0))
+            wave = cfg.wave_spec()
             errors = [
-                exact_peakon_error(s, cfg.t_final, c, x0) for s in finals
+                exact_peakon_error(s, cfg.t_final, wave.c, wave.x0) for s in finals
             ]
         else:
             fine_idx = int(np.argmin(dxi_list))
@@ -523,6 +492,7 @@ def converge_experiment(
             "against": "exact_peakon" if peakon else "finest_run",
         }
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "order_report.json", report)
     # float(): a sweep read from JSON may hold ints, written as 1.0, not 1
     _write_csv(

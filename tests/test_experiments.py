@@ -24,9 +24,14 @@ TINY = {
 }
 
 
+def merged(base, changes):
+    """``base`` with ``changes`` applied; a None value removes the key."""
+    return {k: v for k, v in {**base, **changes}.items() if v is not None}
+
+
 def write_config(tmp_path, **changes):
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({**TINY, **changes}))
+    path.write_text(json.dumps(merged(TINY, changes)))
     return str(path)
 
 
@@ -93,8 +98,8 @@ class TestCompareConverge:
         assert run_cli("compare", "--config", config, "--out", str(tmp_path)) == 0
         out = tmp_path / "tiny_compare"
         rows = (out / "summary.csv").read_text().splitlines()
-        assert [r.split(",")[0] for r in rows] == ["scheme", *rw.experiments.DEFAULT_SCHEMES]
-        for scheme in rw.experiments.DEFAULT_SCHEMES:
+        assert [r.split(",")[0] for r in rows] == ["scheme", *rw.SCHEMES]
+        for scheme in rw.SCHEMES:
             assert (out / scheme / "diagnostics.csv").is_file()
             assert (out / scheme / "final_graph.csv").is_file()
 
@@ -141,9 +146,24 @@ class TestErrors:
             (["run"], {"grid": {"dxi": 0, "r": 5.0}}),
             (["run"], {"initial_data": {"kind": "peakon", "c": 1.0, "M": 2.0}}),
             (["run"], {"t_final": -1.0}),
+            (["converge"], {"sweep": {"dt": [0.1, 0.05]}}),
+            (["converge"], {"initial_data": {"kind": "peakon_antipeakon"},
+                            "sweep": {"dxi": [0.5, 0.25, 0.125]}}),
+            (["run"], {"stepper": {"dt": 0.1, "fp_tolerance": 1e-3}}),
+            (["run"], {"gamma": None}),
+            (["run"], {"initial_data": {"kind": "profile_file", "path": "bad_profile.txt"}}),
         ],
     )
-    def test_json_error_report_and_exit_code(self, tmp_path, capsys, argv, changes):
+    def test_json_error_report_and_exit_code(
+        self, tmp_path, capsys, monkeypatch, argv, changes
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rejected input reached the time loop")
+
+        monkeypatch.setattr(experiments, "evolve", no_run)
+        monkeypatch.chdir(tmp_path)
+        # exists, so the config is accepted, but fails to parse at its line 3
+        Path("bad_profile.txt").write_text("x u\n0 0\nfoo bar\n1 1\n2 0\n")
         if changes is not None:
             argv = [*argv, "--config", write_config(tmp_path, **{"t_final": 0.2, **changes})]
         out = tmp_path / "out"
@@ -154,14 +174,23 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"output_stride": 0}, {"output_stride": -1}, {"scheme": "leapfrog"},
-         {"schemes": ("strang", "rk4")}, {"m_ref": 0},
-         {"initial_data": {"kind": "peakon", "c": 1.0, "m": 0.0}}],
+        [{"output_stride": 0}, {"output_stride": -1},
+         {"stepper": {"dt": 0.2, "scheme": "leapfrog"}},
+         {"schemes": ["strang", "rk4"]}, {"m_ref": 0},
+         {"initial_data": {"kind": "peakon", "c": 1.0, "m": 0.0}},
+         {"output_strid": 3}, {"grid": {"dxi": 0.05, "r": 25.0, "n_half": 500}},
+         {"stepper": {"dt": 0.2, "fp_tolerance": 1e-3}},
+         {"initial_data": {"kind": "peakon", "c": 1.0, "x_0": 0.0}},
+         {"gamma": None}, {"stepper": {}}],
     )
     def test_config_validation(self, changes):
-        base = rw.bundled_config("peakon_c1")
         with pytest.raises(ValueError):
-            rw.ExperimentConfig(**{**vars(base), **changes})
+            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+
+    @pytest.mark.parametrize("name", sorted(rw.BUNDLED))
+    def test_bundled_config_round_trips(self, name):
+        cfg = rw.bundled_config(name)
+        assert rw.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_import_loads_no_scipy():
