@@ -10,7 +10,6 @@ from .state import (
     check_admissible,
     distance_f,
     invariants,
-    norm_f,
 )
 from .source_terms import (
     SourceTerms,
@@ -47,13 +46,9 @@ from .initial_data import (
 from .observables import (
     DiagnosticsRecorder,
     DiagnosticsRow,
-    EulerianGraph,
     convergence_order,
-    energy_density_points,
     exact_peakon_error,
-    particle_density_points,
     sup_graph_error,
-    to_graph,
 )
 from .experiments import (
     BUNDLED,
@@ -69,5 +64,3 @@ from .experiments import (
 from . import errors
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import replace
-import logging
 import os
 import sys
 from pathlib import Path
@@ -79,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
     try:
         if args.command == "list-experiments":
             for name, d in experiments.BUNDLED.items():

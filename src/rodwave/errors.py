@@ -9,18 +9,6 @@ class GridMismatch(RodwaveError):
     """Two states that must share a grid do not."""
 
 
-class NonMonotoneY(RodwaveError):
-    """Particle positions decrease somewhere; the O(N) kernel path is invalid.
-
-    ``index`` is the first cell index i (in -N..N-1 numbering) with
-    y_i < y_{i-1}.
-    """
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"particle positions decrease at cell {index}")
-
-
 class FixedPointDiverged(RodwaveError):
     """The implicit-midpoint fixed-point iteration failed to contract.
 

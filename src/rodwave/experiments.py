@@ -41,7 +41,16 @@ from .state import GridSpec, LagrangianState, Parameters, distance_f, invariants
 from .stepping import SCHEMES, StepperConfig, evolve
 
 _GRID_KEYS = ("dxi", "r")
-_CASTS = {"float": float, "int": int, "str": str, "dict": dict, "tuple": tuple}
+
+
+def _int(value) -> int:
+    """int(value), refusing to truncate: 2.0 is 2, but 1.7 is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+_CASTS = {"float": float, "int": _int, "str": str, "dict": dict, "tuple": tuple}
 # initial_data of kind profile_file: a two-column ``x u`` text file
 _ProfileFile = make_dataclass("_ProfileFile", [("kind", "str"), ("path", "str")])
 
@@ -51,7 +60,7 @@ def _read_section(cls, section, where: str, only=None, **given) -> dict:
     ``given``.  The keys must be fields (of ``only``, when given) not in
     ``given``, and must include each such field without a default, or
     ValueError names them.  Values are cast to the declared type: a JSON 1
-    is 1.0 for a float field, a list a tuple."""
+    is 1.0 for a float field, 2.0 is 2 for an int field, a list a tuple."""
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be a JSON object, got {section!r}")
     declared = {f.name: f for f in fields(cls)
@@ -68,7 +77,7 @@ def _read_section(cls, section, where: str, only=None, **given) -> dict:
         cast = _CASTS.get(declared_type.split("[")[0], lambda v: v)
         try:
             kwargs[name] = value if optional_none else cast(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"{where}.{name}: {err}") from None
     return kwargs
 
@@ -125,6 +134,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
         grid = _read_section(cls, d.pop("grid", {}), "grid", only=_GRID_KEYS)
         stepper = StepperConfig(**_read_section(StepperConfig, d.pop("stepper", {}), "stepper"))
@@ -143,7 +154,7 @@ def load_config(path) -> ExperimentConfig:
     """Read a config file, or a run manifest (its resolved config is reused)."""
     with open(path) as fh:
         d = json.load(fh)
-    if "config" in d and "name" not in d:
+    if isinstance(d, dict) and "config" in d and "name" not in d:
         d = d["config"]
     return ExperimentConfig.from_dict(d)
 

@@ -1,4 +1,4 @@
-"""Eulerian views of Lagrangian states, error metrics and diagnostics.
+"""Error metrics on the solution graph, convergence fits and run diagnostics.
 
 The solution graph is the point set (y_i, U_i) — no interpolation, since
 convergence makes statements about exactly these points.  Cells where q
@@ -15,57 +15,6 @@ import numpy as np
 from .errors import DegenerateFit, GridMismatch
 from .state import LagrangianState, invariants
 from .stepping import StepReport
-
-DEFAULT_Q_FLOOR = 1e-8
-
-
-@dataclass
-class EulerianGraph:
-    """Point set (x, u) with a concentration flag per point."""
-
-    x: np.ndarray
-    u: np.ndarray
-    concentrated: np.ndarray  # bool mask: q below threshold
-
-
-@dataclass
-class DensityPoints:
-    """Pointwise density ratios; flagged (value = nan) where q < q_floor."""
-
-    x: np.ndarray
-    value: np.ndarray
-    concentrated: np.ndarray
-
-
-def to_graph(state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR) -> EulerianGraph:
-    return EulerianGraph(
-        x=state.y.copy(),
-        u=state.U.copy(),
-        concentrated=state.q < q_floor,
-    )
-
-
-def _density(state, numerator, q_floor):
-    if not q_floor > 0:
-        raise ValueError("q_floor must be positive")
-    q = state.q
-    mask = q < q_floor
-    value = np.divide(numerator, q, out=np.full_like(q, np.nan), where=~mask)
-    return DensityPoints(x=state.y.copy(), value=value, concentrated=mask)
-
-
-def energy_density_points(
-    state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR
-) -> DensityPoints:
-    """(u^2 + u_x^2) pulled back to the graph: the ratio h/q."""
-    return _density(state, state.h, q_floor)
-
-
-def particle_density_points(
-    state: LagrangianState, q_floor: float = DEFAULT_Q_FLOOR
-) -> DensityPoints:
-    """Particle density 1/q (reciprocal Jacobian of the flow map)."""
-    return _density(state, np.ones(state.n_cells), q_floor)
 
 
 def sup_graph_error(a: LagrangianState, b: LagrangianState) -> float:

@@ -4,13 +4,16 @@ Both are exponential-kernel integrals of the cell integrand
 
     a_j = (3 - 2*gamma)/2 * U_j^2 q_j + gamma/2 * h_j,
 
-evaluated at the cell left endpoints.  For piecewise-constant data the
-integrals collapse to exact sums over cells (weight dxi, kernel evaluated
-with the particle position y at left endpoints):
+evaluated at the cell left endpoints.  The kernel is the signed exponent of
+the Lagrangian formulation of Holden & Raynaud (Comm. PDE 32, 2007;
+J. Differential Equations 233, 2007), exp(-sgn(xi - eta) (y(xi) - y(eta))).
+For piecewise-constant data the integrals collapse to exact sums over cells
+(weight dxi, kernel evaluated with the particle position y at left
+endpoints):
 
-    P_i =  dxi/2 * sum_j exp(-|y_i - y_j|) a_j
-    Q_i = -dxi/2 * ( sum_{j<i} exp(-|y_i - y_j|) a_j
-                   - sum_{j>i} exp(-|y_j - y_i|) a_j )
+    P_i =  dxi/2 * sum_j exp(-sgn(i - j) (y_i - y_j)) a_j
+    Q_i = -dxi/2 * ( sum_{j<i} exp(-(y_i - y_j)) a_j
+                   - sum_{j>i} exp(-(y_j - y_i)) a_j )
 
 The evaluation cell itself carries kernel sign 0 and drops out of Q (the
 signed kernel is odd about the node), while it contributes its full weight
@@ -18,8 +21,11 @@ to P.  This node-symmetric rule is what makes Q exactly antisymmetric for
 mirror-symmetric states; assigning the cell to either one-sided sum instead
 injects an O(dxi) drift that visibly damps traveling waves.
 
-When y is nondecreasing, |y_i - y_j| = ±(y_i - y_j) and both terms follow in
-O(N) from the inclusive one-sided sums
+While y is nondecreasing the kernel is exp(-|y_i - y_j|).  When the particle
+map folds over, a crossed pair (j < i, d = y_j - y_i > 0) keeps the sign of
+i - j and is weighed with exp(+d); no state needs a second rule.
+
+Both terms follow in O(N) from the inclusive one-sided sums
 
     f_i = sum_{j<=i} a_j exp(-(y_i - y_j)),   b_i = sum_{j>=i} a_j exp(-(y_j - y_i))
 
@@ -28,36 +34,23 @@ as P = dxi/2 (f + b - a) and Q = dxi/2 (b - f).  Each is a linear recurrence
 over cells, as a cumulative sum of a_j exp(y_j - r) rescaled by exp(r - y_i)
 with r the last position.  That needs the positions to span at most
 ``_SPAN``.  Otherwise the cells are cut into equal blocks, halved until the
-positions in each block do; each block is rescaled to its own last position
-r_b, and the block totals are chained by a Hillis-Steele scan (Blelloch,
-1990) whose multipliers exp(-(r_b - r_{b-1})) never exceed one.  No exponent
-leaves [-_SPAN, _SPAN] (widened by the fold depth below), so large |y|
-cannot overflow.
-
-When the particle map folds over (y_j > y_i for some j < i), the same signed
-sums run without the monotone guard, and then the K inverted pairs are
-corrected from exp(+d) to exp(-d) in one vectorised pass; the pairs are found
-through the running maximum of y.  The candidate list holds at most
-N(N-1)/2 pairs, so even a long fold costs no more than the direct sum's N x N
-matrices.  Folds deeper than ``_FOLD_DEPTH``, where the exp(+d) terms would
-cancel against exp(-d) at a loss of up to e^(2d) in relative accuracy, go to
-the O(N^2) direct sum instead.
+first and last positions of each block are that close; each block is
+rescaled to its own last position r_b, and the block totals are chained by a
+Hillis-Steele scan (Blelloch, 1990) whose multipliers exp(-(r_b - r_{b-1}))
+never exceed one on nondecreasing y.  No exponent leaves [-_SPAN, _SPAN]
+there, so large |y| cannot overflow; a fold of depth d (the largest
+y_j - y_i over j < i) widens that range by at most d.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonMonotoneY
 from .state import LagrangianState
 
-logger = logging.getLogger(__name__)
-
 _SPAN = 300.0        # largest position span in one block: exp(300) ~ 2e130
-_FOLD_DEPTH = 1.0    # deepest fold (max_{j<i} y_j - y_i) corrected pairwise
 
 
 class SourceTerms(NamedTuple):
@@ -73,20 +66,20 @@ def integrand_a(state: LagrangianState) -> np.ndarray:
 
 
 def source_terms_direct(state: LagrangianState) -> SourceTerms:
-    """O(N^2) summation; the reference implementation.
+    """O(N^2) summation with the signed kernel; the reference implementation.
 
-    Uses |y_i - y_j| in the kernel so it stays well defined (and bounded)
-    even when y is not monotone; for monotone y it coincides with the signed
-    kernel form.
+    The kernel is exp(-sgn(i - j) (y_i - y_j)) on any y.  On nondecreasing y
+    it is bit for bit exp(-|y_i - y_j|), since the sign flips of y_i - y_j
+    are exact.
     """
     y = state.y
     a = integrand_a(state)
     half = 0.5 * state.grid.dxi
-    kernel = np.exp(-np.abs(y[:, None] - y[None, :]))
-    P = half * (kernel @ a)
     n = y.size
     # signs[i, j] = +1 for j < i, -1 for j > i, 0 for j = i
     signs = np.tri(n, n, -1) - np.tri(n, n, -1).T
+    kernel = np.exp(-signs * (y[:, None] - y[None, :]))
+    P = half * (kernel @ a)
     Q = -half * ((signs * kernel) @ a)
     return SourceTerms(P=P, Q=Q)
 
@@ -137,82 +130,22 @@ def _signed_sums(y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f.ravel()[:n], b.ravel()[:n]
 
 
-def _combine(f: np.ndarray, b: np.ndarray, a: np.ndarray, dxi: float) -> SourceTerms:
-    half = 0.5 * dxi
+def source_terms_fast(state: LagrangianState) -> SourceTerms:
+    """O(N) evaluation via blocked prefix sums, with the signed kernel."""
+    a = integrand_a(state)
+    f, b = _signed_sums(state.y, a)
+    half = 0.5 * state.grid.dxi
     # f and b both hold the evaluation cell, which Q must not see
     return SourceTerms(P=half * (f + b - a), Q=half * (b - f))
 
 
-def source_terms_fast(state: LagrangianState) -> SourceTerms:
-    """O(N) evaluation via blocked prefix sums; requires nondecreasing y."""
-    y = state.y
-    bad = np.nonzero(np.diff(y) < 0.0)[0]
-    if bad.size:
-        raise NonMonotoneY(state.grid.cell_index(int(bad[0]) + 1))
-    a = integrand_a(state)
-    return _combine(*_signed_sums(y, a), a, state.grid.dxi)
-
-
-def _inverted_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Index pairs (j, i) with j < i and y_j > y_i, or None for a deep fold.
-
-    Only j at or after the first position where the running maximum of y
-    exceeds y_i can be inverted against i; those candidates are listed and
-    filtered.
-    """
-    n = y.size
-    top = np.maximum.accumulate(y)
-    if not (top - y).max() <= _FOLD_DEPTH:
-        return None
-    first = np.searchsorted(top, y, side="right")
-    counts = np.maximum(np.arange(n) - first, 0)
-    total = int(counts.sum())
-    i = np.repeat(np.arange(n), counts)
-    starts = np.cumsum(counts) - counts
-    j = np.arange(total) + np.repeat(first - starts, counts)
-    keep = y[j] > y[i]
-    return j[keep], i[keep]
-
-
-def source_terms_folded(state: LagrangianState) -> SourceTerms:
-    """O(N + K) evaluation for a shallow fold with K inverted pairs.
-
-    The signed sums weigh an inverted pair (j < i, d = y_j - y_i > 0) with
-    exp(+d) where the |dy| kernel wants exp(-d); the difference 2 sinh(d) is
-    taken back out of f_i (weight a_j) and b_j (weight a_i).  Deep folds are
-    handed to ``source_terms_direct``.
-    """
-    y = state.y
-    pairs = _inverted_pairs(y)
-    if pairs is None:
-        return source_terms_direct(state)
-    j, i = pairs
-    a = integrand_a(state)
-    f, b = _signed_sums(y, a)
-    excess = 2.0 * np.sinh(y[j] - y[i])
-    f -= np.bincount(i, weights=a[j] * excess, minlength=y.size)
-    b -= np.bincount(j, weights=a[i] * excess, minlength=y.size)
-    return _combine(f, b, a, state.grid.dxi)
-
-
 def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
-    """Fast path, with a fold-aware fallback on non-monotone positions.
+    """The source terms, and whether the particle map y is folded.
 
-    Returns the terms and whether y was folded (the fallback flag).  The
-    fallback keeps the solver alive outside the positivity regime, where the
-    particle map may fold over.  There, two particles that have crossed
-    (j < i with y_j > y_i) interact through index sign x exp(-|y_i - y_j|):
-    P sees exp(-|dy|) and Q keeps the sign of i - j, which is sign(xi - eta)
-    of the Lagrangian integral, exactly as in ``source_terms_direct``.
-    Shallow folds are served in O(N + K) by ``source_terms_folded``, deep
-    ones by ``source_terms_direct``; the flag is True either way.
+    Every state is served by ``source_terms_fast`` (looked up on this module,
+    so a wrapper installed there sees every call).  The flag marks states
+    outside the positivity regime, where two particles have crossed
+    (j < i with y_j > y_i) and the signed kernel weighs them with exp(+d).
     """
-    try:
-        return source_terms_fast(state), False
-    except NonMonotoneY as err:
-        logger.debug(
-            "non-monotone particle positions (first at cell %d); "
-            "falling back to fold-aware summation",
-            err.index,
-        )
-        return source_terms_folded(state), True
+    y = state.y
+    return source_terms_fast(state), bool((y[1:] < y[:-1]).any())

@@ -101,10 +101,6 @@ class GridSpec:
         """Left endpoints xi_i for i = -N..N-1."""
         return np.arange(-self.n_half, self.n_half, dtype=np.float64) * self.dxi
 
-    def cell_index(self, position: int) -> int:
-        """Map array position 0..2N-1 to the cell index i in -N..N-1."""
-        return position - self.n_half
-
 
 ROWS = ("zeta", "U", "H", "v", "w", "h")
 
@@ -166,11 +162,6 @@ class LagrangianState:
     def n_cells(self) -> int:
         return self.grid.n_cells
 
-    @property
-    def reported_H_plus(self) -> float:
-        """Total-energy constant including the last cell, for output."""
-        return float(self.H[-1] + self.grid.dxi * self.h[-1])
-
     def with_x(self, x: np.ndarray) -> "LagrangianState":
         """Same grid, parameters and boundary constants around a new array."""
         return LagrangianState(
@@ -217,12 +208,6 @@ def _norm(d: np.ndarray, zeta_minus: float, zeta_plus: float, H_plus: float,
         + _weighted_l2(w, dxi)
         + _weighted_l2(h, dxi)
     )
-
-
-def norm_f(state: LagrangianState) -> float:
-    """State-space norm: sup norms on zeta, U, H (boundary constants included)
-    plus dxi-weighted l2 norms on U, v, w, h."""
-    return _norm(state.x, state.zeta_minus, state.zeta_plus, state.H_plus, state.grid.dxi)
 
 
 def distance_f(a: LagrangianState, b: LagrangianState) -> float:

@@ -59,12 +59,13 @@ class StepReport:
 
     ``min_q`` and ``min_h`` are the minima of q and h over the states the
     step accepted: the end state of a fixed step, every accepted internal
-    state of an adaptive segment.
+    state of an adaptive segment.  ``folded`` is True when some source-term
+    evaluation of the step saw a folded particle map y.
     """
 
     fp_iterations: tuple[int, ...] = ()
     final_residual: float = 0.0
-    monotonicity_fallback: bool = False
+    folded: bool = False
     accepted: int = 0
     rejected: int = 0
     min_q: float = math.inf
@@ -74,7 +75,7 @@ class StepReport:
         return StepReport(
             fp_iterations=self.fp_iterations + other.fp_iterations,
             final_residual=max(self.final_residual, other.final_residual),
-            monotonicity_fallback=self.monotonicity_fallback or other.monotonicity_fallback,
+            folded=self.folded or other.folded,
             accepted=self.accepted + other.accepted,
             rejected=self.rejected + other.rejected,
             min_q=min(self.min_q, other.min_q),
@@ -103,12 +104,12 @@ def midpoint_substep(
     field_fn = _FIELDS[which]
     y = state.x
     z = state
-    fallback = False
+    folded = False
     residual = math.inf
     for m in range(1, cfg.fp_max_iter + 1):
         mid = state.with_x(0.5 * (y + z.x))
-        terms, fb = evaluate_source_terms(mid)
-        fallback = fallback or fb
+        terms, fold = evaluate_source_terms(mid)
+        folded = folded or fold
         z_next = state.with_x(y + dt * field_fn(mid, terms))
         residual = distance_f(z_next, z)
         z = z_next
@@ -116,7 +117,7 @@ def midpoint_substep(
             return z, StepReport(
                 fp_iterations=(m,),
                 final_residual=residual,
-                monotonicity_fallback=fallback,
+                folded=folded,
             )
         if not math.isfinite(residual):
             raise FixedPointDiverged(m, residual)
@@ -147,9 +148,9 @@ def step_explicit_euler(
 ) -> tuple[LagrangianState, StepReport]:
     """Forward Euler; does not conserve the invariants (contrast scheme)."""
     dt = cfg.dt if dt is None else dt
-    terms, fb = evaluate_source_terms(state)
+    terms, folded = evaluate_source_terms(state)
     new = state.with_x(state.x + dt * vector_field_full(state, terms))
-    return _ended(new, StepReport(monotonicity_fallback=fb))
+    return _ended(new, StepReport(folded=folded))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +187,13 @@ def step_adaptive_rk(
     if t_target <= 0:
         return state, StepReport()
     shape = state.x.shape
-    fallback = False
+    folded = False
 
     def rhs(vec: np.ndarray) -> np.ndarray:
-        nonlocal fallback
+        nonlocal folded
         s = state.with_x(vec.reshape(shape))
-        terms, fb = evaluate_source_terms(s)
-        fallback = fallback or fb
+        terms, fold = evaluate_source_terms(s)
+        folded = folded or fold
         return vector_field_full(s, terms).ravel()
 
     y = state.x.ravel()
@@ -238,7 +239,7 @@ def step_adaptive_rk(
         h *= min(5.0, max(0.2, fac))
 
     return out, StepReport(
-        monotonicity_fallback=fallback, accepted=accepted, rejected=rejected,
+        folded=folded, accepted=accepted, rejected=rejected,
         min_q=min_q, min_h=min_h,
     )
 

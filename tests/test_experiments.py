@@ -152,6 +152,11 @@ class TestErrors:
             (["run"], {"stepper": {"dt": 0.1, "fp_tolerance": 1e-3}}),
             (["run"], {"gamma": None}),
             (["run"], {"initial_data": {"kind": "profile_file", "path": "bad_profile.txt"}}),
+            (["run"], [1, 2]),
+            (["run"], 5),
+            (["run"], {"output_stride": 1.7}),
+            (["run"], {"m_ref": 2.5}),
+            (["run"], {"stepper": {"dt": 0.1, "fp_max_iter": 7.9}}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -164,8 +169,11 @@ class TestErrors:
         monkeypatch.chdir(tmp_path)
         # exists, so the config is accepted, but fails to parse at its line 3
         Path("bad_profile.txt").write_text("x u\n0 0\nfoo bar\n1 1\n2 0\n")
-        if changes is not None:
+        if isinstance(changes, dict):
             argv = [*argv, "--config", write_config(tmp_path, **{"t_final": 0.2, **changes})]
+        elif changes is not None:  # a whole config file that is not an object
+            Path("top.json").write_text(json.dumps(changes))
+            argv = [*argv, "--config", "top.json"]
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 1
         report = json.loads(capsys.readouterr().err)
@@ -181,11 +189,18 @@ class TestErrors:
          {"output_strid": 3}, {"grid": {"dxi": 0.05, "r": 25.0, "n_half": 500}},
          {"stepper": {"dt": 0.2, "fp_tolerance": 1e-3}},
          {"initial_data": {"kind": "peakon", "c": 1.0, "x_0": 0.0}},
-         {"gamma": None}, {"stepper": {}}],
+         {"gamma": None}, {"stepper": {}}, {"output_stride": 1.7}, {"m_ref": 2.5},
+         {"stepper": {"dt": 0.2, "fp_max_iter": 7.9}}, {"gamma": 10**400}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+
+    def test_integral_float_is_accepted_for_an_int_field(self):
+        changes = {"output_stride": 2.0, "stepper": {"dt": 0.2, "fp_max_iter": 7.0}}
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        assert (cfg.output_stride, cfg.stepper.fp_max_iter) == (2, 7)
+        assert type(cfg.output_stride) is int and type(cfg.stepper.fp_max_iter) is int
 
     @pytest.mark.parametrize("name", sorted(rw.BUNDLED))
     def test_bundled_config_round_trips(self, name):

@@ -14,57 +14,40 @@ def zero_state(n_half=8, dxi=0.25):
 
 
 class TestGraph:
+    """The solution graph is the point set (state.y, state.U)."""
+
     def test_zero_state_graph(self):
         s = zero_state()
-        g = rw.to_graph(s)
-        np.testing.assert_array_equal(g.x, s.grid.cells)
-        np.testing.assert_array_equal(g.u, np.zeros(16))
-        assert not g.concentrated.any()
+        np.testing.assert_array_equal(s.y, s.grid.cells)
+        np.testing.assert_array_equal(s.U, np.zeros(16))
 
     def test_peakon_graph_matches_formula(self):
         grid = rw.GridSpec.from_radius(0.1, 15.0)
         s = rw.make_peakon_pair([(0.7, 0.3)], grid)
-        g = rw.to_graph(s)
-        np.testing.assert_allclose(g.u, 0.7 * np.exp(-np.abs(g.x - 0.3)), rtol=1e-14)
-
-    def test_collapsed_cells_flagged(self):
-        s = zero_state()
-        v = s.v.copy()
-        v[3] = -1.0  # q = 0: repeated x values, energy concentration
-        g = rw.to_graph(s.replace(v=v))
-        assert g.concentrated[3]
-        assert g.concentrated.sum() == 1
+        np.testing.assert_allclose(s.U, 0.7 * np.exp(-np.abs(s.y - 0.3)), rtol=1e-14)
 
     def test_x_nondecreasing_for_admissible_states(self):
         grid = rw.GridSpec.from_radius(0.25, 10.0)
         s = rw.make_gaussian_derivative(grid, gamma=0.8)
         assert rw.check_admissible(s, c_floor=0.4).ok
-        assert np.all(np.diff(rw.to_graph(s).x) >= 0)
+        assert np.all(np.diff(s.y) >= 0)
 
 
 class TestDensities:
     def test_peakon_energy_density(self):
+        # the energy density u^2 + u_x^2 on the graph is h/q, and q = 1 here
         grid = rw.GridSpec.from_radius(0.1, 15.0)
         c = 1.0
         s = rw.make_peakon_pair([(c, 0.0)], grid)
-        pts = rw.energy_density_points(s)
-        expected = 2.0 * c * c * np.exp(-2.0 * np.abs(pts.x))
-        np.testing.assert_allclose(pts.value, expected, rtol=1e-13)
-        assert not pts.concentrated.any()
-
-    def test_collapsed_cell_is_flagged_not_clamped(self):
-        s = zero_state()
-        v = s.v.copy()
-        v[5] = -1.0
-        pts = rw.energy_density_points(s.replace(v=v))
-        assert pts.concentrated[5]
-        assert np.isnan(pts.value[5])
+        np.testing.assert_array_equal(s.q, np.ones(grid.n_cells))
+        expected = 2.0 * c * c * np.exp(-2.0 * np.abs(s.y))
+        np.testing.assert_allclose(s.h, expected, rtol=1e-13)
 
     def test_unit_particle_density_for_relabeled_data(self):
+        # the particle density is 1/q
         grid = rw.GridSpec.from_radius(0.1, 10.0)
         s = rw.make_peakon_pair([(1.0, 0.0)], grid)
-        pts = rw.particle_density_points(s)
-        np.testing.assert_array_equal(pts.value, np.ones(grid.n_cells))
+        np.testing.assert_array_equal(1.0 / s.q, np.ones(grid.n_cells))
 
     def test_telescoping_position_increments(self):
         # projected states have y_{i+1} - y_i = dxi * q_i exactly per cell
@@ -74,10 +57,6 @@ class TestDensities:
         np.testing.assert_allclose(
             np.sum(np.diff(y)), grid.dxi * np.sum(s.q[:-1]), rtol=1e-12
         )
-
-    def test_q_floor_validation(self):
-        with pytest.raises(ValueError):
-            rw.energy_density_points(zero_state(), q_floor=0.0)
 
 
 class TestSupGraphError:

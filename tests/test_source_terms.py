@@ -6,7 +6,6 @@ import pytest
 
 import rodwave as rw
 from rodwave import source_terms
-from rodwave.errors import NonMonotoneY
 from rodwave.stepping import midpoint_substep
 
 from helpers import random_admissible_state, rel_entrywise
@@ -98,6 +97,34 @@ class TestDirect:
             )
         assert terms.Q[n_half] == pytest.approx(0.0, abs=1e-15)
 
+    def test_folded_state_matches_the_signed_kernel_formula(self):
+        rng = np.random.default_rng(21)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(8, 0.25), 0.7)
+        s = folded(folded(s, 5, 3, 0.4), 11, 2, 1.3)
+        y, a, n = s.y, rw.integrand_a(s), s.n_cells
+        assert np.any(np.diff(y) < 0)
+        P, Q = np.zeros(n), np.zeros(n)
+        for i in range(n):
+            for j in range(n):
+                sgn = np.sign(i - j)
+                k = np.exp(-sgn * (y[i] - y[j]))
+                P[i] += 0.5 * s.grid.dxi * k * a[j]
+                Q[i] -= 0.5 * s.grid.dxi * sgn * k * a[j]
+        terms = rw.source_terms_direct(s)
+        np.testing.assert_allclose(terms.P, P, rtol=1e-13)
+        np.testing.assert_allclose(terms.Q, Q, rtol=1e-13, atol=1e-13 * np.abs(P).max())
+
+    def test_monotone_state_uses_the_absolute_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.2)
+        y, a = s.y, rw.integrand_a(s)
+        kernel = np.exp(-np.abs(y[:, None] - y[None, :]))
+        signs = np.sign(np.subtract.outer(np.arange(y.size), np.arange(y.size)))
+        terms = rw.source_terms_direct(s)
+        half = 0.5 * s.grid.dxi
+        np.testing.assert_array_equal(terms.P, half * (kernel @ a))
+        np.testing.assert_array_equal(terms.Q, -half * ((signs * kernel) @ a))
+
     def test_kernel_positivity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -139,31 +166,22 @@ class TestFast:
             assert np.abs(d.P - f.P).max() < 1e-12 * scale
             assert np.abs(d.Q - f.Q).max() < 1e-12 * scale
 
-    def test_non_monotone_y_raises_with_cell_index(self):
-        s = zero_state(8, 0.25)
-        zeta = s.zeta.copy()
-        # make y decrease entering cell index 5 (array position 13)
-        zeta[13] = -0.3
-        with pytest.raises(NonMonotoneY) as exc:
-            rw.source_terms_fast(s.replace(zeta=zeta))
-        assert exc.value.index == 5
-
-    def test_fallback_is_reported_and_logged(self, caplog):
+    def test_fold_is_flagged_silently_and_matches_direct(self, caplog):
         s = zero_state(8, 0.25).replace(h=np.linspace(0.5, 1.5, 16))
         zeta = s.zeta.copy()
-        zeta[13] = -0.3
+        zeta[13] = -0.3  # y decreases entering array position 13
         bad = s.replace(zeta=zeta)
-        with caplog.at_level(logging.DEBUG, logger="rodwave.source_terms"):
-            terms, fallback = rw.evaluate_source_terms(bad)
-        assert fallback
-        assert any("falling back" in r.message for r in caplog.records)
+        with caplog.at_level(logging.DEBUG, logger="rodwave"):
+            terms, folded_y = rw.evaluate_source_terms(bad)
+        assert folded_y
+        assert caplog.records == []
         assert_close_at_scale(terms, rw.source_terms_direct(bad))
 
     def test_monotone_state_does_not_fall_back(self):
         rng = np.random.default_rng(2)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
-        _, fallback = rw.evaluate_source_terms(s)
-        assert not fallback
+        _, folded_y = rw.evaluate_source_terms(s)
+        assert not folded_y
 
     def test_wide_position_span_does_not_overflow(self):
         # y spans ~2000 kernel lengths: a single rescaled sum would need
@@ -173,6 +191,22 @@ class TestFast:
         y = s.y * (2000.0 / np.ptp(s.y))
         s = with_y(s, y)
         assert np.ptp(s.y) >= 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = rw.source_terms_fast(s)
+            d = rw.source_terms_direct(s)
+        assert_close_at_scale(f, d)
+
+    def test_deep_fold_in_a_wide_position_span_does_not_overflow(self):
+        # a fold of depth 6 lifts the blocked sums' exponents by up to 6
+        # above the block's own rescaling; they must stay finite and exact
+        rng = np.random.default_rng(18)
+        s = random_admissible_state(rng, rw.GridSpec.from_cells(128, 0.1), 1.0)
+        s = with_y(s, s.y * (2000.0 / np.ptp(s.y)))
+        for start in (64, 128, 200):
+            s = folded(s, start, 6, 6.0)
+        y = s.y
+        assert np.ptp(y) >= 2000 and (np.maximum.accumulate(y) - y).max() >= 5
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             f = rw.source_terms_fast(s)
@@ -196,7 +230,8 @@ class TestFast:
 
 
 class TestFolded:
-    """Crossing particles interact through index sign x exp(-|dy|)."""
+    """Crossing particles (j < i, y_j > y_i) interact through the signed
+    kernel exp(-sgn(i - j) (y_i - y_j)), on the same O(N) path."""
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
     def test_shallow_folds_match_direct(self, gamma, monkeypatch):
@@ -216,8 +251,8 @@ class TestFolded:
                 start = int(rng.integers(1, grid.n_cells - 1))
                 width = int(rng.integers(1, min(8, grid.n_cells - start) + 1))
                 s = folded(s, start, width, rng.uniform(0.001, 0.3))
-            terms, fallback = rw.evaluate_source_terms(s)
-            assert fallback
+            terms, folded_y = rw.evaluate_source_terms(s)
+            assert folded_y
             assert_close_at_scale(terms, direct(s))
         assert served_by_direct == []
 
@@ -226,14 +261,12 @@ class TestFolded:
         rng = np.random.default_rng(8)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.0)
         s = folded(s, 30, 6, depth)
-        terms, fallback = rw.evaluate_source_terms(s)
-        d = rw.source_terms_direct(s)
-        assert fallback
-        np.testing.assert_array_equal(terms.P, d.P)
-        np.testing.assert_array_equal(terms.Q, d.Q)
+        terms, folded_y = rw.evaluate_source_terms(s)
+        assert folded_y
+        assert_close_at_scale(terms, rw.source_terms_direct(s))
 
-    def test_wide_shallow_fold_is_corrected_pairwise(self, monkeypatch):
-        # shallow but long: about N^2/4 candidate pairs, all corrected
+    def test_wide_shallow_fold_matches_direct(self, monkeypatch):
+        # shallow but long: about N^2/4 crossed pairs
         direct = source_terms.source_terms_direct
         monkeypatch.setattr(source_terms, "source_terms_direct", None)
         rng = np.random.default_rng(9)
@@ -242,8 +275,8 @@ class TestFolded:
         y[16:] -= y[16] - y[15] + 0.9
         s = with_y(s, y)
         assert (np.maximum.accumulate(y) - y).max() < 1.0
-        terms, fallback = rw.evaluate_source_terms(s)
-        assert fallback
+        terms, folded_y = rw.evaluate_source_terms(s)
+        assert folded_y
         assert_close_at_scale(terms, direct(s))
 
     @pytest.mark.parametrize("depth", [0.05, 3.0])
@@ -251,11 +284,11 @@ class TestFolded:
         rng = np.random.default_rng(12)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
         s = folded(s, 10, 3, depth)
-        _, fallback = rw.evaluate_source_terms(s)
-        assert fallback
+        _, folded_y = rw.evaluate_source_terms(s)
+        assert folded_y
         # g1 freezes y, so every iterate of the substep stays folded
         _, report = midpoint_substep(s, 0.01, "g1", rw.StepperConfig(dt=0.01))
-        assert report.monotonicity_fallback
+        assert report.folded
         cfg = rw.StepperConfig(dt=0.01, scheme="explicit_euler")
         _, reports = rw.evolve(s, 0.01, cfg)
-        assert reports[0].monotonicity_fallback
+        assert reports[0].folded
