@@ -3,11 +3,9 @@ equation on the line, computed in Lagrangian coordinates with
 invariant-preserving operator-splitting time integrators."""
 
 from .state import (
-    AdmissibilityReport,
     GridSpec,
     LagrangianState,
     Parameters,
-    check_admissible,
     distance_f,
     invariants,
 )

@@ -30,6 +30,8 @@ def _config_from_args(args) -> experiments.ExperimentConfig:
     cfg = experiments.resolve_config(args.config)
     if getattr(args, "scheme", None):
         schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
+        if len(schemes) > 1 and args.command != "compare":
+            raise ValueError(f"{args.command} takes one scheme, got {args.scheme!r}")
         # a single scheme also becomes the run's scheme
         stepper = replace(cfg.stepper, scheme=schemes[0]) if len(schemes) == 1 else cfg.stepper
         cfg = replace(cfg, stepper=stepper, schemes=schemes)

@@ -15,21 +15,14 @@ import math
 import subprocess
 import time
 import warnings
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, make_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateFit, RodwaveError
-from .initial_data import (
-    EulerianProfile,
-    FineGrid,
-    TravelingWaveSpec,
-    build_from_spec,
-    eulerian_to_lagrangian,
-    project_to_grid,
-)
+from .initial_data import KINDS, FineGrid, TravelingWaveSpec, build_from_spec
 from .observables import (
     DiagnosticsRecorder,
     DiagnosticsRow,
@@ -37,7 +30,7 @@ from .observables import (
     exact_peakon_error,
     sup_graph_error,
 )
-from .state import GridSpec, LagrangianState, Parameters, distance_f, invariants
+from .state import GridSpec, LagrangianState, distance_f, invariants
 from .stepping import SCHEMES, StepperConfig, evolve
 
 _GRID_KEYS = ("dxi", "r")
@@ -50,17 +43,17 @@ def _int(value) -> int:
     return int(value)
 
 
-_CASTS = {"float": float, "int": _int, "str": str, "dict": dict, "tuple": tuple}
-# initial_data of kind profile_file: a two-column ``x u`` text file
-_ProfileFile = make_dataclass("_ProfileFile", [("kind", "str"), ("path", "str")])
+_CASTS = {"float": ((int, float), float), "int": ((int, float), _int), "str": (str, str),
+          "dict": (dict, dict), "tuple": ((list, tuple), tuple)}
 
 
 def _read_section(cls, section, where: str, only=None, **given) -> dict:
     """Keyword arguments for the dataclass ``cls`` from one JSON object, plus
     ``given``.  The keys must be fields (of ``only``, when given) not in
     ``given``, and must include each such field without a default, or
-    ValueError names them.  Values are cast to the declared type: a JSON 1
-    is 1.0 for a float field, 2.0 is 2 for an int field, a list a tuple."""
+    ValueError names them.  A value must have a JSON type that fits the
+    declared type, and is cast to it: a JSON 1 is 1.0 for a float field, 2.0
+    is 2 for an int field, an array a tuple; true is not a number."""
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be a JSON object, got {section!r}")
     declared = {f.name: f for f in fields(cls)
@@ -74,10 +67,12 @@ def _read_section(cls, section, where: str, only=None, **given) -> dict:
     for name, value in section.items():
         declared_type = declared[name].type  # a string: annotations are postponed
         optional_none = value is None and declared_type.endswith("| None")
-        cast = _CASTS.get(declared_type.split("[")[0], lambda v: v)
+        json_types, cast = _CASTS[declared_type.split("[")[0]]
         try:
+            if not optional_none and (isinstance(value, bool) or not isinstance(value, json_types)):
+                raise ValueError(f"expected {declared_type}, got {value!r}")
             kwargs[name] = value if optional_none else cast(value)
-        except (TypeError, ValueError, OverflowError) as err:
+        except (ValueError, OverflowError) as err:
             raise ValueError(f"{where}.{name}: {err}") from None
     return kwargs
 
@@ -104,16 +99,16 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject a bad config before any run starts or any file is written,
         through the validators of the objects the run builds from it."""
+        if not self.schemes:
+            raise ValueError("schemes must name at least one scheme")
         for s in self.schemes:
             replace(self.stepper, scheme=s)
+        unknown = sorted(set(self.sweep) - {"dt", "dxi"})
+        if unknown:
+            raise ValueError(f"sweep: unknown keys {unknown}; a sweep has dt and dxi")
         self.grid_spec()
         FineGrid(m_ref=self.m_ref)
-        if self.initial_data.get("kind") == "profile_file":
-            path = Path(_read_section(_ProfileFile, self.initial_data, "initial_data")["path"])
-            if not path.is_file():
-                raise ValueError(f"profile file not found: {path}")
-        else:
-            self.wave_spec()
+        self.wave_spec()
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.t_final < 0:
@@ -145,9 +140,12 @@ class ExperimentConfig:
         return GridSpec.from_radius(self.dxi, self.r)
 
     def wave_spec(self) -> TravelingWaveSpec:
-        """The initial data of every kind but profile_file, as a wave spec."""
+        """The initial data as a spec.  The section holds ``kind`` and the
+        keys ``KINDS[kind]`` names; any other key is a ValueError."""
+        kind = self.initial_data.get("kind")
+        only = ("kind", *KINDS[kind]) if isinstance(kind, str) and kind in KINDS else None
         return TravelingWaveSpec(**_read_section(
-            TravelingWaveSpec, self.initial_data, "initial_data", gamma=self.gamma))
+            TravelingWaveSpec, self.initial_data, "initial_data", only=only, gamma=self.gamma))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -160,13 +158,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_initial_state(cfg: ExperimentConfig) -> LagrangianState:
-    grid = cfg.grid_spec()
-    fine = FineGrid(m_ref=cfg.m_ref)
-    if cfg.initial_data["kind"] == "profile_file":
-        profile = EulerianProfile.from_file(cfg.initial_data["path"])
-        data = eulerian_to_lagrangian(profile, fine, grid)
-        return project_to_grid(data, grid, Parameters(cfg.gamma))
-    return build_from_spec(cfg.wave_spec(), grid, fine)
+    return build_from_spec(cfg.wave_spec(), cfg.grid_spec(), FineGrid(m_ref=cfg.m_ref))
 
 
 # ---------------------------------------------------------------------------

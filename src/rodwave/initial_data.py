@@ -1,6 +1,11 @@
 """Constructors for admissible discrete Lagrangian initial states.
 
-Two routes produce a state from an Eulerian velocity profile u0:
+Each kind of initial data is an entry of ``KINDS``, which names the keys
+its config section holds besides ``kind``: smooth and peakon read c and x0,
+cuspon also blend, peakon_antipeakon also separation, gaussian_derivative
+none, and profile_file the path of a two-column ``x u`` text file.
+``build_from_spec`` builds every kind, by one of two routes from an
+Eulerian velocity profile u0:
 
 * the generic pipeline: invert y + E(y) = xi (E = cumulative energy) on a
   fine sub-grid, then project to the solver grid by cell averaging.  The
@@ -19,6 +24,7 @@ reconstruct the same Eulerian graph.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +37,17 @@ from .errors import (
 )
 from .state import GridSpec, LagrangianState, Parameters
 
-WAVE_KINDS = ("smooth", "peakon", "cuspon", "peakon_antipeakon", "gaussian_derivative")
+# The spec fields each kind of initial data reads, besides kind and gamma.
+KINDS = {
+    "smooth": ("c", "x0"),
+    "peakon": ("c", "x0"),
+    "cuspon": ("c", "x0", "blend"),
+    "peakon_antipeakon": ("c", "x0", "separation"),
+    "gaussian_derivative": (),
+    "profile_file": ("path",),
+}
 
-# Departure from u = M at the wave crest when integrating the profile
+# Departure from u = c at the wave crest when integrating the profile
 # equation; u' is started on the invariant curve u'^2 = F(u).
 CREST_EPS = 1e-8
 
@@ -51,13 +65,14 @@ class FineGrid:
 
 @dataclass(frozen=True)
 class TravelingWaveSpec:
-    """Parameters of a traveling-wave (or collision) initial condition.
+    """Parameters of the initial data of any kind in ``KINDS``.
 
-    Only decaying waves are built: the profile equation's constants are
-    m = 0 and M = c.  Smooth crests exist for gamma < 1, peakons at
-    gamma = 1 and cusped crests (height c/gamma) for gamma > 1.
-    ``blend`` is the cuspon partition interval [a, b] over which the
-    parabolic crest parameterization is faded into the exponential tail.
+    A kind reads only the fields ``KINDS`` names for it.  The traveling
+    waves move at speed c and decay to 0: smooth crests (height c) exist for
+    gamma < 1, peakons at gamma = 1 and cusped crests (height c/gamma) for
+    gamma > 1.  ``blend`` is the cuspon partition interval [a, b] over which
+    the parabolic crest parameterization is faded into the exponential
+    tail.  ``path`` names the profile_file's two-column ``x u`` text file.
     """
 
     kind: str
@@ -66,10 +81,11 @@ class TravelingWaveSpec:
     x0: float = 0.0
     blend: tuple[float, float] | None = None
     separation: float = 1.0  # peakon_antipeakon: distance to the antipeakon
+    path: str = ""
 
     def __post_init__(self):
-        if self.kind not in WAVE_KINDS:
-            raise ValueError(f"unknown wave kind {self.kind!r}; choose from {WAVE_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown initial_data kind {self.kind!r}; choose from {tuple(KINDS)}")
         if self.kind == "smooth":
             if not (self.gamma < 1.0 and self.c > 0):
                 raise ValueError("smooth traveling wave requires gamma < 1 and c > 0")
@@ -79,6 +95,8 @@ class TravelingWaveSpec:
         elif self.kind == "cuspon":
             if not (self.gamma > 1.0 and self.c > 0):
                 raise ValueError("cuspon traveling wave requires gamma > 1 and c > 0")
+        elif self.kind == "profile_file" and not os.path.isfile(self.path):
+            raise ValueError(f"profile file not found: {self.path!r}")
 
     @property
     def blend_resolved(self) -> tuple[float, float]:
@@ -102,28 +120,13 @@ class EulerianProfile:
     support_radius: float
 
     @classmethod
-    def from_samples(cls, x: np.ndarray, u: np.ndarray) -> "EulerianProfile":
-        """Tabulated profile; derivative by central differences,
-        values by linear interpolation, zero outside the samples."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim != 1 or x.shape != u.shape or x.size < 3:
-            raise ValueError("need matching 1-d x, u arrays with >= 3 samples")
-        order = np.argsort(x)
-        x, u = x[order], u[order]
-        ux = np.gradient(u, x)
-        return cls(
-            u=lambda xx: np.interp(xx, x, u, left=0.0, right=0.0),
-            ux=lambda xx: np.interp(xx, x, ux, left=0.0, right=0.0),
-            support_radius=float(np.max(np.abs(x))),
-        )
-
-    @classmethod
     def from_file(cls, path) -> "EulerianProfile":
         """Two-column numeric text ``x u``.
 
         The first line is a header (ignored); ``#`` lines are comments;
-        columns are separated by whitespace or commas.
+        columns are separated by whitespace or commas.  Values are linearly
+        interpolated and zero outside the samples; the derivative comes
+        from central differences.
         """
         rows = []
         with open(path) as fh:
@@ -141,7 +144,14 @@ class EulerianProfile:
         if len(rows) < 3:
             raise ValueError(f"{path}: fewer than 3 data rows")
         arr = np.array(rows)
-        return cls.from_samples(arr[:, 0], arr[:, 1])
+        order = np.argsort(arr[:, 0])
+        x, u = arr[order, 0], arr[order, 1]
+        ux = np.gradient(u, x)
+        return cls(
+            u=lambda xx: np.interp(xx, x, u, left=0.0, right=0.0),
+            ux=lambda xx: np.interp(xx, x, ux, left=0.0, right=0.0),
+            support_radius=float(np.max(np.abs(x))),
+        )
 
 
 @dataclass
@@ -320,41 +330,33 @@ def make_peakon_pair(
     return _relabeled_state(U, w_left, w_right, grid, gamma)
 
 
-def _profile_rhs_factory(gamma: float, c: float, M: float):
+def _profile_rhs_factory(gamma: float, c: float):
     def F(u: float) -> float:
-        return u * u * (M - u) / (c - gamma * u)
+        return u * u * (c - u) / (c - gamma * u)
 
     def dF(u: float) -> float:
         denom = c - gamma * u
-        return ((2.0 * M * u - 3.0 * u * u) * denom + gamma * u * u * (M - u)) / (
+        return ((2.0 * c * u - 3.0 * u * u) * denom + gamma * u * u * (c - u)) / (
             denom * denom
         )
 
     return F, dF
 
 
-def integrate_smooth_profile(
-    gamma: float,
-    c: float,
-    M: float,
-    dx: float,
-    x_max: float,
-    floor: float | None = None,
-):
-    """March u'' = F'(u)/2 outward from the crest with classical RK4.
+def integrate_smooth_profile(gamma: float, c: float, dx: float, x_max: float):
+    """March u'' = F'(u)/2 outward from the crest with classical RK4,
+    for F(u) = u^2 (c - u) / (c - gamma u).
 
-    Starts at u = M - CREST_EPS on the invariant curve u'^2 = F(u) and stops
-    once u drops below ``floor`` (default 1e-5*M) or the slope turns up,
-    which marks the onset of the unstable-mode contamination in the tail.
+    Starts at u = c - CREST_EPS on the invariant curve u'^2 = F(u) and stops
+    once u drops below 1e-5*c or the slope turns up, which marks the onset
+    of the unstable-mode contamination in the tail.
     Returns (x, u, u') arrays for x >= 0.
     """
-    F, dF = _profile_rhs_factory(gamma, c, M)
-    if floor is None:
-        floor = 1e-5 * M
-    u0 = M - CREST_EPS
+    F, dF = _profile_rhs_factory(gamma, c)
+    u0 = c - CREST_EPS
     f0 = F(u0)
     if not (f0 > 0 and math.isfinite(f0)):
-        raise ProfileBlowup(f"F(M-eps) = {f0:.3e}; wrong parameter regime")
+        raise ProfileBlowup(f"F(c-eps) = {f0:.3e}; wrong parameter regime")
     u, p = u0, -math.sqrt(f0)
     xs, us, ps = [0.0], [u], [p]
     x = 0.0
@@ -367,9 +369,9 @@ def integrate_smooth_profile(
         u += dx * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
         p += dx * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         x += dx
-        if not (math.isfinite(u) and math.isfinite(p)) or u > 1.5 * M or u < -0.5 * M:
+        if not (math.isfinite(u) and math.isfinite(p)) or u > 1.5 * c or u < -0.5 * c:
             raise ProfileBlowup(f"profile left the admissible range at x={x:.3g}")
-        if u <= floor or p >= 0.0:
+        if u <= 1e-5 * c or p >= 0.0:
             break
         xs.append(x)
         us.append(u)
@@ -378,13 +380,9 @@ def integrate_smooth_profile(
 
 
 def make_smooth_tw(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
-    """Smooth decaying traveling wave (gamma < 1, c = M), relabeled."""
-    if spec.kind != "smooth":
-        raise ValueError(f"expected a smooth wave spec, got kind={spec.kind!r}")
+    """Smooth decaying traveling wave (gamma < 1), relabeled."""
     dx = grid.dxi / 32.0
-    xs, us, ps = integrate_smooth_profile(
-        spec.gamma, spec.c, spec.c, dx, x_max=grid.r + grid.dxi
-    )
+    xs, us, ps = integrate_smooth_profile(spec.gamma, spec.c, dx, x_max=grid.r + grid.dxi)
     s = grid.cells - spec.x0
     d = np.abs(s)
     U = np.interp(d, xs, us, right=0.0)
@@ -405,14 +403,13 @@ class _CusponCurves:
     The crest is reparameterized as U = c/gamma - xi^2 so that the
     Lagrangian fields stay smooth even though u_x blows up at the crest;
     past the blend window [a, b] the profile follows the exponential tail
-    (c/gamma) exp(-sqrt(M/c) xi), which keeps y - xi bounded.
+    (c/gamma) exp(-xi), which keeps y - xi bounded.
     """
 
-    def __init__(self, gamma: float, c: float, M: float, a: float, b: float):
-        self.gamma, self.c, self.M = gamma, c, M
+    def __init__(self, gamma: float, c: float, a: float, b: float):
+        self.gamma, self.c = gamma, c
         self.a, self.b = a, b
         self.crest = c / gamma
-        self.k_tail = math.sqrt(M / c)
         if not 0.0 < a < b < math.sqrt(self.crest):
             raise NonMonotoneConstruction(
                 f"blend interval ({a}, {b}) must satisfy 0 < a < b < sqrt(c/gamma)"
@@ -424,23 +421,19 @@ class _CusponCurves:
     def U(self, xi):
         xi = np.asarray(xi, dtype=float)
         c1 = self.chi1(xi)
-        return c1 * (self.crest - xi * xi) + (1.0 - c1) * self.crest * np.exp(
-            -self.k_tail * xi
-        )
+        return c1 * (self.crest - xi * xi) + (1.0 - c1) * self.crest * np.exp(-xi)
 
     def U_xi(self, xi):
         xi = np.asarray(xi, dtype=float)
         c1 = self.chi1(xi)
-        tail = self.crest * np.exp(-self.k_tail * xi)
+        tail = self.crest * np.exp(-xi)
         inner = self.crest - xi * xi
         # d(chi1)/dxi = -1/(b-a) inside the blend window, 0 outside
         dchi = np.where((xi > self.a) & (xi < self.b), -1.0 / (self.b - self.a), 0.0)
-        return dchi * (inner - tail) + c1 * (-2.0 * xi) + (1.0 - c1) * (
-            -self.k_tail
-        ) * tail
+        return dchi * (inner - tail) + c1 * (-2.0 * xi) - (1.0 - c1) * tail
 
     def F(self, u):
-        return (self.M - u) * u * u / (self.c - self.gamma * u)
+        return (self.c - u) * u * u / (self.c - self.gamma * u)
 
     def y_xi(self, xi):
         """dy/dxi = -U_xi / sqrt(F(U)); reduces to an explicit polynomial
@@ -452,7 +445,7 @@ class _CusponCurves:
         # crest region: c - gamma*U = gamma*xi^2 exactly
         un = u[near]
         out[near] = (
-            2.0 * math.sqrt(self.gamma) * xi[near] ** 2 / (un * np.sqrt(self.M - un))
+            2.0 * math.sqrt(self.gamma) * xi[near] ** 2 / (un * np.sqrt(self.c - un))
         )
         uf = u[~near]
         out[~near] = -self.U_xi(xi[~near]) / np.sqrt(self.F(uf))
@@ -460,12 +453,12 @@ class _CusponCurves:
 
     def h(self, xi):
         """Energy density U^2 y_xi + U_xi^2 / y_xi, with the finite crest
-        limit 2c/gamma^2 * sqrt(M*gamma - c) at xi = 0."""
+        limit 2c/gamma^2 * sqrt(c*gamma - c) at xi = 0."""
         xi = np.asarray(xi, dtype=float)
         out = np.empty_like(xi)
         at_crest = xi == 0.0
         out[at_crest] = (
-            2.0 * self.c / self.gamma**2 * math.sqrt(self.M * self.gamma - self.c)
+            2.0 * self.c / self.gamma**2 * math.sqrt(self.c * self.gamma - self.c)
         )
         xo = xi[~at_crest]
         u = self.U(xo)
@@ -478,29 +471,28 @@ class _CusponCurves:
         """Position of the point with height u: integral of dz/sqrt(F(z))
         from u up to the crest value, in closed form.
 
-        With s = sqrt((c - gamma u)/(M - u)) and s0 = sqrt(c/M) the integral
-        is 2 s0 atanh(s/s0) - 2 sqrt(gamma) atanh(s/sqrt(gamma)).  The first
-        term is written through gap = 1 - s/s0, expanded so that it keeps
-        full relative accuracy as u -> 0 (s -> s0).  Towards the crest the
-        two terms cancel to O(s^3); the error stays ~1e-16 in absolute terms.
+        With s = sqrt((c - gamma u)/(c - u)) the integral is
+        2 atanh(s) - 2 sqrt(gamma) atanh(s/sqrt(gamma)).  The first term is
+        written through gap = 1 - s, expanded so that it keeps full relative
+        accuracy as u -> 0 (s -> 1).  Towards the crest the two terms cancel
+        to O(s^3); the error stays ~1e-16 in absolute terms.
         """
         if u >= self.crest:
             return 0.0
-        gamma, c, M = self.gamma, self.c, self.M
-        s0 = math.sqrt(c / M)
-        s = math.sqrt((c - gamma * u) / (M - u))
-        gap = u * (M * gamma - c) / (M * (M - u) * s0 * (s0 + s))
-        return s0 * math.log((2.0 - gap) / gap) - 2.0 * math.sqrt(gamma) * math.atanh(
+        gamma, c = self.gamma, self.c
+        s = math.sqrt((c - gamma * u) / (c - u))
+        gap = u * (c * gamma - c) / (c * (c - u) * (1.0 + s))
+        return math.log((2.0 - gap) / gap) - 2.0 * math.sqrt(gamma) * math.atanh(
             s / math.sqrt(gamma)
         )
 
-    def scan_monotone(self, r: float, n: int = 4001):
+    def scan_monotone(self, r: float):
         """Verify U is nonincreasing (hence y nondecreasing) on [0, r]."""
         xs = np.unique(
             np.concatenate(
                 [
-                    np.linspace(0.0, r, n),
-                    np.linspace(self.a, self.b, n // 2),
+                    np.linspace(0.0, r, 4001),
+                    np.linspace(self.a, self.b, 2000),
                 ]
             )
         )
@@ -513,16 +505,14 @@ class _CusponCurves:
 
 
 def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
-    """Cusped traveling wave (gamma > 1, c = M) with crest height c/gamma.
+    """Cusped traveling wave (gamma > 1) with crest height c/gamma.
 
     The arrays are sampled for xi >= 0 and extended by parity (U, q, h even;
     y - x0, w odd).  q comes from the analytic y_xi formula, never from
     differencing.
     """
-    if spec.kind != "cuspon":
-        raise ValueError(f"expected a cuspon spec, got kind={spec.kind!r}")
     a, b = spec.blend_resolved
-    curves = _CusponCurves(spec.gamma, spec.c, spec.c, a, b)
+    curves = _CusponCurves(spec.gamma, spec.c, a, b)
     curves.scan_monotone(grid.r)
 
     xi = grid.cells
@@ -552,6 +542,11 @@ def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     )
 
 
+def _projected(profile, grid: GridSpec, gamma: float, fine: FineGrid) -> LagrangianState:
+    """The generic pipeline: invert on the fine grid, then cell-average."""
+    return project_to_grid(eulerian_to_lagrangian(profile, fine, grid), grid, Parameters(gamma))
+
+
 def make_gaussian_derivative(
     grid: GridSpec, gamma: float, fine: FineGrid = FineGrid()
 ) -> LagrangianState:
@@ -561,14 +556,13 @@ def make_gaussian_derivative(
         ux=lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x),
         support_radius=9.0,
     )
-    data = eulerian_to_lagrangian(profile, fine, grid)
-    return project_to_grid(data, grid, Parameters(gamma))
+    return _projected(profile, grid, gamma, fine)
 
 
 def build_from_spec(
     spec: TravelingWaveSpec, grid: GridSpec, fine: FineGrid = FineGrid()
 ) -> LagrangianState:
-    """Dispatch a TravelingWaveSpec to the matching constructor."""
+    """Build the initial state of a spec of any kind in ``KINDS``."""
     if spec.kind == "smooth":
         return make_smooth_tw(spec, grid)
     if spec.kind == "peakon":
@@ -580,4 +574,4 @@ def build_from_spec(
         return make_peakon_pair(peaks, grid, gamma=spec.gamma)
     if spec.kind == "gaussian_derivative":
         return make_gaussian_derivative(grid, spec.gamma, fine)
-    raise ValueError(f"unknown wave kind {spec.kind!r}")
+    return _projected(EulerianProfile.from_file(spec.path), grid, spec.gamma, fine)

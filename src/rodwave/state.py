@@ -27,7 +27,7 @@ frozen to the boundary constants stored on the state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,58 +221,3 @@ def distance_f(a: LagrangianState, b: LagrangianState) -> float:
         a.H_plus - b.H_plus,
         a.grid.dxi,
     )
-
-
-@dataclass
-class AdmissibilityReport:
-    """Per-cell violations of the admissible-set conditions (report only).
-
-    Cell indices use the -N..N-1 numbering.  An empty report means the state
-    satisfies q >= 0, h >= 0, q + h >= c_floor and q*h >= U^2 q^2 + w^2,
-    all up to ``tol``.
-    """
-
-    c_floor: float
-    tol: float
-    q_negative: list[int] = field(default_factory=list)
-    h_negative: list[int] = field(default_factory=list)
-    floor_violations: list[int] = field(default_factory=list)
-    invariant_violations: list[int] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.q_negative
-            or self.h_negative
-            or self.floor_violations
-            or self.invariant_violations
-        )
-
-    def summary(self) -> str:
-        if self.ok:
-            return "admissible"
-        return (
-            f"q<0 at {len(self.q_negative)} cells, h<0 at {len(self.h_negative)}, "
-            f"q+h<{self.c_floor} at {len(self.floor_violations)}, "
-            f"qh<U^2q^2+w^2 at {len(self.invariant_violations)}"
-        )
-
-
-def check_admissible(
-    state: LagrangianState, c_floor: float, tol: float = 1e-10
-) -> AdmissibilityReport:
-    """Report where the state leaves the admissible set."""
-    if not c_floor > 0:
-        raise ValueError("c_floor must be positive")
-    q = state.q
-    h = state.h
-    I = invariants(state)
-    n_half = state.grid.n_half
-    report = AdmissibilityReport(c_floor=c_floor, tol=tol)
-    report.q_negative = [int(k) - n_half for k in np.nonzero(q < -tol)[0]]
-    report.h_negative = [int(k) - n_half for k in np.nonzero(h < -tol)[0]]
-    report.floor_violations = [
-        int(k) - n_half for k in np.nonzero(q + h < c_floor - tol)[0]
-    ]
-    report.invariant_violations = [int(k) - n_half for k in np.nonzero(I > tol)[0]]
-    return report

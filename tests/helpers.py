@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rodwave import GridSpec, LagrangianState, Parameters
+from rodwave import GridSpec, LagrangianState, Parameters, invariants
 
 
 def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.0):
@@ -30,6 +30,15 @@ def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.
         zeta_minus=float(y[0] - xi[0]),
         zeta_plus=float(y[-1] - xi[-1]),
         H_plus=float(grid.dxi * cs[-1]),
+    )
+
+
+def admissible(state: LagrangianState, floor: float, tol: float = 1e-10) -> bool:
+    """q >= 0, h >= 0, q + h >= floor and I <= 0 on every cell, up to ``tol``."""
+    q, h = state.q, state.h
+    return bool(
+        np.all(q >= -tol) and np.all(h >= -tol)
+        and np.all(q + h >= floor - tol) and np.all(invariants(state) <= tol)
     )
 
 

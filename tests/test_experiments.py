@@ -157,6 +157,17 @@ class TestErrors:
             (["run"], {"output_stride": 1.7}),
             (["run"], {"m_ref": 2.5}),
             (["run"], {"stepper": {"dt": 0.1, "fp_max_iter": 7.9}}),
+            (["run", "--scheme", "explicit_euler,adaptive_rk"], {}),
+            (["converge", "--scheme", "strang,lie_trotter"], {}),
+            (["compare", "--scheme", ","], {}),
+            (["compare"], {"schemes": []}),
+            (["run"], {"name": 5}),
+            (["run"], {"gamma": True}),
+            (["run"], {"initial_data": {"kind": "peakon", "c": "1.5", "x0": 0.0}}),
+            (["run"], {"stepper": {"dt": "0.1"}}),
+            (["converge"], {"sweep": {"dt": [0.1, 0.05, 0.025], "dxii": [0.5, 0.25, 0.125]}}),
+            (["run"], {"initial_data": {"kind": "gaussian_derivative", "x0": 3.0}}),
+            (["run"], {"initial_data": {"kind": "peakon", "c": 1.0, "x0": 0.0, "separation": 9.0}}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -190,7 +201,17 @@ class TestErrors:
          {"stepper": {"dt": 0.2, "fp_tolerance": 1e-3}},
          {"initial_data": {"kind": "peakon", "c": 1.0, "x_0": 0.0}},
          {"gamma": None}, {"stepper": {}}, {"output_stride": 1.7}, {"m_ref": 2.5},
-         {"stepper": {"dt": 0.2, "fp_max_iter": 7.9}}, {"gamma": 10**400}],
+         {"stepper": {"dt": 0.2, "fp_max_iter": 7.9}}, {"gamma": 10**400},
+         {"name": 5}, {"gamma": True},
+         {"initial_data": {"kind": "peakon", "c": "1.5", "x0": 0.0}},
+         {"stepper": {"dt": "0.1"}}, {"schemes": "strang"}, {"schemes": []},
+         {"output_stride": True}, {"sweep": {"dt": [0.2, 0.1, 0.05], "dxii": [0.1]}},
+         {"initial_data": {"kind": "gaussian_derivative", "x0": 3.0}},
+         {"initial_data": {"kind": "peakon", "c": 1.0, "x0": 0.0, "separation": 9.0}},
+         {"gamma": 0.2, "initial_data": {"kind": "smooth", "c": 1.0, "blend": [0.1, 0.2]}},
+         # this file exists, so c is the only fault
+         {"initial_data": {"kind": "profile_file", "path": __file__, "c": 1.0}},
+         {"initial_data": {"kind": "profile_file"}}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
@@ -205,6 +226,14 @@ class TestErrors:
     @pytest.mark.parametrize("name", sorted(rw.BUNDLED))
     def test_bundled_config_round_trips(self, name):
         cfg = rw.bundled_config(name)
+        assert rw.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_profile_file_config_round_trips(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("x u\n-1 0\n0 0.5\n1 0\n")
+        changes = {"initial_data": {"kind": "profile_file", "path": str(path)}}
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        assert cfg.wave_spec().path == str(path)
         assert rw.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 

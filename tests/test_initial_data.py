@@ -16,6 +16,8 @@ from rodwave.initial_data import (
     integrate_smooth_profile,
 )
 
+from helpers import admissible
+
 
 def peakon_profile(c=1.0):
     return rw.EulerianProfile(
@@ -116,8 +118,7 @@ class TestProjectToGrid:
         np.testing.assert_array_equal(state.q + state.h, np.ones(grid.n_cells))
         # projection turns the equality into <= (values <= 1e-12)
         assert rw.invariants(state).max() <= 1e-12
-        report = rw.check_admissible(state, c_floor=0.5)
-        assert report.ok
+        assert admissible(state, floor=0.5)
 
     def test_degenerate_cells_get_zero_velocity(self):
         grid = rw.GridSpec.from_cells(2, 0.5)
@@ -200,7 +201,7 @@ class TestMakePeakon:
         kinks = np.isin(xi, (0.0, 1.0))
         np.testing.assert_allclose(I[~kinks], 0.0, atol=1e-16)
         assert I[kinks].max() < 0  # kink nodes carry the averaged limits
-        assert rw.check_admissible(s, c_floor=0.5).ok
+        assert admissible(s, floor=0.5)
 
 
 class TestRelabelingConsistency:
@@ -235,26 +236,26 @@ class TestSmoothTravelingWave:
 
     def test_invariant_curve_residual(self):
         # |u'^2 - F(u)| <= 1e-8 along the computed profile
-        gamma, c, M = 0.2, 1.0, 1.0
-        xs, us, ps = integrate_smooth_profile(gamma, c, M, dx=0.25 / 32, x_max=26.0)
-        F = us * us * (M - us) / (c - gamma * us)
+        gamma, c = 0.2, 1.0
+        xs, us, ps = integrate_smooth_profile(gamma, c, dx=0.25 / 32, x_max=26.0)
+        F = us * us * (c - us) / (c - gamma * us)
         assert np.abs(ps * ps - F).max() <= 1e-8
 
     def test_gamma_zero_closed_form(self):
-        # at gamma=0 the profile is M*sech^2(x/2)
-        xs, us, _ = integrate_smooth_profile(0.0, 1.0, 1.0, dx=0.25 / 32, x_max=26.0)
+        # at gamma=0 the profile is c*sech^2(x/2)
+        xs, us, _ = integrate_smooth_profile(0.0, 1.0, dx=0.25 / 32, x_max=26.0)
         exact = 1.0 / np.cosh(xs / 2.0) ** 2
         assert np.abs(us - exact).max() < 1e-3
 
     def test_small_gamma_stays_near_gamma_zero(self):
-        xs0, us0, _ = integrate_smooth_profile(0.0, 1.0, 1.0, dx=0.01, x_max=10.0)
-        xs1, us1, _ = integrate_smooth_profile(0.05, 1.0, 1.0, dx=0.01, x_max=10.0)
+        xs0, us0, _ = integrate_smooth_profile(0.0, 1.0, dx=0.01, x_max=10.0)
+        xs1, us1, _ = integrate_smooth_profile(0.05, 1.0, dx=0.01, x_max=10.0)
         n = min(us0.size, us1.size)
         assert np.abs(us0[:n] - us1[:n]).max() < 0.05
 
     def test_wrong_regime_blows_up(self):
         with pytest.raises(ProfileBlowup):
-            integrate_smooth_profile(1.2, 1.0, 1.0, dx=0.01, x_max=5.0)
+            integrate_smooth_profile(1.2, 1.0, dx=0.01, x_max=5.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -264,7 +265,7 @@ class TestSmoothTravelingWave:
         spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
         s = rw.make_smooth_tw(spec, rw.GridSpec.from_radius(0.25, 25.0))
         floor = float(np.min(s.q + s.h)) / 2
-        assert rw.check_admissible(s, c_floor=floor).ok
+        assert admissible(s, floor)
 
 
 class TestCuspon:
@@ -276,7 +277,7 @@ class TestCuspon:
         assert s.U.max() == pytest.approx(0.2, abs=1e-14)
 
     def test_crest_energy_density_closed_form(self):
-        # H_xi(0) = (2c/gamma^2) sqrt(M*gamma - c) = 0.16 at gamma=5, c=M=1
+        # H_xi(0) = (2c/gamma^2) sqrt(c*gamma - c) = 0.16 at gamma=5, c=1
         grid = rw.GridSpec.from_radius(0.1, 25.0)
         s = rw.make_cuspon(self.SPEC, grid)
         k = np.argmax(s.U)
@@ -284,7 +285,7 @@ class TestCuspon:
         assert expected == 0.16
         assert abs(s.h[k] - expected) <= 1e-10
         # the generic formula approaches the same limit off the crest
-        curves = _CusponCurves(5.0, 1.0, 1.0, *self.SPEC.blend_resolved)
+        curves = _CusponCurves(5.0, 1.0, *self.SPEC.blend_resolved)
         assert curves.h(np.array([1e-5]))[0] == pytest.approx(0.16, abs=1e-8)
 
     def test_parity(self):
@@ -303,13 +304,13 @@ class TestCuspon:
         assert np.abs(rw.invariants(s)).max() < 1e-14
         floor = float(np.min(s.q + s.h)) / 2
         assert floor > 0
-        assert rw.check_admissible(s, c_floor=floor).ok
+        assert admissible(s, floor)
 
     def test_position_consistent_with_analytic_slope(self):
         # y increments match the quadrature of the analytic y_xi
         grid = rw.GridSpec.from_radius(0.1, 5.0)
         s = rw.make_cuspon(self.SPEC, grid)
-        curves = _CusponCurves(5.0, 1.0, 1.0, *self.SPEC.blend_resolved)
+        curves = _CusponCurves(5.0, 1.0, *self.SPEC.blend_resolved)
         n = grid.n_half
         for i in (2, 7, 23, 40):
             seg, _ = quad(lambda z: curves.y_xi(np.array([z]))[0],
@@ -319,7 +320,7 @@ class TestCuspon:
     @pytest.mark.parametrize("gamma", [2.0, 5.0])
     def test_y_offset_closed_form_matches_quadrature(self, gamma):
         crest = 1.0 / gamma
-        curves = _CusponCurves(gamma, 1.0, 1.0, 0.1 * math.sqrt(crest), 0.2 * math.sqrt(crest))
+        curves = _CusponCurves(gamma, 1.0, 0.1 * math.sqrt(crest), 0.2 * math.sqrt(crest))
 
         def integrand(t):
             z = math.exp(t)
@@ -433,7 +434,27 @@ class TestBuildFromSpec:
         s = rw.build_from_spec(spec, grid, rw.FineGrid(8))
         floor = float(np.min(s.q + s.h)) / 2
         assert floor > 0
-        assert rw.check_admissible(s, c_floor=floor, tol=1e-10).ok
+        assert admissible(s, floor)
+
+    def test_profile_file_builds_the_tabulated_profile(self, tmp_path):
+        # the gaussian_derivative u0, tabulated: both go through the same
+        # projection, so they differ only by the table's interpolation
+        x = np.linspace(-9.0, 9.0, 1801)
+        u = -x * np.exp(-0.5 * x * x)
+        path = tmp_path / "profile.txt"
+        path.write_text("x u\n" + "".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), u.tolist())))
+        grid = rw.GridSpec.from_radius(0.25, 10.0)
+        spec = rw.TravelingWaveSpec(kind="profile_file", gamma=0.8, path=str(path))
+        s = rw.build_from_spec(spec, grid, rw.FineGrid(8))
+        assert admissible(s, float(np.min(s.q + s.h)) / 2)
+        closed_form = rw.TravelingWaveSpec(kind="gaussian_derivative", gamma=0.8)
+        # measured 8.1e-4; a misread column or sign would give O(1)
+        assert rw.distance_f(s, rw.build_from_spec(closed_form, grid, rw.FineGrid(8))) < 4e-3
+
+    def test_profile_file_needs_an_existing_file(self, tmp_path):
+        for path in ("", str(tmp_path / "missing.txt")):
+            with pytest.raises(ValueError, match="profile file not found"):
+                rw.TravelingWaveSpec(kind="profile_file", gamma=0.8, path=path)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import rodwave as rw
 from rodwave.errors import DegenerateFit, GridMismatch
 
-from helpers import random_admissible_state
+from helpers import admissible, random_admissible_state
 
 
 def zero_state(n_half=8, dxi=0.25):
@@ -29,7 +29,7 @@ class TestGraph:
     def test_x_nondecreasing_for_admissible_states(self):
         grid = rw.GridSpec.from_radius(0.25, 10.0)
         s = rw.make_gaussian_derivative(grid, gamma=0.8)
-        assert rw.check_admissible(s, c_floor=0.4).ok
+        assert admissible(s, floor=0.4)
         assert np.all(np.diff(s.y) >= 0)
 
 

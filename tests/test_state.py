@@ -157,36 +157,3 @@ class TestNormDistance:
         b = rw.LagrangianState.zero(rw.GridSpec.from_cells(4, 0.5), rw.Parameters(1.0))
         with pytest.raises(GridMismatch):
             rw.distance_f(a, b)
-
-
-class TestCheckAdmissible:
-    def test_peakon_data_passes(self):
-        g = rw.GridSpec.from_cells(100, 0.1)
-        s = rw.make_peakon_pair([(1.0, 0.0)], g)
-        # relabeled data has q + h = 1 + h >= 1
-        report = rw.check_admissible(s, c_floor=0.5)
-        assert report.ok
-        assert report.summary() == "admissible"
-
-    def test_negative_q_reported_with_cell_index(self):
-        g = rw.GridSpec.from_cells(4, 0.25)
-        s = rw.LagrangianState.zero(g, rw.Parameters(1.0))
-        v = s.v.copy()
-        v[6] = -1.1  # cell index 6 - 4 = 2
-        report = rw.check_admissible(s.replace(v=v), c_floor=0.5)
-        assert report.q_negative == [2]
-        assert not report.ok
-
-    def test_floor_violation_where_q_and_h_vanish(self):
-        g = rw.GridSpec.from_cells(2, 0.25)
-        s = rw.LagrangianState.zero(g, rw.Parameters(1.0))
-        v = np.zeros(4)
-        v[1] = -1.0  # q = 0, h = 0 in that cell
-        report = rw.check_admissible(s.replace(v=v), c_floor=0.5)
-        assert report.floor_violations == [-1]
-
-    def test_requires_positive_floor(self):
-        g = rw.GridSpec.from_cells(2, 0.25)
-        s = rw.LagrangianState.zero(g, rw.Parameters(1.0))
-        with pytest.raises(ValueError):
-            rw.check_admissible(s, c_floor=0.0)
