@@ -33,10 +33,6 @@ class RootBracketFailure(RodwaveError):
     """The scalar root for the coordinate change left the search bracket."""
 
 
-class ProfileBlowup(RodwaveError):
-    """Traveling-wave profile integration left the admissible range."""
-
-
 class NonMonotoneConstruction(RodwaveError):
     """Cuspon construction produced a decreasing position map for the given blend."""
 

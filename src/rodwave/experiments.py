@@ -47,13 +47,36 @@ _CASTS = {"float": ((int, float), float), "int": ((int, float), _int), "str": (s
           "dict": (dict, dict), "tuple": ((list, tuple), tuple)}
 
 
+def _cast(declared: str, value, where: str):
+    """``value`` cast to ``declared``, a field's type as written, such as
+    ``int`` or ``tuple[float, float] | None``; ValueError names ``where``.
+    The value must have a JSON type that fits: a JSON 1 is 1.0 for a float,
+    2.0 is 2 for an int, an array a tuple whose elements are cast one by one
+    (``tuple[str, ...]`` takes any number of them); true is not a number."""
+    if value is None and declared.endswith(" | None"):
+        return None
+    base, _, inner = declared.removesuffix(" | None").partition("[")
+    json_types, cast = _CASTS[base]
+    if isinstance(value, bool) or not isinstance(value, json_types):
+        raise ValueError(f"{where}: expected {declared}, got {value!r}")
+    if inner:
+        items = inner.rstrip("]").split(", ")
+        items = items[:1] * len(value) if items[-1] == "..." else items
+        if len(items) != len(value):
+            raise ValueError(f"{where}: expected {declared}, got {value!r}")
+        return cast(_cast(item, v, where) for item, v in zip(items, value))
+    try:
+        return cast(value)
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
 def _read_section(cls, section, where: str, only=None, **given) -> dict:
     """Keyword arguments for the dataclass ``cls`` from one JSON object, plus
     ``given``.  The keys must be fields (of ``only``, when given) not in
     ``given``, and must include each such field without a default, or
-    ValueError names them.  A value must have a JSON type that fits the
-    declared type, and is cast to it: a JSON 1 is 1.0 for a float field, 2.0
-    is 2 for an int field, an array a tuple; true is not a number."""
+    ValueError names them.  Each value is cast to its field's type by
+    ``_cast``."""
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be a JSON object, got {section!r}")
     declared = {f.name: f for f in fields(cls)
@@ -64,16 +87,8 @@ def _read_section(cls, section, where: str, only=None, **given) -> dict:
     if unknown or missing:
         raise ValueError(f"{where}: unknown keys {unknown}, missing keys {missing}")
     kwargs = dict(given)
-    for name, value in section.items():
-        declared_type = declared[name].type  # a string: annotations are postponed
-        optional_none = value is None and declared_type.endswith("| None")
-        json_types, cast = _CASTS[declared_type.split("[")[0]]
-        try:
-            if not optional_none and (isinstance(value, bool) or not isinstance(value, json_types)):
-                raise ValueError(f"expected {declared_type}, got {value!r}")
-            kwargs[name] = value if optional_none else cast(value)
-        except (ValueError, OverflowError) as err:
-            raise ValueError(f"{where}.{name}: {err}") from None
+    for name, value in section.items():  # a type is a string: annotations are postponed
+        kwargs[name] = _cast(declared[name].type, value, f"{where}.{name}")
     return kwargs
 
 
@@ -106,6 +121,11 @@ class ExperimentConfig:
         unknown = sorted(set(self.sweep) - {"dt", "dxi"})
         if unknown:
             raise ValueError(f"sweep: unknown keys {unknown}; a sweep has dt and dxi")
+        # each sweep entry goes through the validator of what it sets
+        for v in _cast("tuple[float, ...]", self.sweep.get("dt", []), "sweep.dt"):
+            replace(self.stepper, dt=v)
+        for v in _cast("tuple[float, ...]", self.sweep.get("dxi", []), "sweep.dxi"):
+            GridSpec.from_radius(v, self.r)
         self.grid_spec()
         FineGrid(m_ref=self.m_ref)
         self.wave_spec()
@@ -297,12 +317,12 @@ def _version_string() -> str:
     return f"rodwave {base}" + (f" ({rev})" if rev else "")
 
 
-def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, extra: dict) -> None:
+def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, artifacts: dict) -> None:
     manifest = {
         "config": cfg.to_dict(),
         "version": _version_string(),
         "wall_time_s": wall,
-        **extra,
+        "artifacts": artifacts,
     }
     _write_json(run_dir / "manifest.json", manifest)
 
@@ -337,11 +357,8 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     write_diagnostics_csv(run_dir / "diagnostics.csv", recorder.rows)
     _write_csv(run_dir / "snapshots.csv", ("index", "step", "t", "file"), snapshots)
     wall = time.perf_counter() - t_start
-    _write_manifest(
-        run_dir, cfg, wall,
-        {"artifacts": {"diagnostics": "diagnostics.csv",
-                       "snapshots": [s[3] for s in snapshots]}},
-    )
+    _write_manifest(run_dir, cfg, wall, {"diagnostics": "diagnostics.csv",
+                                         "snapshots": [s[3] for s in snapshots]})
     if not quiet:
         rows = recorder.rows
         print(
@@ -405,11 +422,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
         rows,
     )
     wall = time.perf_counter() - t_start
-    _write_manifest(
-        out_dir, cfg, wall,
-        {"artifacts": {"summary": "summary.csv",
-                       "schemes": list(cfg.schemes)}},
-    )
+    _write_manifest(out_dir, cfg, wall, {"summary": "summary.csv", "schemes": list(cfg.schemes)})
     return out_dir
 
 
@@ -441,10 +454,13 @@ def converge_experiment(
     graph matching.
     """
     out_dir = Path(out_dir)
+    t_start = time.perf_counter()
     dt_list = list(dt_list or cfg.sweep.get("dt", []))
     dxi_list = list(dxi_list or cfg.sweep.get("dxi", []))
     if not dt_list and not dxi_list:
         raise RodwaveError("converge needs a dt and/or dxi sweep")
+    # the sweep that runs, so that the manifest replays it
+    cfg = replace(cfg, sweep={k: v for k, v in (("dt", dt_list), ("dxi", dxi_list)) if v})
     peakon = cfg.initial_data.get("kind") == "peakon"  # validated: gamma = 1, exact solution known
     # a fit needs 3 points; a space sweep against its finest run loses one
     for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if peakon else 4)):
@@ -507,6 +523,8 @@ def converge_experiment(
             for res, err in zip(report[key][col], report[key]["error"])
         ],
     )
+    _write_manifest(out_dir, cfg, time.perf_counter() - t_start,
+                    {"order_report": "order_report.json", "errors": "errors.csv"})
     if not quiet:
         for key in ("dt_sweep", "dxi_sweep"):
             if key in report:

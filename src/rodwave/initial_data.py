@@ -15,10 +15,15 @@ Eulerian velocity profile u0:
 
 * direct relabeling: keep y = xi, q = 1 and set h = U^2 + w^2.  Cheaper and
   exact on the nose (per-cell invariant identically zero); used for the
-  closed-form traveling waves.
+  peakons and the smooth wave.
 
 Both routes land in the admissible set; they differ by a relabeling and
 reconstruct the same Eulerian graph.
+
+The smooth wave and the cuspon solve u'^2 = F(u), and ``travel_distance``
+gives the distance from the crest to height u in closed form: the smooth
+wave inverts it for U cell by cell, and the cuspon, whose U is a closed-form
+function of xi, evaluates it for y.
 """
 
 from __future__ import annotations
@@ -30,11 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NonMonotoneConstruction,
-    ProfileBlowup,
-    RootBracketFailure,
-)
+from .errors import NonMonotoneConstruction, RootBracketFailure
 from .state import GridSpec, LagrangianState, Parameters
 
 # The spec fields each kind of initial data reads, besides kind and gamma.
@@ -46,10 +47,6 @@ KINDS = {
     "gaussian_derivative": (),
     "profile_file": ("path",),
 }
-
-# Departure from u = c at the wave crest when integrating the profile
-# equation; u' is started on the invariant curve u'^2 = F(u).
-CREST_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -330,66 +327,51 @@ def make_peakon_pair(
     return _relabeled_state(U, w_left, w_right, grid, gamma)
 
 
-def _profile_rhs_factory(gamma: float, c: float):
-    def F(u: float) -> float:
-        return u * u * (c - u) / (c - gamma * u)
+def travel_distance(u, gamma: float, c: float) -> np.ndarray:
+    """Distance from the crest to height u on the traveling wave of speed c,
+    x(u) = integral of dz/sqrt(F(z)) from u up to the crest, for
+    F(z) = z^2 (c - z) / (c - gamma z); vectorized over 0 < u <= crest.
 
-    def dF(u: float) -> float:
-        denom = c - gamma * u
-        return ((2.0 * c * u - 3.0 * u * u) * denom + gamma * u * u * (c - u)) / (
-            denom * denom
-        )
-
-    return F, dF
-
-
-def integrate_smooth_profile(gamma: float, c: float, dx: float, x_max: float):
-    """March u'' = F'(u)/2 outward from the crest with classical RK4,
-    for F(u) = u^2 (c - u) / (c - gamma u).
-
-    Starts at u = c - CREST_EPS on the invariant curve u'^2 = F(u) and stops
-    once u drops below 1e-5*c or the slope turns up, which marks the onset
-    of the unstable-mode contamination in the tail.
-    Returns (x, u, u') arrays for x >= 0.
+    The crest is c for gamma < 1 and c/gamma for gamma > 1 (gamma != 1).
+    r = sqrt(min(c - u, c - gamma u) / max(c - u, c - gamma u)) runs from 0
+    at the crest, where x is exactly 0, to 1 at u = 0, where x = inf:
+        x = 2 atanh(r) - 2 sqrt(gamma) atanh(r sqrt(min(gamma, 1/gamma)))  (gamma > 0)
+        x = 2 atanh(r) + 2 sqrt(-gamma) atan(r sqrt(-gamma))               (gamma <= 0)
+    2 atanh(r) is computed from 1 - r = |gamma - 1| u / (max * (1 + r)), which
+    keeps full relative accuracy as u -> 0.  At gamma = 0, u = c sech^2(x/2).
     """
-    F, dF = _profile_rhs_factory(gamma, c)
-    u0 = c - CREST_EPS
-    f0 = F(u0)
-    if not (f0 > 0 and math.isfinite(f0)):
-        raise ProfileBlowup(f"F(c-eps) = {f0:.3e}; wrong parameter regime")
-    u, p = u0, -math.sqrt(f0)
-    xs, us, ps = [0.0], [u], [p]
-    x = 0.0
-    while x < x_max:
-        # RK4 on (u, p) with p' = F'(u)/2
-        k1u, k1p = p, 0.5 * dF(u)
-        k2u, k2p = p + 0.5 * dx * k1p, 0.5 * dF(u + 0.5 * dx * k1u)
-        k3u, k3p = p + 0.5 * dx * k2p, 0.5 * dF(u + 0.5 * dx * k2u)
-        k4u, k4p = p + dx * k3p, 0.5 * dF(u + dx * k3u)
-        u += dx * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-        p += dx * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        x += dx
-        if not (math.isfinite(u) and math.isfinite(p)) or u > 1.5 * c or u < -0.5 * c:
-            raise ProfileBlowup(f"profile left the admissible range at x={x:.3g}")
-        if u <= 1e-5 * c or p >= 0.0:
-            break
-        xs.append(x)
-        us.append(u)
-        ps.append(p)
-    return np.array(xs), np.array(us), np.array(ps)
+    u = np.asarray(u, dtype=float)
+    near, far = np.minimum(c - u, c - gamma * u), np.maximum(c - u, c - gamma * u)
+    r = np.sqrt(np.maximum(near, 0.0) / far)  # c - gamma fl(c/gamma) may round below 0
+    g = abs(gamma - 1.0) * u / (far * (1.0 + r))  # 1 - r
+    with np.errstate(divide="ignore"):  # u = 0 lies infinitely far out
+        x = np.log1p(2.0 * r / g)
+    if gamma > 0:
+        return x - 2.0 * math.sqrt(gamma) * np.arctanh(r * math.sqrt(min(gamma, 1.0 / gamma)))
+    return x + 2.0 * math.sqrt(-gamma) * np.arctan(r * math.sqrt(-gamma))
 
 
 def make_smooth_tw(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
-    """Smooth decaying traveling wave (gamma < 1), relabeled."""
-    dx = grid.dxi / 32.0
-    xs, us, ps = integrate_smooth_profile(spec.gamma, spec.c, dx, x_max=grid.r + grid.dxi)
+    """Smooth decaying traveling wave (gamma < 1), relabeled.
+
+    Each cell's U solves travel_distance(U) = |xi - x0| by a fixed-count
+    bisection in log(U/c), to the last bit; a crest cell holds U = c.
+    w = -sqrt(F(U)) right of the crest and +sqrt(F(U)) left of it, so
+    h = U^2 + w^2 and every per-cell invariant is 0.
+    """
     s = grid.cells - spec.x0
     d = np.abs(s)
-    U = np.interp(d, xs, us, right=0.0)
-    uxd = np.interp(d, xs, ps, right=0.0)  # profile slope, <= 0
-    w_left = np.where(s > 0, uxd, -uxd)
-    w_right = np.where(s < 0, -uxd, uxd)
-    return _relabeled_state(U, w_left, w_right, grid, spec.gamma)
+    # gamma < 1 makes the integrand >= 1/z, so travel_distance(c e^-d) >= d
+    lo = -d - 1.0
+    hi = np.zeros_like(d)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        too_far = travel_distance(spec.c * np.exp(mid), spec.gamma, spec.c) > d
+        lo = np.where(too_far, mid, lo)
+        hi = np.where(too_far, hi, mid)
+    U = spec.c * np.exp(hi)
+    w = -np.sign(s) * U * np.sqrt((spec.c - U) / (spec.c - spec.gamma * U))
+    return _relabeled_state(U, w, w, grid, spec.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +449,6 @@ class _CusponCurves:
         out[~at_crest] = u * u * yxi + uxi * uxi / yxi
         return out
 
-    def y_offset(self, u: float) -> float:
-        """Position of the point with height u: integral of dz/sqrt(F(z))
-        from u up to the crest value, in closed form.
-
-        With s = sqrt((c - gamma u)/(c - u)) the integral is
-        2 atanh(s) - 2 sqrt(gamma) atanh(s/sqrt(gamma)).  The first term is
-        written through gap = 1 - s, expanded so that it keeps full relative
-        accuracy as u -> 0 (s -> 1).  Towards the crest the two terms cancel
-        to O(s^3); the error stays ~1e-16 in absolute terms.
-        """
-        if u >= self.crest:
-            return 0.0
-        gamma, c = self.gamma, self.c
-        s = math.sqrt((c - gamma * u) / (c - u))
-        gap = u * (c * gamma - c) / (c * (c - u) * (1.0 + s))
-        return math.log((2.0 - gap) / gap) - 2.0 * math.sqrt(gamma) * math.atanh(
-            s / math.sqrt(gamma)
-        )
-
     def scan_monotone(self, r: float):
         """Verify U is nonincreasing (hence y nondecreasing) on [0, r]."""
         xs = np.unique(
@@ -508,8 +471,8 @@ def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     """Cusped traveling wave (gamma > 1) with crest height c/gamma.
 
     The arrays are sampled for xi >= 0 and extended by parity (U, q, h even;
-    y - x0, w odd).  q comes from the analytic y_xi formula, never from
-    differencing.
+    y - x0, w odd); there y - x0 = travel_distance(U), and q comes from the
+    analytic y_xi formula, never from differencing.
     """
     a, b = spec.blend_resolved
     curves = _CusponCurves(spec.gamma, spec.c, a, b)
@@ -523,10 +486,8 @@ def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     q = curves.y_xi(d)
     h = curves.h(d)
 
-    uniq, inverse = np.unique(d, return_inverse=True)
-    y_half = np.array([curves.y_offset(curves.U(np.array([dd]))[0]) for dd in uniq])
-    y = sgn * y_half[inverse] + spec.x0
-    y_edge = curves.y_offset(curves.U(np.array([grid.r]))[0])
+    y = sgn * travel_distance(U, spec.gamma, spec.c) + spec.x0
+    y_edge = float(travel_distance(curves.U(grid.r), spec.gamma, spec.c))
 
     H, H_plus = _exclusive_cumsum_scaled(h, grid.dxi)
     return LagrangianState.zero(grid, Parameters(spec.gamma)).replace(

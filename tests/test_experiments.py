@@ -104,10 +104,12 @@ class TestCompareConverge:
             assert (out / scheme / "final_graph.csv").is_file()
 
     def test_adaptive_minima_include_initial_state(self, tmp_path):
-        # the smooth wave's far cells hold h = 0 exactly at t=0 only
-        smooth = {"initial_data": {"kind": "smooth", "c": 1.0, "x0": 0.0}, "gamma": 0.2,
-                  "grid": {"dxi": 0.5, "r": 15.0}}
-        config = write_config(tmp_path, **smooth)
+        # the colliding waves' far cells hold h = 0 at t=0 (q = 1/(1 + e)
+        # rounds to 1) and h > 1e-15 after the first step: only t=0 holds
+        # the minimum
+        collision = {"initial_data": {"kind": "gaussian_derivative"}, "gamma": 0.8,
+                     "grid": {"dxi": 0.5, "r": 15.0}}
+        config = write_config(tmp_path, **collision)
         assert run_cli("compare", "--config", config, "--out", str(tmp_path)) == 0
         rows = (tmp_path / "tiny_compare" / "summary.csv").read_text().splitlines()
         adaptive = dict(zip(rows[0].split(","), rows[-1].split(",")))
@@ -121,6 +123,17 @@ class TestCompareConverge:
         report = json.loads((tmp_path / "tiny_converge" / "order_report.json").read_text())
         assert report["dt_sweep"]["dt"] == TINY["sweep"]["dt"]
         assert 1.5 < report["dt_sweep"]["slope"] < 2.5
+
+    def test_converge_manifest_replays_the_sweep(self, tmp_path):
+        config = write_config(tmp_path, sweep=None)
+        argv = ("converge", "--config", config, "--dxi-list", "1,0.5,0.25")
+        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 0
+        manifest = tmp_path / "a" / "tiny_converge" / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["sweep"] == {"dxi": [1.0, 0.5, 0.25]}
+        assert run_cli("converge", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
+        a = csv_bytes(tmp_path / "a" / "tiny_converge")
+        assert set(a) == {"errors.csv"}
+        assert a == csv_bytes(tmp_path / "b" / "tiny_converge")
 
     def test_emit_plots_for_run_and_compare(self, tmp_path):
         config = write_config(tmp_path)
@@ -168,6 +181,12 @@ class TestErrors:
             (["converge"], {"sweep": {"dt": [0.1, 0.05, 0.025], "dxii": [0.5, 0.25, 0.125]}}),
             (["run"], {"initial_data": {"kind": "gaussian_derivative", "x0": 3.0}}),
             (["run"], {"initial_data": {"kind": "peakon", "c": 1.0, "x0": 0.0, "separation": 9.0}}),
+            (["converge"], {"sweep": {"dt": "abc"}}),
+            (["converge"], {"sweep": {"dt": [0.1, "x", 0.05]}}),
+            (["converge"], {"sweep": {"dxi": [0.5, 0.25, True, 0.125]}}),
+            (["converge"], {"sweep": {"dxi": [0.5, -0.25, 0.125]}}),
+            (["run"], {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, "x"]}}),
+            (["run"], {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05]}}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -211,11 +230,21 @@ class TestErrors:
          {"gamma": 0.2, "initial_data": {"kind": "smooth", "c": 1.0, "blend": [0.1, 0.2]}},
          # this file exists, so c is the only fault
          {"initial_data": {"kind": "profile_file", "path": __file__, "c": 1.0}},
-         {"initial_data": {"kind": "profile_file"}}],
+         {"initial_data": {"kind": "profile_file"}},
+         {"sweep": {"dt": "abc"}}, {"sweep": {"dt": [0.1, "x", 0.05]}},
+         {"sweep": {"dxi": [0.5, 0.25, True, 0.125]}}, {"sweep": {"dt": [0.1, -0.05, 0.025]}},
+         {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, "x"]}},
+         {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05]}},
+         {"schemes": ["strang", 5]}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+
+    def test_blend_pair_is_read_as_floats(self):
+        changes = {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, 0.25]}}
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        assert cfg.wave_spec().blend == (0.05, 0.25)
 
     def test_integral_float_is_accepted_for_an_int_field(self):
         changes = {"output_stride": 2.0, "stepper": {"dt": 0.2, "fp_max_iter": 7.0}}

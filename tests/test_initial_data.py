@@ -5,16 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import rodwave as rw
-from rodwave.errors import (
-    NonMonotoneConstruction,
-    ProfileBlowup,
-    RootBracketFailure,
-)
-from rodwave.initial_data import (
-    CREST_EPS,
-    _CusponCurves,
-    integrate_smooth_profile,
-)
+from rodwave.errors import NonMonotoneConstruction, RootBracketFailure
+from rodwave.initial_data import _CusponCurves, travel_distance
 
 from helpers import admissible
 
@@ -221,49 +213,95 @@ class TestRelabelingConsistency:
         assert sups[2] < 0.03  # measured baseline ~0.009
 
 
+class TestTravelDistance:
+    @pytest.mark.parametrize("gamma", [-2.0, 0.0, 0.2, 0.8, 2.0, 5.0])
+    def test_matches_quadrature(self, gamma):
+        c = 1.0
+        crest = c if gamma < 1 else c / gamma
+
+        def F(z):
+            return z * z * (c - z) / (c - gamma * z)
+
+        def log_quad(a, b):
+            # integral of dz/sqrt(F(z)) from a to b, in t = log z
+            return quad(lambda t: math.exp(t) / math.sqrt(F(math.exp(t))), math.log(a),
+                        math.log(b), epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+        def reference(u):
+            if gamma > 1:
+                return log_quad(u, crest)
+            # z = c - t^2 removes the smooth crest's 1/sqrt singularity:
+            # dz/sqrt(F) = 2 sqrt(c - gamma z) dt / z
+            t_u = math.sqrt(c - u)
+            split = min(t_u, math.sqrt(c / 2))
+            near = quad(lambda t: 2.0 * math.sqrt(c - gamma * (c - t * t)) / (c - t * t),
+                        0.0, split, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            return near + (log_quad(u, c - split * split) if t_u > split else 0.0)
+
+        for u in (1e-12, 1e-6, 0.3 * crest, 0.5 * crest, 0.9 * crest,
+                  crest * (1 - 1e-4), crest * (1 - 1e-8)):
+            assert float(travel_distance(u, gamma, c)) == pytest.approx(
+                reference(u), rel=1e-12, abs=1e-15)
+        assert float(travel_distance(crest, gamma, c)) == 0.0
+
+    def test_zero_at_a_crest_that_rounds_up(self):
+        # fl(c/gamma) lies above c/gamma here, so c - gamma*U rounds below 0
+        c, gamma = 1.6, 1.375
+        assert c - gamma * (c / gamma) < 0
+        assert float(travel_distance(c / gamma, gamma, c)) == 0.0
+
+    def test_vectorized_over_u(self):
+        u = np.array([1e-9, 0.1, 0.19, 0.2])
+        np.testing.assert_array_equal(
+            travel_distance(u, 5.0, 1.0), [float(travel_distance(v, 5.0, 1.0)) for v in u])
+
+
 class TestSmoothTravelingWave:
+    SPEC = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
+    GRID = rw.GridSpec.from_radius(0.25, 25.0)
+
     def test_profile_shape(self):
-        spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
-        grid = rw.GridSpec.from_radius(0.25, 25.0)
-        s = rw.make_smooth_tw(spec, grid)
+        s = rw.make_smooth_tw(self.SPEC, self.GRID)
         k = np.argmax(s.U)
-        assert s.U[k] == pytest.approx(1.0 - CREST_EPS, abs=1e-6)
-        assert abs(s.y[k]) < 1e-12
-        right = s.U[k:][s.U[k:] > 0]
-        left = s.U[: k + 1][s.U[: k + 1] > 0]
-        assert np.all(np.diff(right) < 0)
-        assert np.all(np.diff(left) > 0)
+        assert s.U[k] == 1.0
+        assert s.y[k] == 0.0
+        assert np.all(np.diff(s.U[k:]) < 0)
+        assert np.all(np.diff(s.U[: k + 1]) > 0)
 
     def test_invariant_curve_residual(self):
-        # |u'^2 - F(u)| <= 1e-8 along the computed profile
-        gamma, c = 0.2, 1.0
-        xs, us, ps = integrate_smooth_profile(gamma, c, dx=0.25 / 32, x_max=26.0)
-        F = us * us * (c - us) / (c - gamma * us)
-        assert np.abs(ps * ps - F).max() <= 1e-8
+        # u'^2 = F(u) on every cell off the crest, and the invariants vanish
+        s = rw.make_smooth_tw(self.SPEC, self.GRID)
+        off_crest = s.U < 1.0
+        U, w = s.U[off_crest], s.w[off_crest]
+        np.testing.assert_allclose(w * w, U * U * (1.0 - U) / (1.0 - 0.2 * U), rtol=1e-14)
+        assert np.all(np.sign(w) == -np.sign(s.y[off_crest]))
+        assert np.abs(rw.invariants(s)).max() == 0.0
+
+    def test_solves_the_distance_to_the_crest(self):
+        spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.8, c=1.5, x0=0.1375)
+        s = rw.make_smooth_tw(spec, self.GRID)
+        d = np.abs(self.GRID.cells - spec.x0)
+        residual = np.abs(travel_distance(s.U, spec.gamma, spec.c) - d)
+        assert np.all(residual <= 1e-13 * np.maximum(1.0, d))
+        assert s.U.min() > 0
 
     def test_gamma_zero_closed_form(self):
         # at gamma=0 the profile is c*sech^2(x/2)
-        xs, us, _ = integrate_smooth_profile(0.0, 1.0, dx=0.25 / 32, x_max=26.0)
-        exact = 1.0 / np.cosh(xs / 2.0) ** 2
-        assert np.abs(us - exact).max() < 1e-3
+        spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.0, c=1.0)
+        s = rw.make_smooth_tw(spec, self.GRID)
+        np.testing.assert_allclose(s.U, 1.0 / np.cosh(self.GRID.cells / 2.0) ** 2, rtol=1e-12)
 
     def test_small_gamma_stays_near_gamma_zero(self):
-        xs0, us0, _ = integrate_smooth_profile(0.0, 1.0, dx=0.01, x_max=10.0)
-        xs1, us1, _ = integrate_smooth_profile(0.05, 1.0, dx=0.01, x_max=10.0)
-        n = min(us0.size, us1.size)
-        assert np.abs(us0[:n] - us1[:n]).max() < 0.05
-
-    def test_wrong_regime_blows_up(self):
-        with pytest.raises(ProfileBlowup):
-            integrate_smooth_profile(1.2, 1.0, dx=0.01, x_max=5.0)
+        u0, u1 = (rw.make_smooth_tw(rw.TravelingWaveSpec(kind="smooth", gamma=g, c=1.0),
+                                    self.GRID).U for g in (0.0, 0.05))
+        assert np.abs(u0 - u1).max() < 0.05
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             rw.TravelingWaveSpec(kind="smooth", gamma=1.2, c=1.0)
 
     def test_admissible(self):
-        spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
-        s = rw.make_smooth_tw(spec, rw.GridSpec.from_radius(0.25, 25.0))
+        s = rw.make_smooth_tw(self.SPEC, self.GRID)
         floor = float(np.min(s.q + s.h)) / 2
         assert admissible(s, floor)
 
@@ -306,6 +344,13 @@ class TestCuspon:
         assert floor > 0
         assert admissible(s, floor)
 
+    def test_crest_that_rounds_up_stays_finite(self):
+        grid = rw.GridSpec.from_radius(0.1, 25.0)
+        s = rw.make_cuspon(rw.TravelingWaveSpec(kind="cuspon", gamma=1.375, c=1.6), grid)
+        assert np.all(np.isfinite(s.y))
+        assert s.y[grid.n_half] == 0.0
+        assert s.U[grid.n_half] == 1.6 / 1.375
+
     def test_position_consistent_with_analytic_slope(self):
         # y increments match the quadrature of the analytic y_xi
         grid = rw.GridSpec.from_radius(0.1, 5.0)
@@ -316,21 +361,6 @@ class TestCuspon:
             seg, _ = quad(lambda z: curves.y_xi(np.array([z]))[0],
                           grid.cells[n + i], grid.cells[n + i + 1], limit=200)
             assert s.y[n + i + 1] - s.y[n + i] == pytest.approx(seg, abs=1e-8)
-
-    @pytest.mark.parametrize("gamma", [2.0, 5.0])
-    def test_y_offset_closed_form_matches_quadrature(self, gamma):
-        crest = 1.0 / gamma
-        curves = _CusponCurves(gamma, 1.0, 0.1 * math.sqrt(crest), 0.2 * math.sqrt(crest))
-
-        def integrand(t):
-            z = math.exp(t)
-            return math.sqrt((1.0 - gamma * z) / (1.0 - z))
-
-        for u in (1e-12, 1e-6, 0.5 * crest, crest * (1 - 1e-4), crest * (1 - 1e-8)):
-            ref, _ = quad(integrand, math.log(u), math.log(crest),
-                          epsabs=1e-15, epsrel=1e-13, limit=200)
-            assert curves.y_offset(u) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-        assert curves.y_offset(crest) == 0.0
 
     def test_spec_default_blend_would_fold(self):
         # the wider blend makes U increase inside [a, b]; construction refuses
