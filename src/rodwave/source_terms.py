@@ -146,6 +146,8 @@ def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
     so a wrapper installed there sees every call).  The flag marks states
     outside the positivity regime, where two particles have crossed
     (j < i with y_j > y_i) and the signed kernel weighs them with exp(+d).
+    ``state.y`` is cached on the state, so the flag and the kernel share
+    one computation of y.
     """
     y = state.y
     return source_terms_fast(state), bool((y[1:] < y[:-1]).any())

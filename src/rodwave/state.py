@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,10 +97,13 @@ class GridSpec:
     def n_cells(self) -> int:
         return 2 * self.n_half
 
-    @property
+    @cached_property
     def cells(self) -> np.ndarray:
-        """Left endpoints xi_i for i = -N..N-1."""
-        return np.arange(-self.n_half, self.n_half, dtype=np.float64) * self.dxi
+        """Left endpoints xi_i for i = -N..N-1, built once per grid and
+        read-only, since every state on the grid shares it."""
+        cells = np.arange(-self.n_half, self.n_half, dtype=np.float64) * self.dxi
+        cells.flags.writeable = False
+        return cells
 
 
 ROWS = ("zeta", "U", "H", "v", "w", "h")
@@ -116,7 +120,9 @@ class LagrangianState:
 
     Treated as immutable: ``x`` is a read-only view and every operation
     returns a new state.  Instances can therefore be shared freely across
-    threads.
+    threads.  ``y`` is computed once per state and cached, which is sound
+    only because ``x`` cannot change: whoever passes an array in (through
+    the constructor or ``with_x``) must not write to it afterwards.
     """
 
     x: np.ndarray
@@ -150,9 +156,12 @@ class LagrangianState:
             grid=grid, params=params,
         )
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        return self.grid.cells + self.zeta
+        """Particle positions xi + zeta (read-only, cached)."""
+        y = self.grid.cells + self.zeta
+        y.flags.writeable = False
+        return y
 
     @property
     def q(self) -> np.ndarray:

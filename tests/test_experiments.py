@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rodwave as rw
-from rodwave import cli, experiments
+from rodwave import cli, experiments, stepping
 
 # TINY's t_final is deliberately not a multiple of dt
 pytestmark = pytest.mark.filterwarnings("ignore:t_final=.*not a multiple:UserWarning")
@@ -87,9 +87,26 @@ class TestWriters:
 
     def test_version_names_the_package_checkout(self, tmp_path, monkeypatch):
         monkeypatch.chdir(Path(experiments.__file__).parent)
+        experiments._version_string.cache_clear()
         here = experiments._version_string()
         monkeypatch.chdir(tmp_path)
+        experiments._version_string.cache_clear()
         assert experiments._version_string() == here
+
+    def test_version_is_read_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        run = experiments.subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments.subprocess, "run", counted)
+        experiments._version_string.cache_clear()
+        cfg = rw.load_config(write_config(tmp_path))
+        rw.run_experiment(cfg, tmp_path / "a", quiet=True)
+        rw.run_experiment(cfg, tmp_path / "b", quiet=True)
+        assert len(calls) == 1
 
 
 class TestCompareConverge:
@@ -102,6 +119,31 @@ class TestCompareConverge:
         for scheme in rw.SCHEMES:
             assert (out / scheme / "diagnostics.csv").is_file()
             assert (out / scheme / "final_graph.csv").is_file()
+
+    def test_summary_has_one_row_per_scheme(self, tmp_path):
+        config = write_config(tmp_path, schemes=["explicit_euler", "strang"])
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path)) == 0
+        out = tmp_path / "tiny_compare"
+        rows = (out / "summary.csv").read_text().splitlines()
+        # the reference writes its graph but is not a scheme and has no row
+        assert [r.split(",")[0] for r in rows] == ["scheme", "explicit_euler", "strang"]
+        assert (out / "reference_graph.csv").is_file()
+        assert rw.SCHEMES == ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
+
+    @pytest.mark.parametrize("name", ["peakon_antipeakon_gamma1", "collision_smooth"])
+    @pytest.mark.parametrize(
+        "step", [stepping.step_strang, stepping.step_lie_trotter, stepping._step_triple_jump])
+    def test_positivity_across_the_collision(self, name, step):
+        # both collisions fold y between t = 1 and t = 2.6
+        cfg = rw.bundled_config(name)
+        minima = []
+        _, reports = rw.evolve(
+            rw.build_initial_state(cfg), 3.0, cfg.stepper, _step=step,
+            observers=lambda j, t, s, r: minima.append((s.q.min(), s.h.min())))
+        assert len(minima) == 31 and any(r.folded for r in reports)
+        # the reports hold the triple jump's states between its factors too
+        minima += [(r.min_q, r.min_h) for r in reports]
+        assert np.min(minima) >= 0.0
 
     def test_adaptive_minima_include_initial_state(self, tmp_path):
         # the colliding waves' far cells hold h = 0 at t=0 (q = 1/(1 + e)
@@ -187,6 +229,9 @@ class TestErrors:
             (["converge"], {"sweep": {"dxi": [0.5, -0.25, 0.125]}}),
             (["run"], {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, "x"]}}),
             (["run"], {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05]}}),
+            # compare's reference is not a scheme
+            (["compare", "--scheme", "triple_jump"], {}),
+            (["run"], {"stepper": {"dt": 0.1, "scheme": "_triple_jump"}}),
         ],
     )
     def test_json_error_report_and_exit_code(

@@ -81,6 +81,15 @@ class TestLagrangianState:
             with pytest.raises(ValueError):
                 getattr(s, name)[0] = 1.0
 
+    def test_positions_are_built_once_and_read_only(self):
+        # a kernel evaluation reads y twice; both reads share one array
+        g = rw.GridSpec.from_cells(4, 0.25)
+        s = rw.LagrangianState.zero(g, rw.Parameters(1.0))
+        assert g.cells is g.cells and s.y is s.y
+        for positions in (g.cells, s.y):
+            with pytest.raises(ValueError):
+                positions[0] = 1.0
+
 
 class TestInvariants:
     def test_peakon_type_cell_is_zero(self):
