@@ -22,16 +22,24 @@ from .source_terms import SourceTerms
 from .state import LagrangianState
 
 
+def g1_rows(
+    gamma: float, U: np.ndarray, q: np.ndarray, w: np.ndarray, h: np.ndarray,
+    P: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """The three moving rows (v_t, w_t, h_t) of the g1 sub-flow, written
+    into the (3, 2N) array ``out``, which is returned."""
+    U2 = U * U
+    out[0] = gamma * w
+    out[1] = 0.5 * gamma * h + (0.5 * (3.0 - 2.0 * gamma) * U2 - P) * q
+    out[2] = (3.0 * U2 - 2.0 * P) * w
+    return out
+
+
 def vector_field_g1(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
     """Sub-flow moving only the derivative fields v, w, h (rows of a
     (6, 2N) array laid out like ``state.x``)."""
-    g = state.params.gamma
-    U = state.U
-    U2 = U * U
     out = np.zeros(state.x.shape)
-    out[3] = g * state.w
-    out[4] = 0.5 * g * state.h + (0.5 * (3.0 - 2.0 * g) * U2 - terms.P) * state.q
-    out[5] = (3.0 * U2 - 2.0 * terms.P) * state.w
+    g1_rows(state.params.gamma, state.U, state.q, state.w, state.h, terms.P, out[3:])
     return out
 
 

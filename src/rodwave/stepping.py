@@ -6,10 +6,15 @@ The workhorse schemes compose implicit-midpoint solves of the two sub-flows:
     strang         Phi1_{dt/2} o Phi2_dt o Phi1_{dt/2}   (order 2, symmetric)
 
 The midpoint rule satisfies b_i a_ij + b_j a_ji = b_i b_j, so each substep
-conserves the per-cell quadratic invariants exactly; the source terms are
-recomputed at every midpoint iterate (no lagging), which the conservation
-argument requires.  An explicit Euler step and an embedded Dormand-Prince
-4(5) pair are provided as non-conservative comparators.
+conserves the per-cell quadratic invariants exactly; P and Q are recomputed
+at every midpoint iterate (no lagging), which the conservation argument
+requires.  Under g1 only their y-dependent factors are reused across
+iterates, which is exact: g1 freezes zeta, so y is the same bit for bit.
+An explicit Euler step and an embedded Dormand-Prince 4(5) pair are
+provided as non-conservative comparators.
+
+The two splitting schemes are plans, tuples of (sub-flow, fraction of dt),
+stepped by one function.
 
 Every scheme has the same interface,
 ``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
@@ -20,15 +25,18 @@ Strang steps that is their reference only, not a scheme.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import vector_field_full, vector_field_g1, vector_field_g2
+from .dynamics import g1_rows, vector_field_full, vector_field_g2
 from .errors import FixedPointDiverged, StepSizeUnderflow
-from .source_terms import evaluate_source_terms
-from .state import LagrangianState, distance_f
+from .source_terms import (
+    evaluate_source_terms, integrand, is_folded, kernel_factors, kernel_sums,
+)
+from .state import LagrangianState, _weighted_l2, distance_f
 
 SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
@@ -92,7 +100,9 @@ def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState,
     return state, report
 
 
-_FIELDS = {"g1": vector_field_g1, "g2": vector_field_g2}
+# g2 looks its field up here at call time, so a wrapper installed in the
+# table sees every call; g1 builds its three moving rows directly.
+_FIELDS = {"g2": vector_field_g2}
 
 
 def midpoint_substep(
@@ -101,9 +111,21 @@ def midpoint_substep(
     """Solve Z = Y + dt*G_k((Z+Y)/2) by fixed-point iteration from Z=Y.
 
     The residual is distance_f between successive iterates.  Raises
-    FixedPointDiverged when |dt| is too large for the contraction to hold.
+    FixedPointDiverged when |dt| is too large for the contraction to hold;
+    overflow on the way there raises no warning.
     """
-    field_fn = _FIELDS[which]
+    # a diverging iterate overflows, and 1/exp(y - r) in the kernel's
+    # factors divides by an underflowed zero: FixedPointDiverged says so
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if which == "g1":
+            return _substep_g1(state, dt, cfg)
+        return _substep_states(state, dt, _FIELDS[which], cfg)
+
+
+def _substep_states(
+    state: LagrangianState, dt: float, field_fn, cfg: StepperConfig
+) -> tuple[LagrangianState, StepReport]:
+    """The iteration on whole states, for a sub-flow that moves y."""
     y = state.x
     z = state
     folded = False
@@ -126,23 +148,76 @@ def midpoint_substep(
     raise FixedPointDiverged(cfg.fp_max_iter, residual)
 
 
+def _substep_g1(
+    state: LagrangianState, dt: float, cfg: StepperConfig
+) -> tuple[LagrangianState, StepReport]:
+    """The iteration of g1 on the (3, 2N) rows v, w, h alone.
+
+    g1 freezes zeta, U and H.  The midpoint of a frozen row is
+    0.5*(x + x) == x exactly, so y, U and the kernel's factors are the
+    same at every iterate and are built once; the frozen rows add exact
+    zeros to ``distance_f``, so the residual is the weighted L2 sum over the
+    moving rows, in the same order.  The iterates are those of
+    ``_substep_states`` bit for bit.
+    """
+    x = state.x
+    dxi = state.grid.dxi
+    g = state.params.gamma
+    U = x[1]
+    factors = kernel_factors(state.y)
+    y0 = x[3:]
+    z = y0
+    rows = np.empty(y0.shape)
+    residual = math.inf
+    for m in range(1, cfg.fp_max_iter + 1):
+        v, w, h = 0.5 * (y0 + z)
+        q = 1.0 + v
+        P = kernel_sums(factors, integrand(g, U, q, h), dxi).P
+        z_next = y0 + dt * g1_rows(g, U, q, w, h, P, rows)
+        d = z_next - z
+        residual = _weighted_l2(d[0], dxi) + _weighted_l2(d[1], dxi) + _weighted_l2(d[2], dxi)
+        z = z_next
+        if residual <= cfg.fp_tol:
+            # the frozen rows take the update by dt * 0, as in a whole-state
+            # step, where it turns a -0.0 into 0.0 for dt > 0
+            out = state.with_x(np.concatenate((x[:3] + dt * 0.0, z)))
+            return out, StepReport(
+                fp_iterations=(m,),
+                final_residual=residual,
+                folded=is_folded(state.y),
+            )
+        if not math.isfinite(residual):
+            raise FixedPointDiverged(m, residual)
+    raise FixedPointDiverged(cfg.fp_max_iter, residual)
+
+
+# A splitting scheme is a plan: which sub-flow, for which fraction of dt.
+LIE_TROTTER = (("g1", 1.0), ("g2", 1.0))
+STRANG = (("g1", 0.5), ("g2", 1.0), ("g1", 0.5))
+
+
+def _step_plan(
+    plan, state: LagrangianState, cfg: StepperConfig, dt: float | None
+) -> tuple[LagrangianState, StepReport]:
+    """Run the substeps of ``plan`` in order, merging their reports."""
+    dt = cfg.dt if dt is None else dt
+    reports = []
+    for which, fraction in plan:
+        state, report = midpoint_substep(state, fraction * dt, which, cfg)
+        reports.append(report)
+    return _ended(state, functools.reduce(StepReport.merge, reports))
+
+
 def step_lie_trotter(
     state: LagrangianState, cfg: StepperConfig, dt: float | None = None
 ) -> tuple[LagrangianState, StepReport]:
-    dt = cfg.dt if dt is None else dt
-    s1, r1 = midpoint_substep(state, dt, "g1", cfg)
-    s2, r2 = midpoint_substep(s1, dt, "g2", cfg)
-    return _ended(s2, r1.merge(r2))
+    return _step_plan(LIE_TROTTER, state, cfg, dt)
 
 
 def step_strang(
     state: LagrangianState, cfg: StepperConfig, dt: float | None = None
 ) -> tuple[LagrangianState, StepReport]:
-    dt = cfg.dt if dt is None else dt
-    s1, r1 = midpoint_substep(state, 0.5 * dt, "g1", cfg)
-    s2, r2 = midpoint_substep(s1, dt, "g2", cfg)
-    s3, r3 = midpoint_substep(s2, 0.5 * dt, "g1", cfg)
-    return _ended(s3, r1.merge(r2).merge(r3))
+    return _step_plan(STRANG, state, cfg, dt)
 
 
 # Triple jump (Yoshida, Phys. Lett. A 150, 1990; Hairer, Lubich & Wanner,

@@ -1,8 +1,16 @@
-"""Shared test utilities: random admissible states and comparison metrics."""
+"""Shared test utilities: random admissible states, comparison metrics and
+the whole-state midpoint iteration the g1 substep is checked against."""
+
+import math
 
 import numpy as np
 
 from rodwave import GridSpec, LagrangianState, Parameters, invariants
+from rodwave.dynamics import vector_field_g1, vector_field_g2
+from rodwave.errors import FixedPointDiverged
+from rodwave.source_terms import evaluate_source_terms
+from rodwave.state import distance_f
+from rodwave.stepping import StepReport
 
 
 def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.0):
@@ -55,3 +63,33 @@ def rel_entrywise(a: np.ndarray, b: np.ndarray, floor: np.ndarray | float = 0.0)
     """Per-entry |a-b| / max(|a|, |b|, floor); zero entries compare as zero."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / np.where(denom > 0, denom, 1.0)
+
+
+_FIELDS = {"g1": vector_field_g1, "g2": vector_field_g2}
+
+
+def midpoint_substep_on_states(state, dt, which, cfg):
+    """Solve Z = Y + dt*G_k((Z+Y)/2) by fixed-point iteration from Z=Y,
+    building whole states at every iterate: the reference iteration for
+    either sub-flow."""
+    field_fn = _FIELDS[which]
+    y = state.x
+    z = state
+    folded = False
+    residual = math.inf
+    for m in range(1, cfg.fp_max_iter + 1):
+        mid = state.with_x(0.5 * (y + z.x))
+        terms, fold = evaluate_source_terms(mid)
+        folded = folded or fold
+        z_next = state.with_x(y + dt * field_fn(mid, terms))
+        residual = distance_f(z_next, z)
+        z = z_next
+        if residual <= cfg.fp_tol:
+            return z, StepReport(
+                fp_iterations=(m,),
+                final_residual=residual,
+                folded=folded,
+            )
+        if not math.isfinite(residual):
+            raise FixedPointDiverged(m, residual)
+    raise FixedPointDiverged(cfg.fp_max_iter, residual)

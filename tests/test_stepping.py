@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import rodwave as rw
+from rodwave import source_terms, stepping
 from rodwave.errors import FixedPointDiverged, StepSizeUnderflow
+from rodwave.experiments import build_initial_state, resolve_config
 from rodwave.stepping import _step_triple_jump, midpoint_substep, plan_steps
 
-from helpers import random_admissible_state, states_equal
+from helpers import midpoint_substep_on_states, random_admissible_state, states_equal
 
 
 def small_peakon(dxi=0.1, r=15.0, c=1.0):
@@ -72,12 +76,91 @@ class TestMidpointSubstep:
         _, rep_small = midpoint_substep(s, 0.05, "g2", CFG)
         assert rep_small.fp_iterations[0] <= rep_large.fp_iterations[0]
 
-    def test_diverges_for_huge_dt(self):
-        s = small_peakon(c=2.0)
-        # the residual overflows to inf, which ends the iteration
-        with pytest.warns(RuntimeWarning), pytest.raises(FixedPointDiverged) as exc:
-            midpoint_substep(s, 1e3, "g2", CFG)
+    @pytest.mark.parametrize("which", ["g1", "g2"])
+    @pytest.mark.parametrize("dt", [5.0, 1e3])
+    def test_diverges_for_huge_dt(self, which, dt):
+        # the iterates overflow; FixedPointDiverged is the only report of it
+        s = build_initial_state(resolve_config("peakon_c1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FixedPointDiverged) as exc:
+                midpoint_substep(s, dt, which, CFG)
         assert exc.value.iterations >= 1
+
+
+def g1_cases():
+    """States for the g1 iteration: random admissible ones, a folded one,
+    one whose y spans several kernel blocks, the zero state, and one whose
+    frozen rows hold -0.0."""
+    rng = np.random.default_rng(31)
+    cases = {}
+    for k, (n_half, dxi, gamma) in enumerate(
+        [(32, 0.2, 1.0), (64, 0.1, 0.5), (16, 0.3, 2.5), (100, 0.05, -1.0)]
+    ):
+        grid = rw.GridSpec.from_cells(n_half, dxi)
+        cases[f"random{k}"] = random_admissible_state(rng, grid, gamma)
+    s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.2), 1.0)
+    zeta = s.zeta.copy()
+    zeta[40:44] -= 0.6
+    cases["folded"] = s.replace(zeta=zeta)
+    wide = random_admissible_state(rng, rw.GridSpec.from_cells(800, 0.5), 1.0, scale=0.3)
+    assert source_terms.kernel_factors(wide.y).down.shape[0] >= 4
+    cases["wide"] = wide
+    cases["zero"] = zero_state()
+    s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.25), 1.0)
+    U, H = s.U.copy(), s.H.copy()
+    U[::4] = -0.0
+    H[0] = -0.0
+    cases["negative_zeros"] = s.replace(U=U, H=H)
+    return cases
+
+
+G1_CASES = g1_cases()
+DIVERGING_DT = 1e3
+
+
+def g1_outcome(substep, state, dt):
+    """Everything a g1 substep reports, bit for bit."""
+    try:
+        out, report = substep(state, dt, "g1", CFG)
+    except FixedPointDiverged as exc:
+        return ("diverged", exc.iterations)
+    return (out.x.tobytes(), report.fp_iterations, report.final_residual, report.folded)
+
+
+class TestG1Iteration:
+    """The g1 substep iterates on v, w, h with the kernel's factors built
+    once; it must be the whole-state iteration bit for bit."""
+
+    @pytest.mark.parametrize("dt", [0.1, -0.17, DIVERGING_DT])
+    @pytest.mark.parametrize("case", sorted(G1_CASES))
+    def test_matches_the_whole_state_iteration(self, case, dt):
+        s = G1_CASES[case]
+        with np.errstate(all="ignore"):
+            expected = g1_outcome(midpoint_substep_on_states, s, dt)
+        got = g1_outcome(midpoint_substep, s, dt)
+        assert got == expected
+        if dt == DIVERGING_DT and case != "zero":
+            assert got[0] == "diverged"
+        if case == "folded" and dt != DIVERGING_DT:
+            assert got[3]
+
+    @pytest.mark.parametrize("step", [rw.step_strang, rw.step_lie_trotter])
+    def test_factors_built_once_per_g1_substep_and_per_g2_iterate(self, monkeypatch, step):
+        calls = []
+        original = source_terms.kernel_factors
+
+        def counted(y):
+            calls.append(y)
+            return original(y)
+
+        monkeypatch.setattr(source_terms, "kernel_factors", counted)
+        monkeypatch.setattr(stepping, "kernel_factors", counted)
+        _, report = step(small_peakon(), CFG)
+        # the plans run g2 second, between their g1 substeps
+        n_g1 = len(report.fp_iterations) - 1
+        assert len(calls) == n_g1 + report.fp_iterations[1]
+        assert report.fp_iterations[0] > 1
 
 
 class TestSplittingSteps:
