@@ -65,14 +65,21 @@ class SourceTerms(NamedTuple):
     Q: np.ndarray
 
 
-def integrand(gamma: float, U: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Cell integrand a_j = (3-2*gamma)/2 U_j^2 q_j + gamma/2 h_j."""
-    return 0.5 * (3.0 - 2.0 * gamma) * U * U * q + 0.5 * gamma * h
+def integrand_u(gamma: float, U: np.ndarray) -> np.ndarray:
+    """The U-only factor (3-2*gamma)/2 U_j^2 of the integrand's first term."""
+    return 0.5 * (3.0 - 2.0 * gamma) * U * U
+
+
+def integrand(gamma: float, a_u: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Cell integrand a_j = (3-2*gamma)/2 U_j^2 q_j + gamma/2 h_j, from its
+    U-only factor ``a_u = integrand_u(gamma, U)``."""
+    return a_u * q + 0.5 * gamma * h
 
 
 def integrand_a(state: LagrangianState) -> np.ndarray:
     """The cell integrand of a state's U, q and h."""
-    return integrand(state.params.gamma, state.U, state.q, state.h)
+    g = state.params.gamma
+    return integrand(g, integrand_u(g, state.U), state.q, state.h)
 
 
 def source_terms_direct(state: LagrangianState) -> SourceTerms:
@@ -105,6 +112,15 @@ def _chain(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
+def _blocks(x: np.ndarray, nb: int, block: int, fill: float) -> np.ndarray:
+    """x as nb rows of ``block`` cells, its last row padded with ``fill``;
+    a view of x when the blocks cover it exactly."""
+    pad = nb * block - x.size
+    if pad:
+        x = np.concatenate((x, np.full(pad, fill)))
+    return x.reshape(nb, block)
+
+
 class KernelFactors(NamedTuple):
     """The y-dependent half of the fast kernel: the cells cut into blocks
     (one block per row of ``down``), exp(y_j - r_b) and its reciprocal for
@@ -125,8 +141,7 @@ def kernel_factors(y: np.ndarray) -> KernelFactors:
     block = n
     while True:
         nb = -(-n // block)
-        pad = nb * block - n
-        Y = np.concatenate((y, np.full(pad, y[-1]))).reshape(nb, block)
+        Y = _blocks(y, nb, block, y[-1])
         if block == 1 or (Y[:, -1] - Y[:, 0]).max() <= _SPAN:
             break
         block //= 2
@@ -146,9 +161,9 @@ def kernel_sums(factors: KernelFactors, a: np.ndarray, dxi: float) -> SourceTerm
     down, up, mu = factors
     nb, block = down.shape
     n = a.size
-    A = np.concatenate((a, np.zeros(nb * block - n))).reshape(nb, block)
-    lo = np.cumsum(A * down, axis=1)
-    hi = np.cumsum((A * up)[:, ::-1], axis=1)[:, ::-1]
+    A = _blocks(a, nb, block, 0.0)
+    lo = (A * down).cumsum(axis=1)
+    hi = (A * up)[:, ::-1].cumsum(axis=1)[:, ::-1]
     f, b = lo * up, hi * down
     if nb > 1:
         # into[k] is the f-sum over blocks 0..k referred to r_{k+1}, out[k]
@@ -178,11 +193,13 @@ def is_folded(y: np.ndarray) -> bool:
 def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
     """The source terms, and whether the particle map y is folded.
 
-    This is the entry for states whose y moves between evaluations: the g2
-    midpoint iterates, Euler and Dormand-Prince.  Each is served by
-    ``source_terms_fast``, factor step and sum step together (looked up on
-    this module, so a wrapper installed there sees every call).  The g1
-    substep freezes y and calls the two steps itself.  The flag marks states
+    This is the entry for states whose y moves between evaluations: Euler,
+    Dormand-Prince and the g2 midpoint iterates.  g2 enters here on purpose,
+    with one state per iterate, though it holds its rows as arrays: each
+    call is served by ``source_terms_fast``, factor step and sum step
+    together, looked up on this module, so a wrapper installed there sees
+    every evaluation whose y moved.  The g1 substep freezes y and calls the
+    two steps itself.  The flag marks states
     outside the positivity regime, where two particles have crossed
     (j < i with y_j > y_i) and the signed kernel weighs them with exp(+d).
     ``state.y`` is cached on the state, so the flag and the kernel share

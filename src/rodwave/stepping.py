@@ -8,10 +8,14 @@ The workhorse schemes compose implicit-midpoint solves of the two sub-flows:
 The midpoint rule satisfies b_i a_ij + b_j a_ji = b_i b_j, so each substep
 conserves the per-cell quadratic invariants exactly; P and Q are recomputed
 at every midpoint iterate (no lagging), which the conservation argument
-requires.  Under g1 only their y-dependent factors are reused across
-iterates, which is exact: g1 freezes zeta, so y is the same bit for bit.
-An explicit Euler step and an embedded Dormand-Prince 4(5) pair are
-provided as non-conservative comparators.
+requires.  One fixed-point loop serves both sub-flows.  It iterates on the
+rows the sub-flow moves (g1: v, w, h; g2: zeta, U, H, h) and takes as its
+residual the norm of ``distance_f`` over those rows, to which the frozen
+rows add exact zeros.  Terms built from frozen rows alone are built once
+per substep; under g1 that includes the kernel's y-dependent factors, since
+g1 freezes zeta and so y is the same bit for bit.  The iterates are those of
+an iteration on whole states.  An explicit Euler step and an embedded
+Dormand-Prince 4(5) pair are provided as non-conservative comparators.
 
 The two splitting schemes are plans, tuples of (sub-flow, fraction of dt),
 stepped by one function.
@@ -31,12 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import g1_rows, vector_field_full, vector_field_g2
+from .dynamics import G1_ROWS, G2_ROWS, g1_rows, g2_rows, vector_field_full
 from .errors import FixedPointDiverged, StepSizeUnderflow
 from .source_terms import (
-    evaluate_source_terms, integrand, is_folded, kernel_factors, kernel_sums,
+    evaluate_source_terms, integrand, integrand_u, is_folded, kernel_factors,
+    kernel_sums,
 )
-from .state import LagrangianState, _weighted_l2, distance_f
+# distance_f is no longer called here (the midpoint residual is rows_norm),
+# but perfbench's tracer reports calls to it by this module's name.
+from .state import LagrangianState, distance_f, rows_norm  # noqa: F401
 
 SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
@@ -45,7 +52,7 @@ SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 class StepperConfig:
     dt: float
     scheme: str = "strang"
-    fp_tol: float = 1e-12          # fixed-point residual tolerance (distance_f)
+    fp_tol: float = 1e-12          # bound on rows_norm of successive iterates
     fp_max_iter: int = 50
     rk_rel_tol: float = 1e-6
     rk_abs_tol: float = 1e-9
@@ -100,9 +107,46 @@ def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState,
     return state, report
 
 
-# g2 looks its field up here at call time, so a wrapper installed in the
-# table sees every call; g1 builds its three moving rows directly.
-_FIELDS = {"g2": vector_field_g2}
+def _g1(state: LagrangianState):
+    """g1 freezes zeta, U and H.  The midpoint of a frozen row is
+    0.5*(x + x) == x exactly, so y, the kernel's factors, the fold flag and
+    the U-only terms are the same at every iterate and are built once."""
+    g, dxi = state.params.gamma, state.grid.dxi
+    U = state.U
+    factors = kernel_factors(state.y)
+    folded = is_folded(state.y)
+    a_u, U2 = integrand_u(g, U), U * U
+    out = np.empty((len(G1_ROWS), state.n_cells))
+
+    def field(mid):
+        v, w, h = mid
+        q = 1.0 + v
+        P = kernel_sums(factors, integrand(g, a_u, q, h), dxi).P
+        return g1_rows(g, U2, q, w, h, P, out), folded
+
+    return field
+
+
+def _g2(state: LagrangianState):
+    """g2 freezes v and w, so q is built once.  y moves with zeta: each
+    iterate evaluates P and Q on a midpoint state of its own."""
+    g, x, q = state.params.gamma, state.x, state.q
+    out = np.empty((len(G2_ROWS), state.n_cells))
+
+    def field(mid):
+        xm = x.copy()
+        xm[G2_ROWS] = mid
+        terms, folded = evaluate_source_terms(state.with_x(xm))
+        return g2_rows(g, mid[1], q, terms.P, terms.Q, out), folded
+
+    return field
+
+
+# Each sub-flow: the rows it moves, and a function of the substep's state
+# that builds the frozen terms once and returns the field.  The field maps
+# the midpoint of the moving rows to their rates and to whether the kernel
+# evaluation behind them saw a folded y.
+_SUB_FLOWS = {"g1": (G1_ROWS, _g1), "g2": (G2_ROWS, _g2)}
 
 
 def midpoint_substep(
@@ -110,85 +154,39 @@ def midpoint_substep(
 ) -> tuple[LagrangianState, StepReport]:
     """Solve Z = Y + dt*G_k((Z+Y)/2) by fixed-point iteration from Z=Y.
 
-    The residual is distance_f between successive iterates.  Raises
-    FixedPointDiverged when |dt| is too large for the contraction to hold;
-    overflow on the way there raises no warning.
+    The iteration runs on the rows the sub-flow moves; its residual is the
+    norm of the difference of successive iterates, which the frozen rows
+    would only add exact zeros to (``rows_norm``).  The substep's state is
+    built at the end; g2 also builds one midpoint state per iterate, for
+    its kernel evaluation.  Raises FixedPointDiverged when |dt| is too large
+    for the contraction to hold; overflow on the way there raises no warning.
     """
+    rows, make_field = _SUB_FLOWS[which]
+    z = y0 = state.x[rows]
+    folded = False
     # a diverging iterate overflows, and 1/exp(y - r) in the kernel's
     # factors divides by an underflowed zero: FixedPointDiverged says so
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if which == "g1":
-            return _substep_g1(state, dt, cfg)
-        return _substep_states(state, dt, _FIELDS[which], cfg)
-
-
-def _substep_states(
-    state: LagrangianState, dt: float, field_fn, cfg: StepperConfig
-) -> tuple[LagrangianState, StepReport]:
-    """The iteration on whole states, for a sub-flow that moves y."""
-    y = state.x
-    z = state
-    folded = False
-    residual = math.inf
-    for m in range(1, cfg.fp_max_iter + 1):
-        mid = state.with_x(0.5 * (y + z.x))
-        terms, fold = evaluate_source_terms(mid)
-        folded = folded or fold
-        z_next = state.with_x(y + dt * field_fn(mid, terms))
-        residual = distance_f(z_next, z)
-        z = z_next
-        if residual <= cfg.fp_tol:
-            return z, StepReport(
-                fp_iterations=(m,),
-                final_residual=residual,
-                folded=folded,
-            )
-        if not math.isfinite(residual):
-            raise FixedPointDiverged(m, residual)
-    raise FixedPointDiverged(cfg.fp_max_iter, residual)
-
-
-def _substep_g1(
-    state: LagrangianState, dt: float, cfg: StepperConfig
-) -> tuple[LagrangianState, StepReport]:
-    """The iteration of g1 on the (3, 2N) rows v, w, h alone.
-
-    g1 freezes zeta, U and H.  The midpoint of a frozen row is
-    0.5*(x + x) == x exactly, so y, U and the kernel's factors are the
-    same at every iterate and are built once; the frozen rows add exact
-    zeros to ``distance_f``, so the residual is the weighted L2 sum over the
-    moving rows, in the same order.  The iterates are those of
-    ``_substep_states`` bit for bit.
-    """
-    x = state.x
-    dxi = state.grid.dxi
-    g = state.params.gamma
-    U = x[1]
-    factors = kernel_factors(state.y)
-    y0 = x[3:]
-    z = y0
-    rows = np.empty(y0.shape)
-    residual = math.inf
-    for m in range(1, cfg.fp_max_iter + 1):
-        v, w, h = 0.5 * (y0 + z)
-        q = 1.0 + v
-        P = kernel_sums(factors, integrand(g, U, q, h), dxi).P
-        z_next = y0 + dt * g1_rows(g, U, q, w, h, P, rows)
-        d = z_next - z
-        residual = _weighted_l2(d[0], dxi) + _weighted_l2(d[1], dxi) + _weighted_l2(d[2], dxi)
-        z = z_next
-        if residual <= cfg.fp_tol:
-            # the frozen rows take the update by dt * 0, as in a whole-state
-            # step, where it turns a -0.0 into 0.0 for dt > 0
-            out = state.with_x(np.concatenate((x[:3] + dt * 0.0, z)))
-            return out, StepReport(
-                fp_iterations=(m,),
-                final_residual=residual,
-                folded=is_folded(state.y),
-            )
-        if not math.isfinite(residual):
-            raise FixedPointDiverged(m, residual)
-    raise FixedPointDiverged(cfg.fp_max_iter, residual)
+        field = make_field(state)
+        for m in range(1, cfg.fp_max_iter + 1):
+            rates, fold = field(0.5 * (y0 + z))
+            folded = folded or fold
+            z_next = y0 + dt * rates
+            residual = rows_norm(z_next - z, rows, state.grid.dxi)
+            z = z_next
+            if residual <= cfg.fp_tol:
+                break
+            if not math.isfinite(residual):
+                raise FixedPointDiverged(m, residual)
+        else:
+            raise FixedPointDiverged(cfg.fp_max_iter, residual)
+    # the frozen rows take the update by dt * 0, as in a whole-state step,
+    # where it turns a -0.0 into 0.0 for dt > 0
+    x = state.x + dt * 0.0
+    x[rows] = z
+    return state.with_x(x), StepReport(
+        fp_iterations=(m,), final_residual=residual, folded=folded,
+    )
 
 
 # A splitting scheme is a plan: which sub-flow, for which fraction of dt.

@@ -88,10 +88,10 @@ class TestMidpointSubstep:
         assert exc.value.iterations >= 1
 
 
-def g1_cases():
-    """States for the g1 iteration: random admissible ones, a folded one,
-    one whose y spans several kernel blocks, the zero state, and one whose
-    frozen rows hold -0.0."""
+def substep_cases():
+    """States for the midpoint iteration: random admissible ones, a folded
+    one, one whose y spans several kernel blocks, the zero state, and one
+    holding -0.0 in U and H (frozen by g1) and in v and w (frozen by g2)."""
     rng = np.random.default_rng(31)
     cases = {}
     for k, (n_half, dxi, gamma) in enumerate(
@@ -108,24 +108,38 @@ def g1_cases():
     cases["wide"] = wide
     cases["zero"] = zero_state()
     s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.25), 1.0)
-    U, H = s.U.copy(), s.H.copy()
+    U, H, v, w = s.U.copy(), s.H.copy(), s.v.copy(), s.w.copy()
     U[::4] = -0.0
     H[0] = -0.0
-    cases["negative_zeros"] = s.replace(U=U, H=H)
+    v[1::4] = -0.0
+    w[2::4] = -0.0
+    cases["negative_zeros"] = s.replace(U=U, H=H, v=v, w=w)
     return cases
 
 
-G1_CASES = g1_cases()
+CASES = substep_cases()
 DIVERGING_DT = 1e3
 
 
-def g1_outcome(substep, state, dt):
-    """Everything a g1 substep reports, bit for bit."""
+def substep_outcome(substep, state, dt, which):
+    """Everything a midpoint substep reports, bit for bit."""
     try:
-        out, report = substep(state, dt, "g1", CFG)
+        out, report = substep(state, dt, which, CFG)
     except FixedPointDiverged as exc:
         return ("diverged", exc.iterations)
     return (out.x.tobytes(), report.fp_iterations, report.final_residual, report.folded)
+
+
+def check_against_whole_states(which, case, dt):
+    s = CASES[case]
+    with np.errstate(all="ignore"):
+        expected = substep_outcome(midpoint_substep_on_states, s, dt, which)
+    got = substep_outcome(midpoint_substep, s, dt, which)
+    assert got == expected
+    if dt == DIVERGING_DT and case != "zero":
+        assert got[0] == "diverged"
+    if case == "folded" and dt != DIVERGING_DT:
+        assert got[3]
 
 
 class TestG1Iteration:
@@ -133,17 +147,9 @@ class TestG1Iteration:
     once; it must be the whole-state iteration bit for bit."""
 
     @pytest.mark.parametrize("dt", [0.1, -0.17, DIVERGING_DT])
-    @pytest.mark.parametrize("case", sorted(G1_CASES))
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_whole_state_iteration(self, case, dt):
-        s = G1_CASES[case]
-        with np.errstate(all="ignore"):
-            expected = g1_outcome(midpoint_substep_on_states, s, dt)
-        got = g1_outcome(midpoint_substep, s, dt)
-        assert got == expected
-        if dt == DIVERGING_DT and case != "zero":
-            assert got[0] == "diverged"
-        if case == "folded" and dt != DIVERGING_DT:
-            assert got[3]
+        check_against_whole_states("g1", case, dt)
 
     @pytest.mark.parametrize("step", [rw.step_strang, rw.step_lie_trotter])
     def test_factors_built_once_per_g1_substep_and_per_g2_iterate(self, monkeypatch, step):
@@ -161,6 +167,37 @@ class TestG1Iteration:
         n_g1 = len(report.fp_iterations) - 1
         assert len(calls) == n_g1 + report.fp_iterations[1]
         assert report.fp_iterations[0] > 1
+
+
+class TestG2Iteration:
+    """The g2 substep iterates on zeta, U, H, h with q built once, and
+    evaluates P and Q on one midpoint state per iterate; it must be the
+    whole-state iteration bit for bit."""
+
+    @pytest.mark.parametrize("dt", [0.1, -0.17, DIVERGING_DT])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_whole_state_iteration(self, case, dt):
+        check_against_whole_states("g2", case, dt)
+
+    @pytest.mark.parametrize("step", [rw.step_strang, rw.step_lie_trotter])
+    def test_each_g2_iterate_and_no_g1_one_calls_source_terms_fast(self, monkeypatch, step):
+        # perfbench's kernel sampler wraps source_terms.source_terms_fast and
+        # sees only the states passed to it
+        seen = []
+        original = source_terms.source_terms_fast
+
+        def recorded(state):
+            seen.append(state)
+            return original(state)
+
+        monkeypatch.setattr(source_terms, "source_terms_fast", recorded)
+        s = small_peakon()
+        _, report = step(s, CFG)
+        assert len(seen) == report.fp_iterations[1] > 1
+        assert all(isinstance(state, rw.LagrangianState) for state in seen)
+        del seen[:]
+        _, report = midpoint_substep(s, 0.1, "g1", CFG)
+        assert report.fp_iterations[0] > 1 and seen == []
 
 
 class TestSplittingSteps:
