@@ -31,9 +31,11 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import SCHEMES, StepperConfig, _step_triple_jump, evolve
+from .stepping import SCHEMES, StepperConfig, evolve, richardson_reference
 
 _GRID_KEYS = ("dxi", "r")
+# what compare's manifest and converge's report name the reference by
+_REFERENCE_METHOD = "richardson_strang"
 
 
 def _int(value) -> int:
@@ -52,7 +54,8 @@ def _cast(declared: str, value, where: str):
     ``int`` or ``tuple[float, float] | None``; ValueError names ``where``.
     The value must have a JSON type that fits: a JSON 1 is 1.0 for a float,
     2.0 is 2 for an int, an array a tuple whose elements are cast one by one
-    (``tuple[str, ...]`` takes any number of them); true is not a number."""
+    (``tuple[str, ...]`` takes any number of them); true is not a number,
+    and a float must be finite."""
     if value is None and declared.endswith(" | None"):
         return None
     base, _, inner = declared.removesuffix(" | None").partition("[")
@@ -66,9 +69,12 @@ def _cast(declared: str, value, where: str):
             raise ValueError(f"{where}: expected {declared}, got {value!r}")
         return cast(_cast(item, v, where) for item, v in zip(items, value))
     try:
-        return cast(value)
+        value = cast(value)
     except (ValueError, OverflowError) as err:
         raise ValueError(f"{where}: {err}") from None
+    if isinstance(value, float) and not math.isfinite(value):  # JSON's Infinity and NaN
+        raise ValueError(f"{where}: {value!r} is not finite")
+    return value
 
 
 def _read_section(cls, section, where: str, only=None, **given) -> dict:
@@ -107,10 +113,12 @@ class ExperimentConfig:
     output_stride: int = 1
     schemes: tuple[str, ...] = SCHEMES
     m_ref: int = FineGrid.m_ref
-    # step of the order-4 reference of compare and converge, as a multiple
-    # of dt (of the smallest swept dt).  Manifests written while the
-    # reference was Strang at dt/10 carry 0.1: replayed, they run the
-    # order-4 reference at dt/10
+    # step h of the order-4 reference of compare and converge, as a
+    # multiple of dt (of the smallest swept dt); the reference extrapolates
+    # Strang runs at h and h/2.  Manifests from when the reference was
+    # Strang at dt/10 carry 0.1, and from when it was a triple jump of
+    # Strang steps carry 0.5: replayed, they run Strang at dt/10 and dt/20,
+    # or at dt/2 and dt/4, and extrapolate
     reference_dt_factor: float = 0.5
     sweep: dict = field(default_factory=dict)
     description: str = ""
@@ -135,8 +143,11 @@ class ExperimentConfig:
         self.wave_spec()
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be >= 0 and finite, got {self.t_final}")
+        if not 0 < self.reference_dt_factor < math.inf:
+            raise ValueError(
+                f"reference_dt_factor must be positive and finite, got {self.reference_dt_factor}")
         ratio = self.t_final / self.stepper.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             warnings.warn(
@@ -325,12 +336,14 @@ def _version_string() -> str:
     return f"rodwave {base}" + (f" ({rev})" if rev else "")
 
 
-def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, artifacts: dict) -> None:
+def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries) -> None:
+    """The config that replays the run, the version and the wall time, plus
+    ``entries``: the artifacts, and for compare the reference."""
     manifest = {
         "config": cfg.to_dict(),
         "version": _version_string(),
         "wall_time_s": wall,
-        "artifacts": artifacts,
+        **entries,
     }
     _write_json(run_dir / "manifest.json", manifest)
 
@@ -365,8 +378,8 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     write_diagnostics_csv(run_dir / "diagnostics.csv", recorder.rows)
     _write_csv(run_dir / "snapshots.csv", ("index", "step", "t", "file"), snapshots)
     wall = time.perf_counter() - t_start
-    _write_manifest(run_dir, cfg, wall, {"diagnostics": "diagnostics.csv",
-                                         "snapshots": [s[3] for s in snapshots]})
+    _write_manifest(run_dir, cfg, wall, artifacts={"diagnostics": "diagnostics.csv",
+                                                   "snapshots": [s[3] for s in snapshots]})
     if not quiet:
         rows = recorder.rows
         print(
@@ -399,18 +412,20 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
 
     The summary table reports the final graph distance to a reference, the
     invariant drift and the minima of q and h over the run.  The reference
-    is the order-4 triple-jump composition of Strang steps
-    (``stepping._step_triple_jump``) at step dt * reference_dt_factor; it
-    is not a scheme and gets no row.  The minima take in t=0 and every
-    state a scheme accepted, the internal steps of the adaptive comparator
-    included.
+    is ``stepping.richardson_reference`` at h = dt * reference_dt_factor:
+    Strang runs at h and h/2, extrapolated to order 4, which the manifest
+    names under ``"reference"``.  It is not a scheme and gets no row.  Its
+    graph is written to ``reference_graph.csv``, whose I column holds the
+    invariants of the extrapolated state: they are not conserved.  The
+    minima take in t=0 and every state a scheme accepted, the internal
+    steps of the adaptive comparator included.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref_cfg = replace(cfg.stepper, dt=cfg.stepper.dt * cfg.reference_dt_factor)
-    reference, _ = evolve(state0, cfg.t_final, ref_cfg, _step=_step_triple_jump)
+    h = cfg.stepper.dt * cfg.reference_dt_factor
+    reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=h))
     write_graph_csv(out_dir / "reference_graph.csv", reference)
 
     rows = []
@@ -433,7 +448,9 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
         rows,
     )
     wall = time.perf_counter() - t_start
-    _write_manifest(out_dir, cfg, wall, {"summary": "summary.csv", "schemes": list(cfg.schemes)})
+    _write_manifest(out_dir, cfg, wall,
+                    artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
+                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2]})
     return out_dir
 
 
@@ -460,11 +477,11 @@ def converge_experiment(
     """Error-vs-resolution sweeps with fitted log-log slopes.
 
     Time sweeps hold the grid fixed and compare final states (distance_f)
-    against the reference of ``compare_experiment``, the order-4 triple
-    jump, at step min(dt) * reference_dt_factor (``reference_dt`` in the
-    report).  Space sweeps compare against the exact peakon when
-    available, otherwise against the finest run via nearest-xi graph
-    matching.
+    against the reference of ``compare_experiment``, Strang runs at h and
+    h/2 extrapolated to order 4, at h = min(dt) * reference_dt_factor
+    (``reference_dt`` in the report).  Space sweeps compare against the
+    exact peakon when available, otherwise against the finest run via
+    nearest-xi graph matching.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
@@ -481,16 +498,17 @@ def converge_experiment(
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
 
-    def final_state(dxi, dt, step=None):
-        """The final state of cfg's scheme, or of ``step``, at (dxi, dt)."""
+    def final_state(dxi, dt):
+        """The final state of cfg's scheme at (dxi, dt)."""
         run_cfg = replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dt))
         state0 = build_initial_state(run_cfg)
-        state, _ = evolve(state0, cfg.t_final, run_cfg.stepper, _step=step)
+        state, _ = evolve(state0, cfg.t_final, run_cfg.stepper)
         return state
 
     if dt_list:
         ref_dt = min(dt_list) * cfg.reference_dt_factor
-        reference = final_state(cfg.dxi, ref_dt, _step_triple_jump)
+        reference = richardson_reference(
+            build_initial_state(cfg), cfg.t_final, replace(cfg.stepper, dt=ref_dt))
         finals = [final_state(cfg.dxi, d) for d in dt_list]
         errors = [distance_f(s, reference) for s in finals]
         report["dt_sweep"] = {
@@ -498,6 +516,7 @@ def converge_experiment(
             "error": errors,
             "slope": convergence_order(zip(dt_list, errors)),
             "reference_dt": ref_dt,
+            "reference": _REFERENCE_METHOD,
         }
 
     if dxi_list:
@@ -538,7 +557,7 @@ def converge_experiment(
         ],
     )
     _write_manifest(out_dir, cfg, time.perf_counter() - t_start,
-                    {"order_report": "order_report.json", "errors": "errors.csv"})
+                    artifacts={"order_report": "order_report.json", "errors": "errors.csv"})
     if not quiet:
         for key in ("dt_sweep", "dxi_sweep"):
             if key in report:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestCompareConverge:
 
     @pytest.mark.parametrize("name", ["peakon_antipeakon_gamma1", "collision_smooth"])
     @pytest.mark.parametrize(
-        "step", [stepping.step_strang, stepping.step_lie_trotter, stepping._step_triple_jump])
+        "step", [stepping.step_strang, stepping.step_lie_trotter, stepping._step_two_halves])
     def test_positivity_across_the_collision(self, name, step):
         # both collisions fold y between t = 1 and t = 2.6
         cfg = rw.bundled_config(name)
@@ -141,9 +142,21 @@ class TestCompareConverge:
             rw.build_initial_state(cfg), 3.0, cfg.stepper, _step=step,
             observers=lambda j, t, s, r: minima.append((s.q.min(), s.h.min())))
         assert len(minima) == 31 and any(r.folded for r in reports)
-        # the reports hold the triple jump's states between its factors too
+        # the reports hold the states between two halves of a step too
         minima += [(r.min_q, r.min_h) for r in reports]
         assert np.min(minima) >= 0.0
+
+    def test_compare_manifest_replays_the_run(self, tmp_path):
+        config = write_config(tmp_path)
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path / "a")) == 0
+        manifest = tmp_path / "a" / "tiny_compare" / "manifest.json"
+        assert json.loads(manifest.read_text())["reference"] == {
+            "method": "richardson_strang", "dt": [0.05, 0.025]}
+        assert run_cli("compare", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
+        a = csv_bytes(tmp_path / "a" / "tiny_compare")
+        assert {"summary.csv", "reference_graph.csv", "strang/final_graph.csv",
+                "adaptive_rk/diagnostics.csv"} <= set(a)
+        assert a == csv_bytes(tmp_path / "b" / "tiny_compare")
 
     def test_adaptive_minima_include_initial_state(self, tmp_path):
         # the colliding waves' far cells hold h = 0 at t=0 (q = 1/(1 + e)
@@ -165,6 +178,7 @@ class TestCompareConverge:
         report = json.loads((tmp_path / "tiny_converge" / "order_report.json").read_text())
         assert report["dt_sweep"]["dt"] == TINY["sweep"]["dt"]
         assert 1.5 < report["dt_sweep"]["slope"] < 2.5
+        assert report["dt_sweep"]["reference"] == "richardson_strang"
 
     def test_converge_manifest_replays_the_sweep(self, tmp_path):
         config = write_config(tmp_path, sweep=None)
@@ -232,6 +246,16 @@ class TestErrors:
             # compare's reference is not a scheme
             (["compare", "--scheme", "triple_jump"], {}),
             (["run"], {"stepper": {"dt": 0.1, "scheme": "_triple_jump"}}),
+            (["run"], {"stepper": {"dt": 0.1, "scheme": "_two_halves"}}),
+            (["compare", "--scheme", "richardson_strang"], {}),
+            # non-finite and out-of-range numbers
+            (["run"], {"stepper": {"dt": float("inf")}}),
+            (["run"], {"t_final": float("inf")}),
+            (["compare"], {"reference_dt_factor": 0}),
+            (["compare"], {"reference_dt_factor": -1}),
+            (["compare"], {"reference_dt_factor": float("nan")}),
+            (["converge", "--dt-list", "0.1,inf,0.05"], {}),
+            (["run"], {"grid": {"dxi": 0.25, "r": float("inf")}}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -241,6 +265,7 @@ class TestErrors:
             raise AssertionError("a rejected input reached the time loop")
 
         monkeypatch.setattr(experiments, "evolve", no_run)
+        monkeypatch.setattr(experiments, "richardson_reference", no_run)
         monkeypatch.chdir(tmp_path)
         # exists, so the config is accepted, but fails to parse at its line 3
         Path("bad_profile.txt").write_text("x u\n0 0\nfoo bar\n1 1\n2 0\n")
@@ -280,11 +305,23 @@ class TestErrors:
          {"sweep": {"dxi": [0.5, 0.25, True, 0.125]}}, {"sweep": {"dt": [0.1, -0.05, 0.025]}},
          {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, "x"]}},
          {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05]}},
-         {"schemes": ["strang", 5]}],
+         {"schemes": ["strang", 5]}, {"t_final": float("nan")},
+         {"grid": {"dxi": float("inf"), "r": 25.0}},
+         {"initial_data": {"kind": "peakon", "c": 1.0, "x0": float("nan")}}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+
+    @pytest.mark.parametrize("changes", [
+        {"t_final": float("inf")}, {"t_final": float("nan")}, {"reference_dt_factor": 0.0},
+        {"reference_dt_factor": -1.0}, {"reference_dt_factor": float("nan")},
+        {"reference_dt_factor": float("inf")}])
+    def test_range_checks_hold_outside_json(self, changes):
+        # the checks of the dataclass itself, which a config built in Python
+        # meets without passing through the JSON reader
+        with pytest.raises(ValueError):
+            replace(rw.bundled_config("peakon_c1"), **changes)
 
     def test_blend_pair_is_read_as_floats(self):
         changes = {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, 0.25]}}

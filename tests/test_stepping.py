@@ -7,7 +7,9 @@ import rodwave as rw
 from rodwave import source_terms, stepping
 from rodwave.errors import FixedPointDiverged, StepSizeUnderflow
 from rodwave.experiments import build_initial_state, resolve_config
-from rodwave.stepping import _step_triple_jump, midpoint_substep, plan_steps
+from rodwave.stepping import (
+    _step_two_halves, midpoint_substep, plan_steps, richardson_reference,
+)
 
 from helpers import midpoint_substep_on_states, random_admissible_state, states_equal
 
@@ -34,6 +36,11 @@ class TestStepperConfig:
             {"dt": 0.1, "scheme": "leapfrog"},
             {"dt": 0.1, "rk_rel_tol": 0.0},
             {"dt": 0.1, "rk_abs_tol": -1e-9},
+            {"dt": float("inf")},
+            {"dt": float("nan")},
+            {"dt": 0.1, "fp_tol": float("inf")},
+            {"dt": 0.1, "rk_rel_tol": float("nan")},
+            {"dt": 0.1, "rk_abs_tol": float("inf")},
         ],
     )
     def test_validation(self, kw):
@@ -268,33 +275,66 @@ class TestSplittingSteps:
         assert 1.7 <= slope <= 2.3
 
 
-class TestTripleJumpReference:
-    """The order-4 composition compare and converge measure against."""
+class TestRichardsonReference:
+    """The order-4 reference compare and converge measure against: Strang
+    runs at h and h/2, extrapolated.  The fine run's step, two Strang steps
+    of dt/2, is symmetric and conserves the invariants."""
 
-    def test_fourth_order_on_smooth_wave(self):
+    @staticmethod
+    def change_per_halving(t_final):
         spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
         s = rw.make_smooth_tw(spec, rw.GridSpec.from_radius(0.5, 10.0))
-        finals = [rw.evolve(s, 2.0, rw.StepperConfig(dt=dt), _step=_step_triple_jump)[0]
+        finals = [richardson_reference(s, t_final, rw.StepperConfig(dt=dt))
                   for dt in (0.4, 0.2, 0.1)]
-        # the change per halving shrinks like dt^4: measured ratio 14.1
-        # (Strang's is ~4)
         coarse, fine = (rw.distance_f(a, b) for a, b in zip(finals, finals[1:]))
-        assert coarse / fine >= 12
+        return coarse / fine
+
+    def test_fourth_order_on_smooth_wave(self):
+        # the change per halving shrinks like dt^4: measured ratio 15.4
+        # (Strang's is ~4)
+        assert self.change_per_halving(2.0) >= 12
+
+    def test_fourth_order_when_t_final_is_not_a_multiple_of_dt(self):
+        # measured ratio 14.8; a fine run that plans its own steps, and so
+        # leaves the short last step whole, gives 3.8
+        assert self.change_per_halving(1.93) >= 12
+
+    def test_fine_run_is_strang_at_half_the_step(self):
+        # T/h is an integer: the halved steps are the steps of Strang at h/2
+        s = small_peakon()
+        fine, _ = rw.evolve(s, 1.0, rw.StepperConfig(dt=0.2), _step=_step_two_halves)
+        strang, _ = rw.evolve(s, 1.0, rw.StepperConfig(dt=0.1))
+        assert states_equal(fine, strang) and fine.x.tobytes() == strang.x.tobytes()
+
+    def test_fine_run_halves_each_coarse_step(self, monkeypatch):
+        dts = []
+        original = stepping.step_strang
+
+        def recorded(state, cfg, dt=None):
+            dts.append(dt)
+            return original(state, cfg, dt)
+
+        monkeypatch.setattr(stepping, "step_strang", recorded)
+        richardson_reference(small_peakon(), 0.25, rw.StepperConfig(dt=0.1))
+        steps = plan_steps(0.25, 0.1)
+        assert len(steps) == 3 and steps[-1] < 0.1
+        # the coarse run, then two steps of dt_j/2 for each coarse dt_j
+        assert dts == steps + [d / 2 for d in steps for _ in range(2)]
 
     def test_time_symmetry(self):
-        # a symmetric composition of symmetric steps: its order is even
+        # a symmetric composition of symmetric steps
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.2)
-        forward, _ = _step_triple_jump(s, cfg)
-        back, _ = _step_triple_jump(forward, cfg, dt=-cfg.dt)
+        forward, _ = _step_two_halves(s, cfg)
+        back, _ = _step_two_halves(forward, cfg, dt=-cfg.dt)
         assert rw.distance_f(back, s) <= 100 * cfg.fp_tol
 
     def test_invariant_drift_through_a_collision(self):
-        # the peakon-antipeakon pair collides at t ~ 1.36; measured drift 4.5e-13
+        # the peakon-antipeakon pair collides at t ~ 1.36; measured drift 1.7e-13
         s = rw.make_peakon_pair([(1.0, 0.0), (-1.0, 1.0)], rw.GridSpec.from_radius(0.1, 15.0))
         I0 = rw.invariants(s)
         drift = []
-        rw.evolve(s, 2.0, rw.StepperConfig(dt=0.2), _step=_step_triple_jump,
+        rw.evolve(s, 2.0, rw.StepperConfig(dt=0.2), _step=_step_two_halves,
                   observers=lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()))
         assert len(drift) == 11 and max(drift) <= 1e-12
 
