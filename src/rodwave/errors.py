@@ -29,10 +29,6 @@ class StepSizeUnderflow(RodwaveError):
     """The adaptive controller drove the step size below the representable floor."""
 
 
-class RootBracketFailure(RodwaveError):
-    """The scalar root for the coordinate change left the search bracket."""
-
-
 class NonMonotoneConstruction(RodwaveError):
     """Cuspon construction produced a decreasing position map for the given blend."""
 

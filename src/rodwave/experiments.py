@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"reference_dt_factor must be positive and finite, got {self.reference_dt_factor}")
         ratio = self.t_final / self.stepper.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_final / dt overflows: t_final={self.t_final}, dt={self.stepper.dt}")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             warnings.warn(
                 f"t_final={self.t_final} is not a multiple of dt={self.stepper.dt}; "

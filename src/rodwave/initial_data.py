@@ -7,11 +7,12 @@ none, and profile_file the path of a two-column ``x u`` text file.
 ``build_from_spec`` builds every kind, by one of two routes from an
 Eulerian velocity profile u0:
 
-* the generic pipeline: invert y + E(y) = xi (E = cumulative energy) on a
-  fine sub-grid, then project to the solver grid by cell averaging.  The
-  projected data satisfies q + h = 1 per cell exactly and
-  q*h >= U^2 q^2 + w^2 (Jensen/Cauchy-Schwarz direction), so the positivity
-  guarantees of the splitting schemes apply.
+* the generic pipeline: tabulate the cumulative energy E, take y on a fine
+  sub-grid as the exact inverse of the tabulated map y -> y + E(y) = xi,
+  then project to the solver grid by cell averaging.  The projected data
+  satisfies q + h = 1 per cell exactly and q*h >= U^2 q^2 + w^2
+  (Jensen/Cauchy-Schwarz direction), so the positivity guarantees of the
+  splitting schemes apply.
 
 * direct relabeling: keep y = xi, q = 1 and set h = U^2 + w^2.  Cheaper and
   exact on the nose (per-cell invariant identically zero); used for the
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonMonotoneConstruction, RootBracketFailure
+from .errors import NonMonotoneConstruction
 from .state import GridSpec, LagrangianState, Parameters
 
 # The spec fields each kind of initial data reads, besides kind and gamma.
@@ -169,9 +170,13 @@ class FineLagrangianData:
 def eulerian_to_lagrangian(
     profile: EulerianProfile, fine: FineGrid, grid: GridSpec
 ) -> FineLagrangianData:
-    """Invert y + E(y) = xi on the fine nodes (bisection, |residual| <= 1e-13).
+    """Invert y + E(y) = xi on the fine nodes.
 
-    E is the cumulative energy from a trapezoid table on a dense x-grid.
+    E is the cumulative energy from a trapezoid table on a dense x-grid,
+    linearly interpolated, 0 left of the table and E_tot right of it.  y is
+    the exact inverse of that tabulated map, which needs the labels
+    x_tab + E_tab to be increasing (they are: e >= 0).  Past either end of
+    the table y = xi (left) or y = xi - E_tot (right), on any grid radius.
     The returned fields satisfy q + h = 1 and q*h = q^2 U^2 + w^2 at machine
     precision on every node: q is computed as 1/(1 + e(y)) from the same
     evaluations of u, u_x that feed U and w.
@@ -190,33 +195,9 @@ def eulerian_to_lagrangian(
     E_tab = np.concatenate(
         ([0.0], np.cumsum(np.diff(x_tab) * (e_tab[1:] + e_tab[:-1]) / 2.0))
     )
-    E_tot = float(E_tab[-1])
-
-    def E(yv):
-        return np.interp(yv, x_tab, E_tab, left=0.0, right=E_tot)
-
-    lo = np.full(n_nodes, -grid.r - E_tot - 1.0)
-    hi = np.full(n_nodes, grid.r + 1.0)
-    g_lo = lo + E(lo) - xi
-    g_hi = hi + E(hi) - xi
-    if np.any(g_lo > 0) or np.any(g_hi < 0):
-        raise RootBracketFailure(
-            "profile support exceeds the solver bracket "
-            f"[{lo[0]:.3g}, {hi[0]:.3g}]"
-        )
-    y = 0.5 * (lo + hi)
-    for _ in range(200):
-        resid = y + E(y) - xi
-        if np.max(np.abs(resid)) <= 1e-13:
-            break
-        take_lo = resid <= 0.0
-        lo = np.where(take_lo, y, lo)
-        hi = np.where(take_lo, hi, y)
-        y = 0.5 * (lo + hi)
-    else:
-        raise RootBracketFailure(
-            f"bisection stalled at residual {np.max(np.abs(resid)):.3e}"
-        )
+    # H = E(y) is piecewise linear in xi = y + E(y), with nodes x_tab + E_tab
+    H = np.interp(xi, x_tab + E_tab, E_tab, left=0.0, right=E_tab[-1])
+    y = xi - H
 
     u_y = profile.u(y)
     ux_y = profile.ux(y)
@@ -225,7 +206,7 @@ def eulerian_to_lagrangian(
     h = 1.0 - q
     w = ux_y * q
     return FineLagrangianData(
-        xi=xi, y=y, U=u_y, H=xi - y, q=q, w=w, h=h, m_ref=m, grid=grid
+        xi=xi, y=y, U=u_y, H=H, q=q, w=w, h=h, m_ref=m, grid=grid
     )
 
 

@@ -256,6 +256,7 @@ class TestErrors:
             (["compare"], {"reference_dt_factor": float("nan")}),
             (["converge", "--dt-list", "0.1,inf,0.05"], {}),
             (["run"], {"grid": {"dxi": 0.25, "r": float("inf")}}),
+            (["run"], {"stepper": {"dt": 1e-320}, "t_final": 1e10}),
         ],
     )
     def test_json_error_report_and_exit_code(

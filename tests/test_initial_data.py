@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import rodwave as rw
-from rodwave.errors import NonMonotoneConstruction, RootBracketFailure
+from rodwave.errors import NonMonotoneConstruction
 from rodwave.initial_data import _CusponCurves, travel_distance
 
 from helpers import admissible
@@ -71,16 +71,37 @@ class TestEulerianToLagrangian:
             resid = data.y[k] + energy_up_to(data.y[k]) - data.xi[k]
             assert abs(resid) < 5e-7
 
-    def test_stalled_bisection_raises(self):
-        # energy scale so large that y + E(y) - xi cannot reach 1e-13
-        profile = rw.EulerianProfile(
-            u=lambda x: 45.0 * np.exp(-0.5 * x * x),
-            ux=lambda x: -45.0 * x * np.exp(-0.5 * x * x),
-            support_radius=10.0,
-        )
-        grid = rw.GridSpec.from_cells(4, 500.0)
-        with pytest.raises(RootBracketFailure):
-            rw.eulerian_to_lagrangian(profile, rw.FineGrid(2), grid)
+    @pytest.mark.parametrize("r", [600.0, 1100.0])
+    @pytest.mark.parametrize("kind", ["gaussian_derivative", "profile_file"])
+    def test_wide_grids_build(self, tmp_path, kind, r):
+        # past |xi| = 512 one ulp of xi exceeds 1e-13
+        if kind == "profile_file":
+            # a table wider than the energy: zero rows out to |x| = 100
+            x = np.concatenate(([-100.0], np.linspace(-9.0, 9.0, 1801), [100.0]))
+            u = -x * np.exp(-0.5 * x * x)
+            path = tmp_path / "profile.txt"
+            path.write_text("x u\n" + "".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), u.tolist())))
+            spec = rw.TravelingWaveSpec(kind=kind, gamma=0.8, path=str(path))
+            profile = rw.EulerianProfile.from_file(path)
+        else:
+            spec = rw.TravelingWaveSpec(kind=kind, gamma=0.8)
+            profile = rw.EulerianProfile(
+                u=lambda x: -x * np.exp(-0.5 * x * x),
+                ux=lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x),
+                support_radius=9.0,
+            )
+        span = profile.support_radius
+        grid = rw.GridSpec.from_radius(1.0, r)
+        data = rw.eulerian_to_lagrangian(profile, rw.FineGrid(), grid)
+        assert np.all(np.diff(data.y) > 0)
+        assert np.all(data.H[data.xi < -span] == 0.0)
+        # slope 1 past the table: y = xi - E_tot, one value of H
+        right = data.H[data.xi > span + 3.0]
+        assert right.size > 0 and np.all(right == right[0])
+        assert right[0] == pytest.approx(1.25 * math.sqrt(math.pi), rel=1e-3)
+        s = rw.build_from_spec(spec, grid)
+        assert np.all(np.diff(s.y) > 0)
+        assert s.H_plus == rw.build_from_spec(spec, rw.GridSpec.from_radius(1.0, 25.0)).H_plus
 
 
 class TestProjectToGrid:
