@@ -5,6 +5,15 @@ stepper) naming an initial condition, a material constant, resolutions and a
 final time.  Runs are deterministic: identical configs produce byte-identical
 CSV artifacts, and every run writes a manifest that can be fed back to
 reproduce it.
+
+``run_experiment`` hands its graph snapshots to one writer process, forked
+from the caller when the run starts and joined before it returns, which
+formats and writes them while the time loop goes on.  Fork is POSIX only,
+and a caller that runs threads of its own should know that the writer is a
+fork of it.  A snapshot is sent down a pipe whose buffer bounds what waits
+to be written: once it is full, the time loop waits for the writer.
+Everything else, the manifest last, is written after the join, so a run
+directory with a manifest holds every graph it names, complete.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ import subprocess
 import time
 import warnings
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +42,11 @@ from .state import GridSpec, LagrangianState, distance_f, invariants
 from .stepping import SCHEMES, StepperConfig, evolve, richardson_reference
 
 _GRID_KEYS = ("dxi", "r")
+# the most steps one evolve of a run may take: more is a mistyped dt, and
+# would not finish
+MAX_STEPS = 10**7
+# converge's dxi sweep runs each grid at dt = dxi / _DXI_PER_DT
+_DXI_PER_DT = 4.0
 # what compare's manifest and converge's report name the reference by
 _REFERENCE_METHOD = "richardson_strang"
 
@@ -148,9 +161,17 @@ class ExperimentConfig:
         if not 0 < self.reference_dt_factor < math.inf:
             raise ValueError(
                 f"reference_dt_factor must be positive and finite, got {self.reference_dt_factor}")
+        # every dt an evolve of run, compare or converge can take: the run's,
+        # each swept dt, each swept dxi's, and the reference's fine step h / 2
+        # at the least h
+        dts = [self.stepper.dt, *self.sweep.get("dt", ())]
+        h = min(dts) * self.reference_dt_factor
+        for dt in (*dts, *(d / _DXI_PER_DT for d in self.sweep.get("dxi", ())), h / 2):
+            steps = self.t_final / dt if dt else math.inf
+            if steps > MAX_STEPS:
+                raise ValueError(f"t_final={self.t_final} at dt={dt} takes {steps:.3g} steps, "
+                                 f"more than {MAX_STEPS}")
         ratio = self.t_final / self.stepper.dt
-        if not math.isfinite(ratio):
-            raise ValueError(f"t_final / dt overflows: t_final={self.t_final}, dt={self.stepper.dt}")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             warnings.warn(
                 f"t_final={self.t_final} is not a multiple of dt={self.stepper.dt}; "
@@ -305,13 +326,92 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+@functools.lru_cache(maxsize=16)
+def _graph_template(grid: GridSpec) -> str:
+    """The text of a graph CSV on ``grid`` with its fields left as ``%r``:
+    the header, then one CRLF-ended line per cell, whose xi is written
+    already.  ``%r`` of a Python float is its repr(), as in ``_write_csv``."""
+    rows = "".join(f"{xi!r},%r,%r,%r,%r,%r,%r\r\n" for xi in grid.cells.tolist())
+    return "xi,y,U,q,w,h,I\r\n" + rows
+
+
+def _graph_columns(state: LagrangianState) -> np.ndarray:
+    """The graph fields of ``state`` after xi, as the rows of one (6, N) array."""
+    return np.stack((state.y, state.U, state.q, state.w, state.h, invariants(state)))
+
+
+def _write_graph(path: Path, grid: GridSpec, columns: np.ndarray) -> None:
+    """Write one graph CSV: ``_graph_template(grid)`` filled, cell by cell,
+    with the six values of ``columns`` (rows in ``_graph_columns`` order)."""
+    text = _graph_template(grid) % tuple(columns.T.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_graph_csv(path: Path, state: LagrangianState) -> None:
     """One row per cell: the graph point (y, U) and its Lagrangian fields."""
-    columns = {
-        "xi": state.grid.cells, "y": state.y, "U": state.U, "q": state.q,
-        "w": state.w, "h": state.h, "I": invariants(state),
-    }
-    _write_csv(path, list(columns), np.stack(list(columns.values())).T.tolist())
+    _write_graph(path, state.grid, _graph_columns(state))
+
+
+def _serve_graphs(conn, parent_conn) -> None:
+    """The writer process: write each (path, grid, columns) received on
+    ``conn`` until None comes, then send back (first error or None, seconds
+    spent writing).  After an error it writes nothing more but reads on, so
+    that the parent never blocks on a full pipe."""
+    parent_conn.close()  # else the parent's death would not end conn.recv()
+    error, busy = None, 0.0
+    while (item := conn.recv()) is not None:
+        if error is None:
+            start = time.perf_counter()
+            try:
+                _write_graph(*item)
+            except Exception as err:  # the parent raises it after the join
+                error = err
+            busy += time.perf_counter() - start
+    conn.send((error, busy))
+
+
+class _GraphWriter:
+    """A forked process that writes the graph CSVs ``submit`` hands it while
+    the caller goes on.  Leaving the ``with`` block waits for every graph
+    submitted to be written and joins the process.  A writer's error is
+    raised then, unless the block raised one of its own, which propagates
+    unchanged.  ``busy_s`` is the writer's time spent writing, and
+    ``wait_s`` the caller's time spent blocked on it."""
+
+    def __enter__(self) -> "_GraphWriter":
+        import multiprocessing  # only a run pays for importing it
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._process = ctx.Process(
+            target=_serve_graphs, args=(child_conn, self._conn), daemon=True)
+        self._process.start()
+        child_conn.close()
+        self.busy_s = self.wait_s = 0.0
+        return self
+
+    def submit(self, path: Path, state: LagrangianState) -> None:
+        columns = _graph_columns(state)
+        start = time.perf_counter()
+        self._conn.send((path, state.grid, columns))  # blocks while the pipe is full
+        self.wait_s += time.perf_counter() - start
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        start = time.perf_counter()
+        try:
+            self._conn.send(None)
+            error, self.busy_s = self._conn.recv()
+        except (OSError, EOFError):  # the writer is gone, and its exit code says how
+            error = None
+        finally:
+            self._conn.close()
+            self._process.join()
+            self.wait_s += time.perf_counter() - start
+        if error is None and self._process.exitcode:
+            error = RodwaveError(f"the graph writer exited with code {self._process.exitcode}")
+        if error is not None and exc_type is None:
+            raise error
 
 
 def write_diagnostics_csv(path: Path, rows) -> None:
@@ -323,6 +423,8 @@ def _version_string() -> str:
     """Package version, plus the git revision of the checkout this module
     was loaded from (not of the caller's working directory).  Computed once
     per process: neither can change while the module is loaded."""
+    from importlib import metadata  # slow to import, and only a manifest needs it
+
     try:
         base = metadata.version("rodwave")
     except Exception:
@@ -340,7 +442,8 @@ def _version_string() -> str:
 
 def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries) -> None:
     """The config that replays the run, the version and the wall time, plus
-    ``entries``: the artifacts, and for compare the reference."""
+    ``entries``: the artifacts, for compare the reference, and for run the
+    graph writer's timings."""
     manifest = {
         "config": cfg.to_dict(),
         "version": _version_string(),
@@ -357,7 +460,14 @@ def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries
 
 def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) -> Path:
     """Run one experiment, writing graph snapshots, diagnostics and a
-    manifest into ``run_dir``, which is returned."""
+    manifest into ``run_dir``, which is returned.
+
+    The snapshots are written by a writer process forked for the run (see
+    the module docstring) while the time loop goes on.  It is joined before
+    the rest is written, also when the run fails, in which case every
+    snapshot taken before the failure is complete.  The manifest's
+    ``timings`` give the writer's busy time and the time the run spent
+    waiting for it."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -365,23 +475,27 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     recorder = DiagnosticsRecorder()
     snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
-    def snapshot(step, t, state, report):
-        fname = f"graph_{len(snapshots):04d}.csv"
-        write_graph_csv(run_dir / fname, state)
-        snapshots.append((len(snapshots), step, t, fname))
+    with _GraphWriter() as writer:
+        def snapshot(step, t, state, report):
+            fname = f"graph_{len(snapshots):04d}.csv"
+            writer.submit(run_dir / fname, state)
+            snapshots.append((len(snapshots), step, t, fname))
 
-    _, reports = evolve(
-        state0,
-        cfg.t_final,
-        cfg.stepper,
-        observers=(recorder, snapshot),
-        observe_stride=cfg.output_stride,
-    )
+        _, reports = evolve(
+            state0,
+            cfg.t_final,
+            cfg.stepper,
+            observers=(recorder, snapshot),
+            observe_stride=cfg.output_stride,
+        )
     write_diagnostics_csv(run_dir / "diagnostics.csv", recorder.rows)
     _write_csv(run_dir / "snapshots.csv", ("index", "step", "t", "file"), snapshots)
     wall = time.perf_counter() - t_start
-    _write_manifest(run_dir, cfg, wall, artifacts={"diagnostics": "diagnostics.csv",
-                                                   "snapshots": [s[3] for s in snapshots]})
+    _write_manifest(run_dir, cfg, wall,
+                    artifacts={"diagnostics": "diagnostics.csv",
+                               "snapshots": [s[3] for s in snapshots]},
+                    timings={"graph_writer_busy_s": writer.busy_s,
+                             "graph_writer_wait_s": writer.wait_s})
     if not quiet:
         rows = recorder.rows
         print(
@@ -522,7 +636,7 @@ def converge_experiment(
         }
 
     if dxi_list:
-        finals = [final_state(dxi, dxi / 4.0) for dxi in dxi_list]
+        finals = [final_state(dxi, dxi / _DXI_PER_DT) for dxi in dxi_list]
         if peakon:
             wave = cfg.wave_spec()
             errors = [
@@ -540,7 +654,7 @@ def converge_experiment(
         ]
         report["dxi_sweep"] = {
             "dxi": dxi_list,
-            "dt": [dxi / 4.0 for dxi in dxi_list],
+            "dt": [dxi / _DXI_PER_DT for dxi in dxi_list],
             "error": errors,
             "slope": convergence_order(fit_pairs),
             "against": "exact_peakon" if peakon else "finest_run",

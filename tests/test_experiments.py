@@ -1,4 +1,7 @@
+import functools
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +12,7 @@ import pytest
 
 import rodwave as rw
 from rodwave import cli, experiments, stepping
+from rodwave.errors import FixedPointDiverged, RodwaveError
 
 # TINY's t_final is deliberately not a multiple of dt
 pytestmark = pytest.mark.filterwarnings("ignore:t_final=.*not a multiple:UserWarning")
@@ -79,6 +83,21 @@ class TestWriters:
         expected = np.stack([s.grid.cells, s.y, s.U, s.q, s.w, s.h, rw.invariants(s)]).T
         assert np.array_equal(read.view(np.uint64), expected.view(np.uint64))
 
+    def test_graph_template_formats_like_repr(self, tmp_path):
+        # dxi = 0.1 gives xi values with long reprs, such as -0.30000000000000004
+        special = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 1e22, -2.5]
+        grid = rw.GridSpec.from_cells(7, 0.1)
+        columns = np.array([np.roll(special * 2, k) for k in range(6)])
+        text = experiments._graph_template(grid) % tuple(columns.T.ravel().tolist())
+        header, *rows, end = text.split("\r\n")
+        assert (header, end) == ("xi,y,U,q,w,h,I", "")
+        oracle = [",".join(map(repr, row)) for row in zip(grid.cells.tolist(), *columns.tolist())]
+        assert rows == oracle
+        assert "-0.30000000000000004" in rows[4]
+        path = tmp_path / "graph.csv"
+        experiments._write_graph(path, grid, columns)
+        assert path.read_bytes() == text.encode()
+
     def test_integer_sweep_resolutions_are_written_as_floats(self, tmp_path):
         config = write_config(tmp_path, sweep={"dxi": [1, 0.5, 0.25]})
         assert run_cli("converge", "--config", config, "--out", str(tmp_path)) == 0
@@ -110,6 +129,77 @@ class TestWriters:
         assert len(calls) == 1
 
 
+class TestGraphWriter:
+    """``run_experiment`` writes its graphs in a forked writer process."""
+
+    def failing_evolve(self, monkeypatch, at_step):
+        """Make ``run_experiment``'s evolve raise FixedPointDiverged at step
+        ``at_step``, after writing the graphs of the steps before it."""
+        calls = []
+
+        def step(state, cfg, dt):
+            calls.append(dt)
+            if len(calls) == at_step:
+                raise FixedPointDiverged(50, 1.0)
+            return stepping.step_strang(state, cfg, dt)
+
+        monkeypatch.setattr(experiments, "evolve", functools.partial(stepping.evolve, _step=step))
+
+    def test_graphs_equal_write_graph_csv_of_the_observed_states(self, tmp_path, monkeypatch):
+        states = []
+
+        def evolve(*args, observers, **kwargs):
+            observers = (*observers, lambda j, t, s, r: states.append(s))
+            return stepping.evolve(*args, observers=observers, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        run_dir = rw.run_experiment(rw.load_config(write_config(tmp_path)), tmp_path / "run",
+                                    quiet=True)
+        assert multiprocessing.active_children() == []
+        assert len(states) == len(list(run_dir.glob("graph_*.csv"))) == 3
+        for k, state in enumerate(states):
+            experiments.write_graph_csv(tmp_path / "inline.csv", state)
+            assert (run_dir / f"graph_{k:04d}.csv").read_bytes() == (
+                tmp_path / "inline.csv").read_bytes()
+        timings = json.loads((run_dir / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"graph_writer_busy_s", "graph_writer_wait_s"}
+        assert timings["graph_writer_busy_s"] > 0 and timings["graph_writer_wait_s"] > 0
+
+    def test_a_failed_run_leaves_every_submitted_graph_complete(self, tmp_path, monkeypatch):
+        cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=0.5))
+        whole = rw.run_experiment(cfg, tmp_path / "whole", quiet=True)
+        self.failing_evolve(monkeypatch, at_step=3)
+        with pytest.raises(FixedPointDiverged):
+            rw.run_experiment(cfg, tmp_path / "failed", quiet=True)
+        assert multiprocessing.active_children() == []
+        failed = csv_bytes(tmp_path / "failed")
+        assert set(failed) == {f"graph_{k:04d}.csv" for k in range(3)}
+        assert failed == {name: (whole / name).read_bytes() for name in failed}
+
+    @pytest.mark.parametrize("run_fails", [False, True])
+    def test_a_writer_error_is_raised_unless_the_run_raised_first(
+            self, tmp_path, monkeypatch, run_fails):
+        cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=0.5))
+        run_dir = tmp_path / "run"
+        (run_dir / "graph_0001.csv").mkdir(parents=True)
+        if run_fails:
+            self.failing_evolve(monkeypatch, at_step=3)
+        with pytest.raises(FixedPointDiverged if run_fails else IsADirectoryError):
+            rw.run_experiment(cfg, run_dir, quiet=True)
+        assert multiprocessing.active_children() == []
+        assert not (run_dir / "manifest.json").exists()
+
+    def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
+        # the forked writer inherits the patched function
+        monkeypatch.setattr(experiments, "_write_graph", lambda *args: os._exit(3))
+        # one snapshot, at t = 0: the writer dies after the run's last submit
+        cfg = rw.load_config(write_config(tmp_path, t_final=0.0))
+        with pytest.raises(RodwaveError, match="graph writer exited with code 3"):
+            rw.run_experiment(cfg, tmp_path / "run", quiet=True)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 class TestCompareConverge:
     def test_compare_writes_every_scheme(self, tmp_path):
         config = write_config(tmp_path)
@@ -131,11 +221,13 @@ class TestCompareConverge:
         assert (out / "reference_graph.csv").is_file()
         assert rw.SCHEMES == ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
-    @pytest.mark.parametrize("name", ["peakon_antipeakon_gamma1", "collision_smooth"])
+    @pytest.mark.parametrize(
+        "name", ["peakon_antipeakon_gamma1", "collision_smooth", "peakon_antipeakon_gamma5"])
     @pytest.mark.parametrize(
         "step", [stepping.step_strang, stepping.step_lie_trotter, stepping._step_two_halves])
     def test_positivity_across_the_collision(self, name, step):
-        # both collisions fold y between t = 1 and t = 2.6
+        # each collision folds y: between t = 1 and t = 2.6 at gamma = 1
+        # and 0.8, from t = 0.2 on at gamma = 5
         cfg = rw.bundled_config(name)
         minima = []
         _, reports = rw.evolve(
@@ -257,6 +349,10 @@ class TestErrors:
             (["converge", "--dt-list", "0.1,inf,0.05"], {}),
             (["run"], {"grid": {"dxi": 0.25, "r": float("inf")}}),
             (["run"], {"stepper": {"dt": 1e-320}, "t_final": 1e10}),
+            # step counts past MAX_STEPS
+            (["run"], {"stepper": {"dt": 1e-300}}),
+            (["converge"], {"sweep": {"dt": [0.1, 1e-300, 0.05]}}),
+            (["compare"], {"reference_dt_factor": 1e-300}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -314,6 +410,26 @@ class TestErrors:
         with pytest.raises(ValueError):
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
 
+    @pytest.mark.parametrize("changes, dt", [
+        ({"stepper": {"dt": 1e-300}}, 1e-300),
+        ({"sweep": {"dt": [0.1, 1e-300, 0.05]}}, 1e-300),
+        # the reference's fine steps, h / 2 with h = dt * reference_dt_factor
+        ({"reference_dt_factor": 1e-300}, 0.2 * 1e-300 / 2),
+        ({"sweep": {"dxi": [0.5, 1e-300, 0.125]}}, 1e-300 / 4)])
+    def test_step_count_is_bounded(self, changes, dt):
+        with pytest.raises(ValueError) as info:
+            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        assert str(info.value) == (f"t_final=5.0 at dt={dt} takes {5.0 / dt:.3g} steps, "
+                                   f"more than {experiments.MAX_STEPS}")
+
+    def test_step_count_up_to_the_bound_is_accepted(self):
+        assert 2**23 <= experiments.MAX_STEPS < 2**24
+        changes = {"t_final": 1.0, "stepper": {"dt": 2.0**-23}, "reference_dt_factor": 2.0}
+        rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        with pytest.raises(ValueError):  # the reference would take 2**24 steps
+            rw.ExperimentConfig.from_dict(
+                merged(rw.BUNDLED["peakon_c1"], {**changes, "reference_dt_factor": 1.0}))
+
     @pytest.mark.parametrize("changes", [
         {"t_final": float("inf")}, {"t_final": float("nan")}, {"reference_dt_factor": 0.0},
         {"reference_dt_factor": -1.0}, {"reference_dt_factor": float("nan")},
@@ -351,5 +467,14 @@ class TestErrors:
 
 def test_import_loads_no_scipy():
     code = "import sys, rodwave; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_writer_or_metadata_modules():
+    # each is imported where it is used: multiprocessing by a run's graph
+    # writer, importlib.metadata by the first manifest
+    code = ("import sys, rodwave; "
+            "print([m for m in ('multiprocessing', 'importlib.metadata') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
