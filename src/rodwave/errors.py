@@ -24,6 +24,11 @@ class FixedPointDiverged(RodwaveError):
             f"(residual {residual:.3e})"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from self.args, the message alone,
+        # which __init__ does not take
+        return type(self), (self.iterations, self.residual)
+
 
 class StepSizeUnderflow(RodwaveError):
     """The adaptive controller drove the step size below the representable floor."""

@@ -14,6 +14,19 @@ fork of it.  A snapshot is sent down a pipe whose buffer bounds what waits
 to be written: once it is full, the time loop waits for the writer.
 Everything else, the manifest last, is written after the join, so a run
 directory with a manifest holds every graph it names, complete.
+
+``compare_experiment`` and ``converge_experiment`` run evolves that do not
+read each other's results: the two runs of the reference, and the schemes
+or the sweep's resolutions.  They run them on two lanes, the caller and one
+child forked for the call (``_run_jobs``): the caller takes the jobs at even
+places in the list and the child those at odd places, a split that is the
+same from call to call.  When the process may use only one CPU
+(``os.sched_getaffinity``), the caller runs every job and nothing is forked.
+A job that raises does not stop either lane, and once both are done the
+error of the first job in list order that raised is raised, the one a loop
+over the jobs would have met first.  The tables, the reference graph and
+the manifest are written after the join, so a failed call can leave scheme
+subdirectories but no summary, no reference graph and no manifest.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import subprocess
 import time
 import warnings
@@ -39,7 +53,9 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import SCHEMES, StepperConfig, evolve, richardson_reference
+from .stepping import (
+    SCHEMES, StepperConfig, evolve, reference_coarse, reference_fine, richardson_extrapolate,
+)
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -414,6 +430,72 @@ class _GraphWriter:
             raise error
 
 
+def _attempt(job):
+    """job(), or the exception it raised, which stands for its result."""
+    try:
+        return job()
+    except Exception as err:
+        return err
+
+
+def _run_lane(jobs, writer, reader) -> None:
+    """The forked lane: run ``jobs`` in order, then send back their results
+    in one list."""
+    reader.close()  # else the parent's death would not break writer.send()
+    writer.send([_attempt(job) for job in jobs])
+
+
+def _join_lane(child, reader, count: int) -> list:
+    """The ``count`` results the forked lane sends, once it has joined; if
+    it exits without sending them, a ``RodwaveError`` for each, naming its
+    exit code."""
+    results = None
+    try:
+        with reader:
+            results = reader.recv()
+    except EOFError:  # the child is gone, and its exit code says how
+        pass
+    finally:
+        child.join()
+    if results is None:
+        error = RodwaveError(f"a forked job lane exited with code {child.exitcode}")
+        results = [error] * count
+    return results
+
+
+def _run_jobs(jobs: list) -> list:
+    """The results of ``jobs``, zero-argument callables, in list order.
+
+    The caller runs the jobs at even indices and one child, forked for the
+    call, those at odd indices; their results must pickle.  When the
+    process may run on one CPU only, the caller runs them all and nothing
+    is forked.  A job that raises does not stop its lane.  The child is
+    always drained and joined; then the exception of the first job in list
+    order that raised is raised.  One raised in the child comes back
+    pickled, without its traceback."""
+    # where there is no affinity mask (macOS), a process may use every CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lanes = 2 if (cpus or 1) > 1 else 1
+    if lanes == 2:
+        import multiprocessing  # only a call with two lanes pays for importing it
+
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_run_lane, args=(jobs[1::2], writer, reader), daemon=True)
+        child.start()
+        writer.close()
+    results = [None] * len(jobs)
+    try:
+        results[::lanes] = [_attempt(job) for job in jobs[::lanes]]
+    finally:
+        if lanes == 2:
+            results[1::2] = _join_lane(child, reader, len(jobs) // 2)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def write_diagnostics_csv(path: Path, rows) -> None:
     _write_csv(path, [f.name for f in fields(DiagnosticsRow)], map(astuple, rows))
 
@@ -507,9 +589,11 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
 
 
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
-    """Evolve one scheme, recording every step, and return the final state,
-    the recorder and the minima of q and h over the run: over t=0, every
-    step's end state and every internal state a step accepted."""
+    """Evolve one scheme, recording every step, and write its diagnostics
+    and final graph into ``scheme_dir``.  Returns the final state's array,
+    the largest invariant drift and the minima of q and h over the run:
+    over t=0, every step's end state and every internal state a step
+    accepted."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     state, reports = evolve(
@@ -519,7 +603,21 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     write_graph_csv(scheme_dir / "final_graph.csv", state)
     min_q = min([recorder.min_q_overall, *(r.min_q for r in reports)])
     min_h = min([recorder.min_h_overall, *(r.min_h for r in reports)])
-    return state, recorder, min_q, min_h
+    return state.x, recorder.max_invariant_drift, min_q, min_h
+
+
+def _reference_jobs(state0, t_final: float, stepper: StepperConfig) -> list:
+    """The fine and the coarse run of ``stepping.richardson_reference`` as
+    two jobs, the longer first; each returns its final state's array."""
+    return [lambda: reference_fine(state0, t_final, stepper).x,
+            lambda: reference_coarse(state0, t_final, stepper).x]
+
+
+def _reference(state0, fine_x: np.ndarray, coarse_x: np.ndarray) -> LagrangianState:
+    """The reference from the arrays of ``_reference_jobs``, extrapolated as
+    ``stepping.richardson_reference`` does.  A job's array comes back
+    through a pipe writeable: ``with_x`` makes every state's x read-only."""
+    return richardson_extrapolate(state0.with_x(fine_x), state0.with_x(coarse_x))
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
@@ -535,29 +633,30 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     invariants of the extrapolated state: they are not conserved.  The
     minima take in t=0 and every state a scheme accepted, the internal
     steps of the adaptive comparator included.
+
+    The reference's fine run, its coarse run and the schemes, in that
+    order, are the jobs of ``_run_jobs``: on two CPUs the caller runs the
+    fine run and every other scheme from the first, a forked child the
+    rest.  Each scheme writes its own subdirectory from whichever lane runs
+    it.  The reference graph, the summary, the manifest and the per-scheme
+    lines printed unless ``quiet`` come after every job has finished.  A
+    failed job fails the call with the error of the first job in that order
+    that raised, after both lanes are done, and leaves no reference graph,
+    no summary and no manifest.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = cfg.stepper.dt * cfg.reference_dt_factor
-    reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=h))
+    fine_x, coarse_x, *finals = _run_jobs([
+        *_reference_jobs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
+        *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
+          for scheme in cfg.schemes)])
+    reference = _reference(state0, fine_x, coarse_x)
     write_graph_csv(out_dir / "reference_graph.csv", reference)
-
-    rows = []
-    for scheme in cfg.schemes:
-        state, recorder, min_q, min_h = _run_one_scheme(
-            cfg, state0, scheme, out_dir / scheme
-        )
-        err = sup_graph_error(state, reference)
-        drift = recorder.max_invariant_drift
-        rows.append((scheme, err, drift, min_q, min_h))
-        if not quiet:
-            print(
-                f"[{cfg.name}] {scheme:>14}: err={err:.4e} inv_drift={drift:.3e} "
-                f"min_q={min_q:.3e} min_h={min_h:.3e}"
-            )
-
+    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), drift, min_q, min_h)
+            for scheme, (x, drift, min_q, min_h) in zip(cfg.schemes, finals)]
     _write_csv(
         out_dir / "summary.csv",
         ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"),
@@ -567,6 +666,12 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     _write_manifest(out_dir, cfg, wall,
                     artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
                     reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2]})
+    if not quiet:
+        for scheme, err, drift, min_q, min_h in rows:
+            print(
+                f"[{cfg.name}] {scheme:>14}: err={err:.4e} inv_drift={drift:.3e} "
+                f"min_q={min_q:.3e} min_h={min_h:.3e}"
+            )
     return out_dir
 
 
@@ -598,6 +703,13 @@ def converge_experiment(
     (``reference_dt`` in the report).  Space sweeps compare against the
     exact peakon when available, otherwise against the finest run via
     nearest-xi graph matching.
+
+    The reference's fine and coarse runs (with a dt sweep), then each
+    swept run, in that order, are the jobs of ``_run_jobs``: on two CPUs
+    the caller runs every other job from the first, a forked child the
+    rest.  Every artifact is written after every job has finished, so a
+    failed job, whose error is that of the first job in that order that
+    raised, leaves nothing on disk.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
@@ -614,19 +726,27 @@ def converge_experiment(
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
 
-    def final_state(dxi, dt):
-        """The final state of cfg's scheme at (dxi, dt)."""
+    def start(dxi, dt):
+        """The initial state and the stepper of cfg's scheme at (dxi, dt)."""
         run_cfg = replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dt))
-        state0 = build_initial_state(run_cfg)
-        state, _ = evolve(state0, cfg.t_final, run_cfg.stepper)
-        return state
+        return build_initial_state(run_cfg), run_cfg.stepper
 
+    def final_x(state0, stepper):
+        return evolve(state0, cfg.t_final, stepper)[0].x
+
+    # the dt sweep's runs, then the dxi sweep's, after the reference's two
+    runs = [start(cfg.dxi, dt) for dt in dt_list]
+    runs += [start(dxi, dxi / _DXI_PER_DT) for dxi in dxi_list]
+    ref_jobs = []
     if dt_list:
         ref_dt = min(dt_list) * cfg.reference_dt_factor
-        reference = richardson_reference(
-            build_initial_state(cfg), cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-        finals = [final_state(cfg.dxi, d) for d in dt_list]
-        errors = [distance_f(s, reference) for s in finals]
+        ref_jobs = _reference_jobs(runs[0][0], cfg.t_final, replace(cfg.stepper, dt=ref_dt))
+    results = _run_jobs([*ref_jobs, *(functools.partial(final_x, *run) for run in runs)])
+    finals = [s0.with_x(x) for (s0, _), x in zip(runs, results[len(ref_jobs):])]
+
+    if dt_list:
+        reference = _reference(runs[0][0], *results[:2])
+        errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
         report["dt_sweep"] = {
             "dt": dt_list,
             "error": errors,
@@ -636,7 +756,7 @@ def converge_experiment(
         }
 
     if dxi_list:
-        finals = [final_state(dxi, dxi / _DXI_PER_DT) for dxi in dxi_list]
+        finals = finals[len(dt_list):]
         if peakon:
             wave = cfg.wave_spec()
             errors = [

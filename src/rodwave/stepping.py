@@ -24,7 +24,8 @@ Every scheme has the same interface,
 ``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
 ``dt`` (default cfg.dt); ``evolve`` drives any of them.  ``compare`` and
 ``converge`` measure against ``richardson_reference``: Strang runs at steps h
-and h/2, extrapolated to order 4.  It is their reference only, not a scheme.
+and h/2 (``reference_coarse``, ``reference_fine``), extrapolated to order 4
+(``richardson_extrapolate``).  It is their reference only, not a scheme.
 """
 
 from __future__ import annotations
@@ -330,16 +331,14 @@ def step_adaptive_rk(
 # Time loop
 # ---------------------------------------------------------------------------
 
-def plan_steps(t_final: float, dt: float) -> list[float]:
-    """Uniform steps of size dt, with one shortened final step if needed."""
+def plan_steps(t_final: float, dt: float) -> tuple[int, float | None]:
+    """The steps of a time loop to t_final: ``n_full`` steps of dt, then
+    ``last``, one shortened final step, or None when none is needed."""
     if t_final <= 0:
-        return []
+        return 0, None
     n_full = int(math.floor(t_final / dt + 1e-9))
-    steps = [dt] * n_full
     rem = t_final - n_full * dt
-    if rem > 1e-9 * max(1.0, t_final):
-        steps.append(rem)
-    return steps
+    return n_full, (rem if rem > 1e-9 * max(1.0, t_final) else None)
 
 
 def evolve(
@@ -372,16 +371,40 @@ def evolve(
     # Looked up at call time, so a replaced module-level stepper is used.
     step = _step or globals()[f"step_{cfg.scheme}"]
     reports: list[StepReport] = []
-    steps = plan_steps(t_final, cfg.dt)
+    n_full, last = plan_steps(t_final, cfg.dt)
+    n_steps = n_full + (last is not None)
     t = 0.0
-    for j, dt_j in enumerate(steps, start=1):
+    for j in range(1, n_steps + 1):
+        dt_j = cfg.dt if j <= n_full else last
         t += dt_j
         state, report = step(state, cfg, dt_j)
         reports.append(report)
-        if j % observe_stride == 0 or j == len(steps):
+        if j % observe_stride == 0 or j == n_steps:
             for obs in observers:
                 obs(j, t, state, report)
     return state, reports
+
+
+def reference_coarse(
+    state: LagrangianState, t_final: float, cfg: StepperConfig
+) -> LagrangianState:
+    """The coarse run of ``richardson_reference``: Strang at h = cfg.dt."""
+    return evolve(state, t_final, cfg, _step=step_strang)[0]
+
+
+def reference_fine(
+    state: LagrangianState, t_final: float, cfg: StepperConfig
+) -> LagrangianState:
+    """The fine run of ``richardson_reference``: each step of the coarse
+    run taken as two Strang steps of half its size."""
+    return evolve(state, t_final, cfg, _step=_step_two_halves)[0]
+
+
+def richardson_extrapolate(
+    fine: LagrangianState, coarse: LagrangianState
+) -> LagrangianState:
+    """(4 fine - coarse) / 3, with fine's grid and boundary constants."""
+    return fine.with_x((4.0 * fine.x - coarse.x) / 3.0)
 
 
 def richardson_reference(
@@ -395,8 +418,9 @@ def richardson_reference(
     Solving ODEs I, II.9).  The fine run halves each of the coarse run's
     steps rather than planning its own, so that the cancellation holds when
     t_final is not a multiple of h.  The result is an extrapolated state,
-    not one the flow reaches: its invariants are not conserved.
+    not one the flow reaches: its invariants are not conserved.  compare and
+    converge run the two runs as independent jobs and extrapolate with the
+    same ``richardson_extrapolate``.
     """
-    coarse, _ = evolve(state, t_final, cfg, _step=step_strang)
-    fine, _ = evolve(state, t_final, cfg, _step=_step_two_halves)
-    return state.with_x((4.0 * fine.x - coarse.x) / 3.0)
+    coarse = reference_coarse(state, t_final, cfg)
+    return richardson_extrapolate(reference_fine(state, t_final, cfg), coarse)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import rodwave as rw
 from rodwave import cli, experiments, stepping
 from rodwave.errors import FixedPointDiverged, RodwaveError
+from rodwave.stepping import richardson_reference
 
 # TINY's t_final is deliberately not a multiple of dt
 pytestmark = pytest.mark.filterwarnings("ignore:t_final=.*not a multiple:UserWarning")
@@ -200,6 +202,165 @@ class TestGraphWriter:
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+def pid_of(k):
+    return k, os.getpid()
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make ``os.sched_getaffinity`` report ``cpus``, which sets how many
+    lanes compare and converge run their jobs on: two from two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    set_cpus(monkeypatch, {0, 1})
+
+
+class TestJobLanes:
+    """``_run_jobs``: the caller runs the jobs at even indices, one forked
+    child those at odd indices."""
+
+    def test_results_in_list_order_from_both_lanes(self, two_cpus):
+        results = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
+        assert [k for k, _ in results] == list(range(5))
+        pids = [pid for _, pid in results]
+        assert pids[::2] == [os.getpid()] * 3
+        assert pids[1] == pids[3] != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_error_in_list_order_is_raised(self, two_cpus, tmp_path):
+        marker = tmp_path / "job 3 raised"
+
+        def job3():
+            marker.touch()
+            raise ValueError("job 3")
+
+        def job0():
+            deadline = time.monotonic() + 30  # raise only after job 3 has
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyError("job 0")
+
+        with pytest.raises(KeyError, match="job 0"):
+            experiments._run_jobs([job0, lambda: 1, lambda: 2, job3])
+        assert marker.exists()
+        # alone, the child's error comes back as itself
+        with pytest.raises(ValueError, match="job 3"):
+            experiments._run_jobs([lambda: 0, lambda: 1, lambda: 2, job3])
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_error_still_drains_and_joins_the_child(self, two_cpus, tmp_path):
+        done = tmp_path / "child done"
+
+        def slow():
+            time.sleep(0.2)
+            done.touch()
+
+        def fail():
+            raise KeyError("caller")
+
+        with pytest.raises(KeyError, match="caller"):
+            experiments._run_jobs([fail, slow])
+        assert done.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_a_rodwave_error(self, two_cpus):
+        with pytest.raises(RodwaveError, match="exited with code 3"):
+            experiments._run_jobs([lambda: 0, lambda: os._exit(3), lambda: 2])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_runs_every_job_on_the_caller(self, monkeypatch, affinity):
+        if affinity:
+            set_cpus(monkeypatch, {0})
+        else:  # a platform without an affinity mask counts every CPU
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a process was forked on one CPU")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        results = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
+        assert results == [(k, os.getpid()) for k in range(5)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_scheme_that_diverges_in_the_child_fails_compare(
+            self, two_cpus, tmp_path, monkeypatch):
+        def evolve(state, t_final, cfg, *args, **kwargs):
+            if cfg.scheme == "strang":  # job 3 of compare's list: the child's
+                (tmp_path / "diverged").write_text(str(os.getpid()))
+                raise FixedPointDiverged(50, 1.0)
+            return stepping.evolve(state, t_final, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        out = tmp_path / "out"
+        with pytest.raises(FixedPointDiverged) as info:
+            rw.compare_experiment(rw.load_config(write_config(tmp_path)), out, quiet=True)
+        assert (info.value.iterations, info.value.residual) == (50, 1.0)
+        assert int((tmp_path / "diverged").read_text()) != os.getpid()
+        assert multiprocessing.active_children() == []
+        # the schemes' subdirectories, and no summary, reference graph or manifest
+        assert {p.name for p in out.iterdir()} == set(rw.SCHEMES)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_compare_equals_a_serial_computation(self, tmp_path, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        cfg = rw.load_config(write_config(tmp_path))
+        out = rw.compare_experiment(cfg, tmp_path / "lanes", quiet=True)
+        assert multiprocessing.active_children() == []
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        state0 = rw.build_initial_state(cfg)
+        h = cfg.stepper.dt * cfg.reference_dt_factor
+        reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=h))
+        experiments.write_graph_csv(serial / "reference_graph.csv", reference)
+        rows = []
+        for scheme in cfg.schemes:
+            x, drift, min_q, min_h = experiments._run_one_scheme(
+                cfg, state0, scheme, serial / scheme)
+            err = rw.sup_graph_error(state0.with_x(x), reference)
+            rows.append((scheme, err, drift, min_q, min_h))
+        experiments._write_csv(
+            serial / "summary.csv",
+            ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"), rows)
+        assert len(csv_bytes(out)) == 2 + 2 * len(cfg.schemes)
+        assert csv_bytes(out) == csv_bytes(serial)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_converge_equals_a_serial_computation(self, tmp_path, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        dts, dxis = [0.1, 0.05, 0.025], [1.0, 0.5, 0.25]
+        cfg = rw.load_config(write_config(tmp_path, sweep={"dt": dts, "dxi": dxis}))
+        rw.converge_experiment(cfg, tmp_path / "lanes", quiet=True)
+        assert multiprocessing.active_children() == []
+        state0 = rw.build_initial_state(cfg)
+        ref_dt = min(dts) * cfg.reference_dt_factor
+        reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
+        dt_errors = [
+            rw.distance_f(rw.evolve(state0, cfg.t_final, replace(cfg.stepper, dt=dt))[0],
+                          reference)
+            for dt in dts]
+        dxi_errors = []
+        for dxi in dxis:
+            final, _ = rw.evolve(rw.build_initial_state(replace(cfg, dxi=dxi)), cfg.t_final,
+                                 replace(cfg.stepper, dt=dxi / 4))
+            dxi_errors.append(rw.exact_peakon_error(final, cfg.t_final, 1.0, 0.0))
+        expected = {
+            "name": "tiny", "scheme": "strang",
+            "dt_sweep": {"dt": dts, "error": dt_errors,
+                         "slope": rw.convergence_order(zip(dts, dt_errors)),
+                         "reference_dt": ref_dt, "reference": "richardson_strang"},
+            "dxi_sweep": {"dxi": dxis, "dt": [d / 4 for d in dxis], "error": dxi_errors,
+                          "slope": rw.convergence_order(zip(dxis, dxi_errors)),
+                          "against": "exact_peakon"},
+        }
+        experiments._write_json(tmp_path / "serial.json", expected)
+        assert (tmp_path / "lanes" / "order_report.json").read_bytes() == (
+            tmp_path / "serial.json").read_bytes()
+
+
 class TestCompareConverge:
     def test_compare_writes_every_scheme(self, tmp_path):
         config = write_config(tmp_path)
@@ -361,8 +522,10 @@ class TestErrors:
         def no_run(*args, **kwargs):
             raise AssertionError("a rejected input reached the time loop")
 
-        monkeypatch.setattr(experiments, "evolve", no_run)
-        monkeypatch.setattr(experiments, "richardson_reference", no_run)
+        # every evolve the drivers start: run's and the schemes', the
+        # reference's two runs, and converge's sweeps
+        for name in ("evolve", "reference_fine", "reference_coarse"):
+            monkeypatch.setattr(experiments, name, no_run)
         monkeypatch.chdir(tmp_path)
         # exists, so the config is accepted, but fails to parse at its line 3
         Path("bad_profile.txt").write_text("x u\n0 0\nfoo bar\n1 1\n2 0\n")
@@ -473,7 +636,8 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_writer_or_metadata_modules():
     # each is imported where it is used: multiprocessing by a run's graph
-    # writer, importlib.metadata by the first manifest
+    # writer and by the forked lane of compare and converge,
+    # importlib.metadata by the first manifest
     code = ("import sys, rodwave; "
             "print([m for m in ('multiprocessing', 'importlib.metadata') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -316,7 +317,8 @@ class TestRichardsonReference:
 
         monkeypatch.setattr(stepping, "step_strang", recorded)
         richardson_reference(small_peakon(), 0.25, rw.StepperConfig(dt=0.1))
-        steps = plan_steps(0.25, 0.1)
+        n_full, last = plan_steps(0.25, 0.1)
+        steps = [0.1] * n_full + [last]
         assert len(steps) == 3 and steps[-1] < 0.1
         # the coarse run, then two steps of dt_j/2 for each coarse dt_j
         assert dts == steps + [d / 2 for d in steps for _ in range(2)]
@@ -386,12 +388,30 @@ class TestEvolve:
         assert calls == [0.0]
 
     def test_plan_steps_shortens_final_step(self):
-        assert plan_steps(1.0, 0.25) == [0.25, 0.25, 0.25, 0.25]
-        steps = plan_steps(0.25, 0.1)
-        assert len(steps) == 3
-        assert steps[-1] == pytest.approx(0.05)
-        assert sum(steps) == pytest.approx(0.25)
-        assert plan_steps(0.0, 0.1) == []
+        assert plan_steps(1.0, 0.25) == (4, None)
+        n_full, last = plan_steps(0.25, 0.1)
+        assert n_full == 2
+        assert last == pytest.approx(0.05)
+        assert n_full * 0.1 + last == pytest.approx(0.25)
+        assert plan_steps(0.0, 0.1) == (0, None)
+        # a count, not a list of 2**23 steps
+        assert plan_steps(1.0, 2.0**-23) == (2**23, None)
+
+    def test_evolve_takes_the_planned_steps(self, monkeypatch):
+        dts, times = [], []
+
+        def recorded(state, cfg, dt=None):
+            dts.append(dt)
+            return state, stepping.StepReport()
+
+        monkeypatch.setattr(stepping, "step_strang", recorded)
+        rw.evolve(small_peakon(), 1.05, rw.StepperConfig(dt=0.1),
+                  observers=lambda j, t, st, r: times.append(t))
+        n_full, last = plan_steps(1.05, 0.1)
+        assert dts == [0.1] * n_full + [last] and n_full == 10
+        # t adds the steps in order: ten steps of 0.1 add to 0.9999999999999999
+        assert times == list(itertools.accumulate([0.0, *dts]))
+        assert times[10] != 10 * 0.1
 
     def test_observer_stride(self):
         s = small_peakon()
