@@ -26,45 +26,26 @@ G1_ROWS = [3, 4, 5]         # v, w, h
 G2_ROWS = [0, 1, 2, 5]      # zeta, U, H, h
 
 
-def g1_rows(
-    gamma: float, U2: np.ndarray, q: np.ndarray, w: np.ndarray, h: np.ndarray,
-    P: np.ndarray, out: np.ndarray,
-) -> np.ndarray:
-    """The three moving rows (v_t, w_t, h_t) of the g1 sub-flow, from
-    ``U2 = U * U``, written into the (3, 2N) array ``out``, which is
-    returned."""
-    out[0] = gamma * w
-    out[1] = 0.5 * gamma * h + (0.5 * (3.0 - 2.0 * gamma) * U2 - P) * q
-    out[2] = (3.0 * U2 - 2.0 * P) * w
-    return out
-
-
-def g2_rows(
-    gamma: float, U: np.ndarray, q: np.ndarray, P: np.ndarray, Q: np.ndarray,
-    out: np.ndarray | list[np.ndarray],
-) -> np.ndarray | list[np.ndarray]:
-    """The four moving rows (zeta_t, U_t, H_t, h_t) of the g2 sub-flow,
-    written into ``out``, a (4, 2N) array or four rows of one, which is
-    returned."""
-    out[0][...] = gamma * U
-    out[1][...] = -Q
-    out[2][...] = U * U * U - 2.0 * P * U
-    out[3][...] = -2.0 * Q * U * q
-    return out
-
-
 def vector_field_g1(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
     """Sub-flow moving only the derivative fields v, w, h (rows of a
     (6, 2N) array laid out like ``state.x``)."""
+    g, q, w, h, P = state.params.gamma, state.q, state.w, state.h, terms.P
+    U2 = state.U * state.U
     out = np.zeros(state.x.shape)
-    g1_rows(state.params.gamma, state.U * state.U, state.q, state.w, state.h, terms.P, out[3:])
+    out[3] = g * w
+    out[4] = 0.5 * g * h + (0.5 * (3.0 - 2.0 * g) * U2 - P) * q
+    out[5] = (3.0 * U2 - 2.0 * P) * w
     return out
 
 
 def vector_field_g2(state: LagrangianState, terms: SourceTerms) -> np.ndarray:
     """Sub-flow moving zeta, U, H and the advected part of h."""
+    g, U, q, P, Q = state.params.gamma, state.U, state.q, terms.P, terms.Q
     out = np.zeros(state.x.shape)
-    g2_rows(state.params.gamma, state.U, state.q, terms.P, terms.Q, [out[k] for k in G2_ROWS])
+    out[0] = g * U
+    out[1] = -Q
+    out[2] = U * U * U - 2.0 * P * U
+    out[5] = -2.0 * Q * U * q
     return out
 
 

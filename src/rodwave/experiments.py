@@ -159,6 +159,10 @@ class ExperimentConfig:
             raise ValueError("schemes must name at least one scheme")
         for s in self.schemes:
             replace(self.stepper, scheme=s)
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            # each scheme writes its own subdirectory and summary row
+            raise ValueError(f"schemes: {', '.join(repeated)} named more than once")
         unknown = sorted(set(self.sweep) - {"dt", "dxi"})
         if unknown:
             raise ValueError(f"sweep: unknown keys {unknown}; a sweep has dt and dxi")

@@ -1,5 +1,6 @@
 """Shared test utilities: random admissible states, comparison metrics and
-the whole-state midpoint iteration the midpoint substep is checked against."""
+the whole-state Gauss-Seidel midpoint iteration the midpoint substep is
+checked against."""
 
 import math
 
@@ -85,11 +86,21 @@ def distance_written_out(a, b):
     )
 
 
+# Each sub-flow's first row: the one moving row whose rate reads only the
+# midpoint's own rows and source terms (w under g1, U under g2).
+_FIRST_ROW = {"g1": 4, "g2": 1}
+
+
 def midpoint_substep_on_states(state, dt, which, cfg):
-    """Solve Z = Y + dt*G_k((Z+Y)/2) by fixed-point iteration from Z=Y,
-    building whole states at every iterate: the reference iteration for
-    either sub-flow."""
-    field_fn = _FIELDS[which]
+    """Solve Z = Y + dt*G_k((Z+Y)/2) by Gauss-Seidel fixed-point iteration
+    from Z=Y, building whole states at every iterate: the reference
+    iteration for either sub-flow.
+
+    An iterate evaluates P and Q on the midpoint state and takes the first
+    row's rate from it; the other rows' rates are the field's on a midpoint
+    state that holds the first row's update, Y_k + dt/2 * rate.
+    """
+    field_fn, k = _FIELDS[which], _FIRST_ROW[which]
     y = state.x
     z = state
     folded = False
@@ -98,7 +109,12 @@ def midpoint_substep_on_states(state, dt, which, cfg):
         mid = state.with_x(0.5 * (y + z.x))
         terms, fold = evaluate_source_terms(mid)
         folded = folded or fold
-        z_next = state.with_x(y + dt * field_fn(mid, terms))
+        first = field_fn(mid, terms)[k]
+        xm = mid.x.copy()
+        xm[k] = y[k] + 0.5 * dt * first
+        rates = field_fn(mid.with_x(xm), terms)
+        rates[k] = first
+        z_next = state.with_x(y + dt * rates)
         residual = distance_written_out(z_next, z)
         z = z_next
         if residual <= cfg.fp_tol:

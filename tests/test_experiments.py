@@ -514,6 +514,7 @@ class TestErrors:
             (["run"], {"stepper": {"dt": 1e-300}}),
             (["converge"], {"sweep": {"dt": [0.1, 1e-300, 0.05]}}),
             (["compare"], {"reference_dt_factor": 1e-300}),
+            (["compare", "--scheme", "strang,strang"], {}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -572,6 +573,20 @@ class TestErrors:
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+
+    def test_a_repeated_scheme_is_refused(self, tmp_path, capsys):
+        # two runs of one scheme would share its directory and summary row
+        changes = {"schemes": ["strang", "explicit_euler", "lie_trotter", "explicit_euler",
+                               "strang"]}
+        with pytest.raises(ValueError) as info:
+            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        assert str(info.value) == "schemes: explicit_euler, strang named more than once"
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", "peakon_c1", "--scheme", "strang,strang",
+                       "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "schemes: strang named more than once"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("changes, dt", [
         ({"stepper": {"dt": 1e-300}}, 1e-300),
@@ -642,3 +657,12 @@ def test_import_loads_no_writer_or_metadata_modules():
             "print([m for m in ('multiprocessing', 'importlib.metadata') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_rodwave_lists_every_bundled_experiment():
+    # a source checkout on PYTHONPATH has no rodwave script
+    src = str(Path(rw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "rodwave", "list-experiments"],
+                         capture_output=True, text=True, check=True, env=env)
+    assert [line.split()[0] for line in out.stdout.splitlines()] == list(rw.BUNDLED)

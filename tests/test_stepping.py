@@ -6,6 +6,7 @@ import pytest
 
 import rodwave as rw
 from rodwave import source_terms, stepping
+from rodwave.dynamics import G2_ROWS
 from rodwave.errors import FixedPointDiverged, StepSizeUnderflow
 from rodwave.experiments import build_initial_state, resolve_config
 from rodwave.stepping import (
@@ -152,7 +153,8 @@ def check_against_whole_states(which, case, dt):
 
 class TestG1Iteration:
     """The g1 substep iterates on v, w, h with the kernel's factors built
-    once; it must be the whole-state iteration bit for bit."""
+    once, w's rate first; it must be the whole-state Gauss-Seidel iteration
+    bit for bit."""
 
     @pytest.mark.parametrize("dt", [0.1, -0.17, DIVERGING_DT])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -178,9 +180,9 @@ class TestG1Iteration:
 
 
 class TestG2Iteration:
-    """The g2 substep iterates on zeta, U, H, h with q built once, and
-    evaluates P and Q on one midpoint state per iterate; it must be the
-    whole-state iteration bit for bit."""
+    """The g2 substep iterates on zeta, U, H, h with q built once, U's rate
+    first, and evaluates P and Q on one midpoint state per iterate; it must
+    be the whole-state Gauss-Seidel iteration bit for bit."""
 
     @pytest.mark.parametrize("dt", [0.1, -0.17, DIVERGING_DT])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -206,6 +208,25 @@ class TestG2Iteration:
         del seen[:]
         _, report = midpoint_substep(s, 0.1, "g1", CFG)
         assert report.fp_iterations[0] > 1 and seen == []
+
+    @pytest.mark.parametrize("dt", [0.1, -0.17, 1.0])
+    @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("random")))
+    def test_every_iterate_conserves_the_invariants(self, case, dt):
+        # U's rate comes first and the other rows read U at its updated
+        # midpoint, so one field evaluation at any midpoint, converged or
+        # not, keeps each I_i: measured <= 3.3e-16 relative
+        s = CASES[case]
+        y0 = s.x[G2_ROWS]
+        mid = y0 + np.random.default_rng(7).normal(size=y0.shape)
+        rates, _ = stepping._g2(s, y0, dt)(mid)
+        x = s.x.copy()
+        x[G2_ROWS] = y0 + dt * rates
+        new = s.with_x(x)
+        # v and w are frozen, so q and w are the same in both states
+        q, w2 = s.q, s.w * s.w
+        scale = np.maximum(
+            (s.U * q) ** 2 + w2 + np.abs(q * s.h), (new.U * q) ** 2 + w2 + np.abs(q * new.h))
+        assert np.all(np.abs(rw.invariants(new) - rw.invariants(s)) <= 1e-14 * scale)
 
 
 class TestSplittingSteps:
