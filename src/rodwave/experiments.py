@@ -6,27 +6,20 @@ final time.  Runs are deterministic: identical configs produce byte-identical
 CSV artifacts, and every run writes a manifest that can be fed back to
 reproduce it.
 
-``run_experiment`` hands its graph snapshots to one writer process, forked
-from the caller when the run starts and joined before it returns, which
-formats and writes them while the time loop goes on.  Fork is POSIX only,
-and a caller that runs threads of its own should know that the writer is a
-fork of it.  A snapshot is sent down a pipe whose buffer bounds what waits
-to be written: once it is full, the time loop waits for the writer.
-Everything else, the manifest last, is written after the join, so a run
-directory with a manifest holds every graph it names, complete.
-
-``compare_experiment`` and ``converge_experiment`` run evolves that do not
-read each other's results: the two runs of the reference, and the schemes
-or the sweep's resolutions.  They run them on two lanes, the caller and one
-child forked for the call (``_run_jobs``): the caller takes the jobs at even
-places in the list and the child those at odd places, a split that is the
-same from call to call.  When the process may use only one CPU
-(``os.sched_getaffinity``), the caller runs every job and nothing is forked.
-A job that raises does not stop either lane, and once both are done the
-error of the first job in list order that raised is raised, the one a loop
-over the jobs would have met first.  The tables, the reference graph and
-the manifest are written after the join, so a failed call can leave scheme
-subdirectories but no summary, no reference graph and no manifest.
+The drivers run part of their work on one lane (``_Lane``): a child forked
+when the lane opens, which handles the items sent down its pipe in order
+while the caller goes on, and which is joined before anything that names
+its results is written.  ``run_experiment`` sends it the graph snapshots;
+``compare_experiment`` and ``converge_experiment`` the evolves at odd
+places of their list of independent jobs (``_run_jobs``), while the caller
+runs those at even places.  On one CPU (``os.sched_getaffinity``) nothing
+is forked, and the caller handles each item as it sends it.  An item that
+raises does not stop the lane; after the join, the first error in list
+order is raised, unless the caller raised first.  So a run directory with
+a manifest holds every graph it names, complete.  ``_Lane.__enter__`` is
+the package's only fork site: fork is POSIX only, a caller with threads of
+its own should know that the lane is a fork of it, and a Python (3.12 on)
+that warns of forking a process with threads would warn there.
 """
 
 from __future__ import annotations
@@ -373,131 +366,112 @@ def write_graph_csv(path: Path, state: LagrangianState) -> None:
     _write_graph(path, state.grid, _graph_columns(state))
 
 
-def _serve_graphs(conn, parent_conn) -> None:
-    """The writer process: write each (path, grid, columns) received on
-    ``conn`` until None comes, then send back (first error or None, seconds
-    spent writing).  After an error it writes nothing more but reads on, so
-    that the parent never blocks on a full pipe."""
-    parent_conn.close()  # else the parent's death would not end conn.recv()
-    error, busy = None, 0.0
-    while (item := conn.recv()) is not None:
-        if error is None:
-            start = time.perf_counter()
-            try:
-                _write_graph(*item)
-            except Exception as err:  # the parent raises it after the join
-                error = err
-            busy += time.perf_counter() - start
-    conn.send((error, busy))
-
-
-class _GraphWriter:
-    """A forked process that writes the graph CSVs ``submit`` hands it while
-    the caller goes on.  Leaving the ``with`` block waits for every graph
-    submitted to be written and joins the process.  A writer's error is
-    raised then, unless the block raised one of its own, which propagates
-    unchanged.  ``busy_s`` is the writer's time spent writing, and
-    ``wait_s`` the caller's time spent blocked on it."""
-
-    def __enter__(self) -> "_GraphWriter":
-        import multiprocessing  # only a run pays for importing it
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
-        self._process = ctx.Process(
-            target=_serve_graphs, args=(child_conn, self._conn), daemon=True)
-        self._process.start()
-        child_conn.close()
-        self.busy_s = self.wait_s = 0.0
-        return self
-
-    def submit(self, path: Path, state: LagrangianState) -> None:
-        columns = _graph_columns(state)
-        start = time.perf_counter()
-        self._conn.send((path, state.grid, columns))  # blocks while the pipe is full
-        self.wait_s += time.perf_counter() - start
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        start = time.perf_counter()
-        try:
-            self._conn.send(None)
-            error, self.busy_s = self._conn.recv()
-        except (OSError, EOFError):  # the writer is gone, and its exit code says how
-            error = None
-        finally:
-            self._conn.close()
-            self._process.join()
-            self.wait_s += time.perf_counter() - start
-        if error is None and self._process.exitcode:
-            error = RodwaveError(f"the graph writer exited with code {self._process.exitcode}")
-        if error is not None and exc_type is None:
-            raise error
-
-
-def _attempt(job):
-    """job(), or the exception it raised, which stands for its result."""
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, which stands for its result."""
     try:
-        return job()
+        return fn(*args)
     except Exception as err:
         return err
 
 
-def _run_lane(jobs, writer, reader) -> None:
-    """The forked lane: run ``jobs`` in order, then send back their results
-    in one list."""
-    reader.close()  # else the parent's death would not break writer.send()
-    writer.send([_attempt(job) for job in jobs])
-
-
-def _join_lane(child, reader, count: int) -> list:
-    """The ``count`` results the forked lane sends, once it has joined; if
-    it exits without sending them, a ``RodwaveError`` for each, naming its
-    exit code."""
-    results = None
-    try:
-        with reader:
-            results = reader.recv()
-    except EOFError:  # the child is gone, and its exit code says how
-        pass
-    finally:
-        child.join()
-    if results is None:
-        error = RodwaveError(f"a forked job lane exited with code {child.exitcode}")
-        results = [error] * count
+def _raise_first(results: list) -> list:
+    """``results``, unless one of them is an exception: then the first."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     return results
+
+
+def _serve(handle, conn, parent_conn) -> None:
+    """A lane's child: ``_attempt(handle, item)`` on each item from ``conn``
+    until None, then send back the results and the seconds in ``handle``."""
+    parent_conn.close()  # else the parent's death would not end conn.recv()
+    results, busy = [], 0.0
+    while (item := conn.recv()) is not None:
+        start = time.perf_counter()
+        results.append(_attempt(handle, item))
+        busy += time.perf_counter() - start
+    conn.send((results, busy))
+
+
+class _Lane:
+    """A child forked when the ``with`` block starts (on one CPU, none) that
+    calls ``handle`` on each item ``send`` passes it, in order, while the
+    caller goes on.  The pipe's buffer bounds what waits: once it is full,
+    ``send`` waits for the child.  Leaving the block joins the child, also
+    when the block raised, and sets ``results``, one per item, each a value
+    or the exception ``handle`` raised.  A child that exits without
+    replying gives each item it was sent a ``RodwaveError`` naming ``what``
+    and its exit code.  ``busy_s`` is the time spent in ``handle``, and
+    ``wait_s`` the caller's time blocked in ``send`` and in the join."""
+
+    def __init__(self, handle, what: str):
+        self._handle, self._what, self._child, self._sent = handle, what, None, 0
+        self.results, self.busy_s, self.wait_s = [], 0.0, 0.0
+
+    def __enter__(self) -> "_Lane":
+        # where there is no affinity mask (macOS), a process may use every CPU
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) > 1:
+            import multiprocessing  # only a call that forks pays for importing it
+
+            ctx = multiprocessing.get_context("fork")
+            self._conn, child_conn = ctx.Pipe()
+            self._child = ctx.Process(
+                target=_serve, args=(self._handle, child_conn, self._conn), daemon=True)
+            self._child.start()
+            child_conn.close()
+        return self
+
+    def send(self, item) -> None:
+        start = time.perf_counter()
+        if self._child is None:  # one CPU: the caller handles the item
+            self.results.append(_attempt(self._handle, item))
+            self.busy_s += time.perf_counter() - start
+        else:
+            self._sent += 1
+            try:
+                self._conn.send(item)
+            except OSError:  # the child is gone: send nothing more, and the join says how
+                self._conn.close()
+        self.wait_s += time.perf_counter() - start
+
+    def __exit__(self, *exc) -> None:
+        if self._child is None:
+            return
+        start = time.perf_counter()
+        reply = None
+        try:
+            self._conn.send(None)
+            reply = self._conn.recv()
+        except (OSError, EOFError):  # the child is gone, and its exit code says how
+            pass
+        finally:
+            self._conn.close()
+            self._child.join()
+            self.wait_s += time.perf_counter() - start
+        if reply is None:
+            error = RodwaveError(f"{self._what} exited with code {self._child.exitcode}")
+            reply = [error] * self._sent, 0.0
+        self.results, self.busy_s = reply
 
 
 def _run_jobs(jobs: list) -> list:
     """The results of ``jobs``, zero-argument callables, in list order.
 
-    The caller runs the jobs at even indices and one child, forked for the
-    call, those at odd indices; their results must pickle.  When the
-    process may run on one CPU only, the caller runs them all and nothing
-    is forked.  A job that raises does not stop its lane.  The child is
-    always drained and joined; then the exception of the first job in list
-    order that raised is raised.  One raised in the child comes back
-    pickled, without its traceback."""
-    # where there is no affinity mask (macOS), a process may use every CPU
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    lanes = 2 if (cpus or 1) > 1 else 1
-    if lanes == 2:
-        import multiprocessing  # only a call with two lanes pays for importing it
-
-        ctx = multiprocessing.get_context("fork")
-        reader, writer = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_run_lane, args=(jobs[1::2], writer, reader), daemon=True)
-        child.start()
-        writer.close()
+    The caller runs the jobs at even indices, and a ``_Lane`` whose forked
+    child inherits ``jobs`` runs those at odd indices, sent by index; their
+    results must pickle.  On one CPU the caller runs them all, the odd ones
+    first.  Once the lane is joined, the exception of the first job in list
+    order that raised is raised; one from the child comes back pickled,
+    without its traceback."""
+    with _Lane(lambda k: jobs[k](), "a forked job lane") as lane:
+        for k in range(1, len(jobs), 2):
+            lane.send(k)
+        mine = [_attempt(job) for job in jobs[::2]]
     results = [None] * len(jobs)
-    try:
-        results[::lanes] = [_attempt(job) for job in jobs[::lanes]]
-    finally:
-        if lanes == 2:
-            results[1::2] = _join_lane(child, reader, len(jobs) // 2)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+    results[::2], results[1::2] = mine, lane.results
+    return _raise_first(results)
 
 
 def write_diagnostics_csv(path: Path, rows) -> None:
@@ -548,12 +522,12 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     """Run one experiment, writing graph snapshots, diagnostics and a
     manifest into ``run_dir``, which is returned.
 
-    The snapshots are written by a writer process forked for the run (see
-    the module docstring) while the time loop goes on.  It is joined before
-    the rest is written, also when the run fails, in which case every
-    snapshot taken before the failure is complete.  The manifest's
-    ``timings`` give the writer's busy time and the time the run spent
-    waiting for it."""
+    The snapshots are written by the graph writer, a ``_Lane`` (see the
+    module docstring), while the time loop goes on.  It tries every one,
+    and is joined before the rest is written, also when the run fails:
+    every snapshot taken before a failure is complete.  A snapshot that
+    could not be written fails the run, with no manifest.  The manifest's
+    ``timings`` give the writer's busy time and the run's time waiting on it."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -561,10 +535,10 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     recorder = DiagnosticsRecorder()
     snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
-    with _GraphWriter() as writer:
+    with _Lane(lambda item: _write_graph(*item), "the graph writer") as writer:
         def snapshot(step, t, state, report):
             fname = f"graph_{len(snapshots):04d}.csv"
-            writer.submit(run_dir / fname, state)
+            writer.send((run_dir / fname, state.grid, _graph_columns(state)))
             snapshots.append((len(snapshots), step, t, fname))
 
         _, reports = evolve(
@@ -574,6 +548,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
             observers=(recorder, snapshot),
             observe_stride=cfg.output_stride,
         )
+    _raise_first(writer.results)
     write_diagnostics_csv(run_dir / "diagnostics.csv", recorder.rows)
     _write_csv(run_dir / "snapshots.csv", ("index", "step", "t", "file"), snapshots)
     wall = time.perf_counter() - t_start
@@ -639,10 +614,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     steps of the adaptive comparator included.
 
     The reference's fine run, its coarse run and the schemes, in that
-    order, are the jobs of ``_run_jobs``: on two CPUs the caller runs the
-    fine run and every other scheme from the first, a forked child the
-    rest.  Each scheme writes its own subdirectory from whichever lane runs
-    it.  The reference graph, the summary, the manifest and the per-scheme
+    order, are the jobs of ``_run_jobs``: the caller runs the fine run and
+    every other scheme from the first, the lane's forked child the rest,
+    or the caller all of them on one CPU.  Each scheme writes its own
+    subdirectory from whichever process runs it.  The reference graph, the summary, the manifest and the per-scheme
     lines printed unless ``quiet`` come after every job has finished.  A
     failed job fails the call with the error of the first job in that order
     that raised, after both lanes are done, and leaves no reference graph,
@@ -709,9 +684,8 @@ def converge_experiment(
     nearest-xi graph matching.
 
     The reference's fine and coarse runs (with a dt sweep), then each
-    swept run, in that order, are the jobs of ``_run_jobs``: on two CPUs
-    the caller runs every other job from the first, a forked child the
-    rest.  Every artifact is written after every job has finished, so a
+    swept run, in that order, are the jobs of ``_run_jobs``: the caller
+    runs every other job from the first, the lane's forked child the rest.  Every artifact is written after every job has finished, so a
     failed job, whose error is that of the first job in that order that
     raised, leaves nothing on disk.
     """

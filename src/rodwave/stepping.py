@@ -83,8 +83,10 @@ class StepReport:
 
     ``min_q`` and ``min_h`` are the minima of q and h over the states the
     step accepted: the end state of a fixed step, every accepted internal
-    state of an adaptive segment.  ``folded`` is True when some source-term
-    evaluation of the step saw a folded particle map y.
+    state of an adaptive segment.  ``folded`` is True when the particle map
+    y of one of those states is folded (``is_folded``); the iterates that
+    led to them do not count.  A midpoint substep's report flags the state
+    it ends at.
     """
 
     fp_iterations: tuple[int, ...] = ()
@@ -108,16 +110,18 @@ class StepReport:
 
 
 def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState, StepReport]:
-    """Record the minima of q and h on the state a fixed step ends at."""
+    """Record the minima of q and h, and whether y is folded, on the state a
+    fixed step ends at."""
     report.min_q = float(np.min(state.q))
     report.min_h = float(np.min(state.h))
+    report.folded = is_folded(state.y)
     return state, report
 
 
 def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     """g1 freezes zeta, U and H.  The midpoint of a frozen row is
-    0.5*(x + x) == x exactly, so y, the kernel's factors, the fold flag and
-    the U-only terms are the same at every iterate and are built once.
+    0.5*(x + x) == x exactly, so y, the kernel's factors and the U-only
+    terms are the same at every iterate and are built once.
 
     An iterate takes P at the midpoint and w's rate from it, which reads
     q, h and P only; v's and h's rates then read w at w's updated midpoint,
@@ -126,7 +130,6 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     g, dxi = state.params.gamma, state.grid.dxi
     U = state.U
     factors = kernel_factors(state.y)
-    folded = is_folded(state.y)
     U2 = U * U
     a_u = integrand_u(g, U)
     w_u = 0.5 * (3.0 - 2.0 * g) * U2
@@ -152,14 +155,15 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
         np.multiply(P, 2.0, out=h_t)
         np.subtract(h_u, h_t, out=h_t)
         np.multiply(h_t, w_mid, out=h_t)
-        return out, folded
+        return out
 
     return field
 
 
 def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
     """g2 freezes v and w, so q is built once.  y moves with zeta: each
-    iterate evaluates P and Q on a midpoint state of its own.
+    iterate evaluates P and Q on a midpoint state of its own, through
+    ``evaluate_source_terms``, whose fold flag it leaves unread.
 
     U's rate, -Q, reads the kernel terms only; the rates of zeta, H and h
     then read U at U's updated midpoint, U0 + dt/2 * U_t.  So every iterate,
@@ -174,7 +178,7 @@ def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
 
     def field(mid):
         xm = np.concatenate((mid[:3], v_w, mid[3:]))
-        (P, Q), folded = evaluate_source_terms(state.with_x(xm))
+        (P, Q), _ = evaluate_source_terms(state.with_x(xm))
         # U_t = -Q; then zeta_t = g U_mid, H_t = U_mid^3 - 2 P U_mid and
         # h_t = -2 Q U_mid q, each rounded as ``vector_field_g2`` rounds it
         np.negative(Q, out=U_t)
@@ -189,16 +193,15 @@ def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
         np.multiply(Q, -2.0, out=h_t)
         np.multiply(h_t, U_mid, out=h_t)
         np.multiply(h_t, q, out=h_t)
-        return out, folded
+        return out
 
     return field
 
 
 # Each sub-flow: the rows it moves, and a function of the substep's state,
 # its start rows and dt that builds the frozen terms once and returns the
-# field.  The field maps the midpoint of the moving rows to their rates and
-# to whether the kernel evaluation behind them saw a folded y.  The rates
-# are Gauss-Seidel ordered: the one row whose rate reads only the
+# field.  The field maps the midpoint of the moving rows to their rates,
+# which are Gauss-Seidel ordered: the one row whose rate reads only the
 # midpoint's own rows and kernel terms (w under g1, U under g2) comes
 # first, and the other rows read it at its updated midpoint.
 _SUB_FLOWS = {"g1": (G1_ROWS, _g1), "g2": (G2_ROWS, _g2)}
@@ -221,14 +224,12 @@ def midpoint_substep(
     """
     rows, make_field = _SUB_FLOWS[which]
     z = y0 = state.x[rows]
-    folded = False
     # a diverging iterate overflows, and 1/exp(y - r) in the kernel's
     # factors divides by an underflowed zero: FixedPointDiverged says so
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         field = make_field(state, y0, dt)
         for m in range(1, cfg.fp_max_iter + 1):
-            rates, fold = field(0.5 * (y0 + z))
-            folded = folded or fold
+            rates = field(0.5 * (y0 + z))
             z_next = y0 + dt * rates
             residual = rows_norm(z_next - z, rows, state.grid.dxi)
             z = z_next
@@ -242,8 +243,9 @@ def midpoint_substep(
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0
     x[rows] = z
-    return state.with_x(x), StepReport(
-        fp_iterations=(m,), final_residual=residual, folded=folded,
+    out = state.with_x(x)
+    return out, StepReport(
+        fp_iterations=(m,), final_residual=residual, folded=is_folded(out.y),
     )
 
 
@@ -292,9 +294,9 @@ def step_explicit_euler(
 ) -> tuple[LagrangianState, StepReport]:
     """Forward Euler; does not conserve the invariants (contrast scheme)."""
     dt = cfg.dt if dt is None else dt
-    terms, folded = evaluate_source_terms(state)
+    terms, _ = evaluate_source_terms(state)
     new = state.with_x(state.x + dt * vector_field_full(state, terms))
-    return _ended(new, StepReport(folded=folded))
+    return _ended(new, StepReport())
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +332,10 @@ def step_adaptive_rk(
     if t_target <= 0:
         return state, StepReport()
     shape = state.x.shape
-    folded = False
 
     def rhs(vec: np.ndarray) -> np.ndarray:
-        nonlocal folded
         s = state.with_x(vec.reshape(shape))
-        terms, fold = evaluate_source_terms(s)
-        folded = folded or fold
+        terms, _ = evaluate_source_terms(s)
         return vector_field_full(s, terms).ravel()
 
     y = state.x.ravel()
@@ -347,6 +346,7 @@ def step_adaptive_rk(
     accepted = 0
     rejected = 0
     min_q = min_h = math.inf
+    folded = False
     out = state
     k = np.empty((7, y.size))
 
@@ -371,6 +371,7 @@ def step_adaptive_rk(
             out = state.with_x(y.reshape(shape))
             min_q = min(min_q, float(np.min(out.q)))
             min_h = min(min_h, float(np.min(out.h)))
+            folded = folded or is_folded(out.y)
             # PI controller (order 5): safety * err^-0.14 * err_prev^0.08
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)

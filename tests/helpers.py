@@ -103,12 +103,10 @@ def midpoint_substep_on_states(state, dt, which, cfg):
     field_fn, k = _FIELDS[which], _FIRST_ROW[which]
     y = state.x
     z = state
-    folded = False
     residual = math.inf
     for m in range(1, cfg.fp_max_iter + 1):
         mid = state.with_x(0.5 * (y + z.x))
-        terms, fold = evaluate_source_terms(mid)
-        folded = folded or fold
+        terms, _ = evaluate_source_terms(mid)
         first = field_fn(mid, terms)[k]
         xm = mid.x.copy()
         xm[k] = y[k] + 0.5 * dt * first
@@ -118,11 +116,7 @@ def midpoint_substep_on_states(state, dt, which, cfg):
         residual = distance_written_out(z_next, z)
         z = z_next
         if residual <= cfg.fp_tol:
-            return z, StepReport(
-                fp_iterations=(m,),
-                final_residual=residual,
-                folded=folded,
-            )
+            return z, StepReport(fp_iterations=(m,), final_residual=residual)
         if not math.isfinite(residual):
             raise FixedPointDiverged(m, residual)
     raise FixedPointDiverged(cfg.fp_max_iter, residual)

@@ -132,7 +132,8 @@ class TestWriters:
 
 
 class TestGraphWriter:
-    """``run_experiment`` writes its graphs in a forked writer process."""
+    """``run_experiment`` writes its graphs on a lane: in a forked writer
+    process, or on one CPU in the caller."""
 
     def failing_evolve(self, monkeypatch, at_step):
         """Make ``run_experiment``'s evolve raise FixedPointDiverged at step
@@ -166,6 +167,11 @@ class TestGraphWriter:
         timings = json.loads((run_dir / "manifest.json").read_text())["timings"]
         assert set(timings) == {"graph_writer_busy_s", "graph_writer_wait_s"}
         assert timings["graph_writer_busy_s"] > 0 and timings["graph_writer_wait_s"] > 0
+
+    def test_one_cpu_writes_the_same_graphs_in_the_caller(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, {0})
+        no_fork(monkeypatch)
+        self.test_graphs_equal_write_graph_csv_of_the_observed_states(tmp_path, monkeypatch)
 
     def test_a_failed_run_leaves_every_submitted_graph_complete(self, tmp_path, monkeypatch):
         cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=0.5))
@@ -201,20 +207,37 @@ class TestGraphWriter:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "run" / "manifest.json").exists()
 
+    def test_a_writer_that_dies_mid_run_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_write_graph", lambda *args: os._exit(3))
+        # 11 snapshots: the run goes on sending after the writer has died
+        cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=1.0))
+        with pytest.raises(RodwaveError, match="^the graph writer exited with code 3$"):
+            rw.run_experiment(cfg, tmp_path / "run", quiet=True)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
 
 def pid_of(k):
     return k, os.getpid()
 
 
 def set_cpus(monkeypatch, cpus):
-    """Make ``os.sched_getaffinity`` report ``cpus``, which sets how many
-    lanes compare and converge run their jobs on: two from two CPUs."""
+    """Make ``os.sched_getaffinity`` report ``cpus``: on one CPU, run,
+    compare and converge fork no lane."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
     set_cpus(monkeypatch, {0, 1})
+
+
+def no_fork(monkeypatch):
+    """Make any attempt to fork a process fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was forked on one CPU")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
 class TestJobLanes:
@@ -277,11 +300,7 @@ class TestJobLanes:
         else:  # a platform without an affinity mask counts every CPU
             monkeypatch.delattr(os, "sched_getaffinity")
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a process was forked on one CPU")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        no_fork(monkeypatch)
         results = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
         assert results == [(k, os.getpid()) for k in range(5)]
         assert multiprocessing.active_children() == []
@@ -650,9 +669,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_writer_or_metadata_modules():
-    # each is imported where it is used: multiprocessing by a run's graph
-    # writer and by the forked lane of compare and converge,
-    # importlib.metadata by the first manifest
+    # each is imported where it is used: multiprocessing by a lane that
+    # forks, importlib.metadata by the first manifest
     code = ("import sys, rodwave; "
             "print([m for m in ('multiprocessing', 'importlib.metadata') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

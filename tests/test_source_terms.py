@@ -286,7 +286,7 @@ class TestFolded:
         s = folded(s, 10, 3, depth)
         _, folded_y = rw.evaluate_source_terms(s)
         assert folded_y
-        # g1 freezes y, so every iterate of the substep stays folded
+        # g1 freezes y, so the state the substep ends at is folded
         _, report = midpoint_substep(s, 0.01, "g1", rw.StepperConfig(dt=0.01))
         assert report.folded
         cfg = rw.StepperConfig(dt=0.01, scheme="explicit_euler")
