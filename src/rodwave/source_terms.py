@@ -186,12 +186,14 @@ def source_terms_fast(state: LagrangianState) -> SourceTerms:
 
 
 def is_folded(y: np.ndarray) -> bool:
-    """Whether two particles have crossed (j < i with y_j > y_i)."""
+    """Whether two particles have crossed (j < i with y_j > y_i): the state
+    is outside the positivity regime, and the signed kernel weighs such a
+    pair with exp(+d)."""
     return bool((y[1:] < y[:-1]).any())
 
 
-def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
-    """The source terms, and whether the particle map y is folded.
+def evaluate_source_terms(state: LagrangianState) -> SourceTerms:
+    """The source terms P and Q of ``state``.
 
     This is the entry for states whose y moves between evaluations: Euler,
     Dormand-Prince and the g2 midpoint iterates.  g2 enters here on purpose,
@@ -199,10 +201,7 @@ def evaluate_source_terms(state: LagrangianState) -> tuple[SourceTerms, bool]:
     call is served by ``source_terms_fast``, factor step and sum step
     together, looked up on this module, so a wrapper installed there sees
     every evaluation whose y moved.  The g1 substep freezes y and calls the
-    two steps itself.  The flag marks states
-    outside the positivity regime, where two particles have crossed
-    (j < i with y_j > y_i) and the signed kernel weighs them with exp(+d).
-    ``state.y`` is cached on the state, so the flag and the kernel share
-    one computation of y.
+    two steps itself.  Whether y is folded is ``is_folded``'s to say, on
+    the states a step accepts.
     """
-    return source_terms_fast(state), is_folded(state.y)
+    return source_terms_fast(state)

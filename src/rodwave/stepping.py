@@ -85,8 +85,7 @@ class StepReport:
     step accepted: the end state of a fixed step, every accepted internal
     state of an adaptive segment.  ``folded`` is True when the particle map
     y of one of those states is folded (``is_folded``); the iterates that
-    led to them do not count.  A midpoint substep's report flags the state
-    it ends at.
+    led to them do not count, and a bare midpoint substep leaves it False.
     """
 
     fp_iterations: tuple[int, ...] = ()
@@ -162,8 +161,7 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
 
 def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
     """g2 freezes v and w, so q is built once.  y moves with zeta: each
-    iterate evaluates P and Q on a midpoint state of its own, through
-    ``evaluate_source_terms``, whose fold flag it leaves unread.
+    iterate evaluates P and Q on a midpoint state of its own.
 
     U's rate, -Q, reads the kernel terms only; the rates of zeta, H and h
     then read U at U's updated midpoint, U0 + dt/2 * U_t.  So every iterate,
@@ -178,7 +176,7 @@ def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
 
     def field(mid):
         xm = np.concatenate((mid[:3], v_w, mid[3:]))
-        (P, Q), _ = evaluate_source_terms(state.with_x(xm))
+        P, Q = evaluate_source_terms(state.with_x(xm))
         # U_t = -Q; then zeta_t = g U_mid, H_t = U_mid^3 - 2 P U_mid and
         # h_t = -2 Q U_mid q, each rounded as ``vector_field_g2`` rounds it
         np.negative(Q, out=U_t)
@@ -243,10 +241,7 @@ def midpoint_substep(
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0
     x[rows] = z
-    out = state.with_x(x)
-    return out, StepReport(
-        fp_iterations=(m,), final_residual=residual, folded=is_folded(out.y),
-    )
+    return state.with_x(x), StepReport(fp_iterations=(m,), final_residual=residual)
 
 
 # A splitting scheme is a plan: which sub-flow, for which fraction of dt.
@@ -294,7 +289,7 @@ def step_explicit_euler(
 ) -> tuple[LagrangianState, StepReport]:
     """Forward Euler; does not conserve the invariants (contrast scheme)."""
     dt = cfg.dt if dt is None else dt
-    terms, _ = evaluate_source_terms(state)
+    terms = evaluate_source_terms(state)
     new = state.with_x(state.x + dt * vector_field_full(state, terms))
     return _ended(new, StepReport())
 
@@ -335,7 +330,7 @@ def step_adaptive_rk(
 
     def rhs(vec: np.ndarray) -> np.ndarray:
         s = state.with_x(vec.reshape(shape))
-        terms, _ = evaluate_source_terms(s)
+        terms = evaluate_source_terms(s)
         return vector_field_full(s, terms).ravel()
 
     y = state.x.ravel()

@@ -106,7 +106,7 @@ def midpoint_substep_on_states(state, dt, which, cfg):
     residual = math.inf
     for m in range(1, cfg.fp_max_iter + 1):
         mid = state.with_x(0.5 * (y + z.x))
-        terms, _ = evaluate_source_terms(mid)
+        terms = evaluate_source_terms(mid)
         first = field_fn(mid, terms)[k]
         xm = mid.x.copy()
         xm[k] = y[k] + 0.5 * dt * first

@@ -135,6 +135,12 @@ class TestGraphWriter:
     """``run_experiment`` writes its graphs on a lane: in a forked writer
     process, or on one CPU in the caller."""
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # a forked writer unless a test says otherwise: on one CPU, the
+        # writer that dies would end the test process itself
+        set_cpus(monkeypatch, {0, 1})
+
     def failing_evolve(self, monkeypatch, at_step):
         """Make ``run_experiment``'s evolve raise FixedPointDiverged at step
         ``at_step``, after writing the graphs of the steps before it."""

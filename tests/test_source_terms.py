@@ -172,16 +172,15 @@ class TestFast:
         zeta[13] = -0.3  # y decreases entering array position 13
         bad = s.replace(zeta=zeta)
         with caplog.at_level(logging.DEBUG, logger="rodwave"):
-            terms, folded_y = rw.evaluate_source_terms(bad)
-        assert folded_y
+            terms = rw.evaluate_source_terms(bad)
+        assert source_terms.is_folded(bad.y)
         assert caplog.records == []
         assert_close_at_scale(terms, rw.source_terms_direct(bad))
 
     def test_monotone_state_does_not_fall_back(self):
         rng = np.random.default_rng(2)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
-        _, folded_y = rw.evaluate_source_terms(s)
-        assert not folded_y
+        assert not source_terms.is_folded(s.y)
 
     def test_wide_position_span_does_not_overflow(self):
         # y spans ~2000 kernel lengths: a single rescaled sum would need
@@ -251,8 +250,8 @@ class TestFolded:
                 start = int(rng.integers(1, grid.n_cells - 1))
                 width = int(rng.integers(1, min(8, grid.n_cells - start) + 1))
                 s = folded(s, start, width, rng.uniform(0.001, 0.3))
-            terms, folded_y = rw.evaluate_source_terms(s)
-            assert folded_y
+            terms = rw.evaluate_source_terms(s)
+            assert source_terms.is_folded(s.y)
             assert_close_at_scale(terms, direct(s))
         assert served_by_direct == []
 
@@ -261,8 +260,8 @@ class TestFolded:
         rng = np.random.default_rng(8)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.0)
         s = folded(s, 30, 6, depth)
-        terms, folded_y = rw.evaluate_source_terms(s)
-        assert folded_y
+        terms = rw.evaluate_source_terms(s)
+        assert source_terms.is_folded(s.y)
         assert_close_at_scale(terms, rw.source_terms_direct(s))
 
     def test_wide_shallow_fold_matches_direct(self, monkeypatch):
@@ -275,8 +274,8 @@ class TestFolded:
         y[16:] -= y[16] - y[15] + 0.9
         s = with_y(s, y)
         assert (np.maximum.accumulate(y) - y).max() < 1.0
-        terms, folded_y = rw.evaluate_source_terms(s)
-        assert folded_y
+        terms = rw.evaluate_source_terms(s)
+        assert source_terms.is_folded(s.y)
         assert_close_at_scale(terms, direct(s))
 
     @pytest.mark.parametrize("depth", [0.05, 3.0])
@@ -284,11 +283,10 @@ class TestFolded:
         rng = np.random.default_rng(12)
         s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
         s = folded(s, 10, 3, depth)
-        _, folded_y = rw.evaluate_source_terms(s)
-        assert folded_y
+        assert source_terms.is_folded(s.y)
         # g1 freezes y, so the state the substep ends at is folded
-        _, report = midpoint_substep(s, 0.01, "g1", rw.StepperConfig(dt=0.01))
-        assert report.folded
+        out, _ = midpoint_substep(s, 0.01, "g1", rw.StepperConfig(dt=0.01))
+        assert source_terms.is_folded(out.y)
         cfg = rw.StepperConfig(dt=0.01, scheme="explicit_euler")
         _, reports = rw.evolve(s, 0.01, cfg)
         assert reports[0].folded
