@@ -1,5 +1,7 @@
 """Exception and warning types shared across the solver."""
 
+import math
+
 
 class RodwaveError(Exception):
     """Base class for all solver errors."""
@@ -10,24 +12,35 @@ class GridMismatch(RodwaveError):
 
 
 class FixedPointDiverged(RodwaveError):
-    """The implicit-midpoint fixed-point iteration failed to contract.
+    """The implicit-midpoint fixed-point iteration did not converge.
 
-    Usually means the time step is too large for the current state magnitude;
-    the caller may halve the step or abort.
+    Carries the residual of the first iterate and of the last, so that the
+    message can say whether the iteration grew (the last is not finite, or
+    above the first) or was still contracting when it was given up.  The
+    first usually means the time step is too large for the current state
+    magnitude, the second too few iterations; the caller may halve the step
+    or abort.
     """
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, residual: float, first_residual: float):
         self.iterations = iterations
         self.residual = residual
+        self.first_residual = first_residual
+        trend = "grew" if self.grew else "was still contracting"
         super().__init__(
-            f"fixed point not converged after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"fixed point not converged after {iterations} iterations: the "
+            f"residual {trend}, from {first_residual:.3e} at the first to "
+            f"{residual:.3e} at the last"
         )
+
+    @property
+    def grew(self) -> bool:
+        return not math.isfinite(self.residual) or self.residual > self.first_residual
 
     def __reduce__(self):
         # pickle rebuilds an exception from self.args, the message alone,
         # which __init__ does not take
-        return type(self), (self.iterations, self.residual)
+        return type(self), (self.iterations, self.residual, self.first_residual)
 
 
 class StepSizeUnderflow(RodwaveError):

@@ -218,18 +218,6 @@ _ROW_TERMS = (
 )
 
 
-def rows_norm(d, rows, dxi: float) -> float:
-    """The norm of a difference of two states whose rows ``rows`` of ROWS
-    (increasing) are d[0], d[1], ... and whose other rows and boundary
-    constants are zero.  Zero rows add exact zeros to the sum, so the moving
-    rows of an iteration give the number the whole difference gives."""
-    total = 0.0     # left to right, as a + b + ... adds; sum() may compensate
-    for k, x in zip(rows, d):
-        for term in _ROW_TERMS[k]:
-            total += term(x, dxi)
-    return total
-
-
 def distance_f(a: LagrangianState, b: LagrangianState) -> float:
     """Norm of the difference of two states on the same grid."""
     if a.grid != b.grid:
@@ -239,4 +227,8 @@ def distance_f(a: LagrangianState, b: LagrangianState) -> float:
     # is 0 left of it and H_plus right of it: their sups take those in
     d[0] = np.append(d[0], (a.zeta_minus - b.zeta_minus, a.zeta_plus - b.zeta_plus))
     d[2] = np.append(d[2], a.H_plus - b.H_plus)
-    return rows_norm(d, range(len(ROWS)), a.grid.dxi)
+    total = 0.0     # left to right, as a + b + ... adds; sum() may compensate
+    for x, terms in zip(d, _ROW_TERMS):
+        for term in terms:
+            total += term(x, a.grid.dxi)
+    return total

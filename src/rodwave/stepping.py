@@ -7,25 +7,26 @@ The workhorse schemes compose implicit-midpoint solves of the two sub-flows:
 
 The midpoint rule satisfies b_i a_ij + b_j a_ji = b_i b_j, so each substep
 conserves the per-cell quadratic invariants exactly; P and Q are recomputed
-at every midpoint iterate (no lagging), which the conservation argument
-requires.  One fixed-point loop serves both sub-flows.  It iterates on the
-rows the sub-flow moves (g1: v, w, h; g2: zeta, U, H, h) and takes as its
-residual the norm of ``distance_f`` over those rows, to which the frozen
-rows add exact zeros.  Terms built from frozen rows alone are built once
-per substep; under g1 that includes the kernel's y-dependent factors, since
-g1 freezes zeta and so y is the same bit for bit.
+at every midpoint iterate (no lagging).  One fixed-point loop serves both
+sub-flows.  It iterates on the rows the sub-flow moves (g1: v, w, h; g2:
+zeta, U, H, h).  Terms built from frozen rows alone are built once per
+substep; under g1 that includes the kernel's y-dependent factors, since g1
+freezes zeta and so y is the same bit for bit.
 
-The iteration is Gauss-Seidel ordered.  Each iterate evaluates the kernel
-terms once, at the midpoint iterate, and takes first the rate of the one
-moving row that reads only those terms and the midpoint (w under g1, U
-under g2).  The other moving rows read that row at its updated midpoint,
-x0 + dt/2 * rate, not at the previous iterate's.  The fixed point is the
-midpoint rule's, and on the bundled experiments it takes 17-34% fewer
-iterations to reach than the Jacobi ordering, in which every rate reads
-the previous midpoint (Hairer, Lubich & Wanner, Geometric Numerical
-Integration, VIII.6).  Under g2 every iterate, converged or not, conserves
-each I_i to roundoff.  An explicit Euler step and an embedded
-Dormand-Prince 4(5) pair are provided as non-conservative comparators.
+Each iterate evaluates the kernel terms once, at the midpoint iterate, and
+takes first the rate of one moving row: w under g1, which for the
+iterate's P solves the midpoint system, linear in each cell, in closed
+form; U under g2, whose rate is -Q.  The other moving rows read that row
+at its updated midpoint, x0 + dt/2 * rate, not at the previous iterate's
+(a Gauss-Seidel ordering; Hairer, Lubich & Wanner, Geometric Numerical
+Integration, VIII.6).  The fixed point is the midpoint rule's.  So every
+iterate of either sub-flow, converged or not, conserves each I_i to
+roundoff, and the tolerance ``fp_tol`` bounds accuracy alone: the loop
+stops when the change between successive iterates, relative to each
+moving row's size, is at most ``fp_tol``.  That rule is scale-free, as the
+equation is under u -> c u, t -> t/c.  An explicit Euler step and an
+embedded Dormand-Prince 4(5) pair are provided as non-conservative
+comparators.
 
 The two splitting schemes are plans, tuples of (sub-flow, fraction of dt),
 stepped by one function.
@@ -51,9 +52,10 @@ from .errors import FixedPointDiverged, StepSizeUnderflow
 from .source_terms import (
     evaluate_source_terms, integrand_u, is_folded, kernel_factors, kernel_sums,
 )
-# distance_f is no longer called here (the midpoint residual is rows_norm),
-# but perfbench's tracer reports calls to it by this module's name.
-from .state import LagrangianState, distance_f, rows_norm  # noqa: F401
+# distance_f is no longer called here (the midpoint residual is the
+# relative change of _relative_change), but perfbench's tracer reports
+# calls to it by this module's name.
+from .state import LagrangianState, distance_f  # noqa: F401
 
 SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
@@ -62,7 +64,7 @@ SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 class StepperConfig:
     dt: float
     scheme: str = "strang"
-    fp_tol: float = 1e-12          # bound on rows_norm of successive iterates
+    fp_tol: float = 1e-8           # bound on the relative change of successive iterates
     fp_max_iter: int = 50
     rk_rel_tol: float = 1e-6
     rk_abs_tol: float = 1e-9
@@ -81,11 +83,14 @@ class StepperConfig:
 class StepReport:
     """Bookkeeping for one step (or one adaptive segment).
 
-    ``min_q`` and ``min_h`` are the minima of q and h over the states the
-    step accepted: the end state of a fixed step, every accepted internal
-    state of an adaptive segment.  ``folded`` is True when the particle map
-    y of one of those states is folded (``is_folded``); the iterates that
-    led to them do not count, and a bare midpoint substep leaves it False.
+    ``final_residual`` is the largest, over the step's midpoint substeps,
+    of the last iterate's change relative to the size of each moving row
+    (see ``midpoint_substep``); 0 for the explicit schemes.  ``min_q`` and
+    ``min_h`` are the minima of q and h over the states the step accepted:
+    the end state of a fixed step, every accepted internal state of an
+    adaptive segment.  ``folded`` is True when the particle map y of one of
+    those states is folded (``is_folded``); the iterates that led to them
+    do not count, and a bare midpoint substep leaves it False.
     """
 
     fp_iterations: tuple[int, ...] = ()
@@ -122,9 +127,14 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     0.5*(x + x) == x exactly, so y, the kernel's factors and the U-only
     terms are the same at every iterate and are built once.
 
-    An iterate takes P at the midpoint and w's rate from it, which reads
-    q, h and P only; v's and h's rates then read w at w's updated midpoint,
-    w0 + dt/2 * w_t.
+    An iterate takes P at the midpoint.  For that P the midpoint system is
+    linear in each cell and is solved in closed form: with A = w_u - P and
+    B = h_u - 2 P, w's rate is w_t = (c0 + c1 w0) / (1 - dt/2 c1), where
+    c0 = g/2 h0 + A q0 and c1 = dt g/2 (B/2 + A); v's and h's rates then
+    read w at w's updated midpoint, w0 + dt/2 * w_t.  The U-only and
+    start-row parts are built once, as w_t = (n_u - P m_u) / (d_u + e P).
+    So every iterate, converged or not, conserves each I_i: a quadratic
+    invariant of the linear system, which the midpoint rule keeps.
     """
     g, dxi = state.params.gamma, state.grid.dxi
     U = state.U
@@ -133,21 +143,29 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     a_u = integrand_u(g, U)
     w_u = 0.5 * (3.0 - 2.0 * g) * U2
     h_u = 3.0 * U2
-    half_g, half_dt, w0 = 0.5 * g, 0.5 * dt, y0[1]
+    v0, w0, h0 = y0
+    q0 = 1.0 + v0
+    half_g, half_dt, g_dt = 0.5 * g, 0.5 * dt, g * dt
+    # c1 = s_u - g dt P, with s_u = dt g/2 (h_u/2 + w_u)
+    s_u = (half_dt * g) * (0.5 * h_u + w_u)
+    n_u = half_g * h0 + w_u * q0 + s_u * w0
+    m_u = q0 + g_dt * w0
+    d_u = 1.0 - half_dt * s_u
+    e = half_dt * g_dt
     out = np.empty((len(G1_ROWS), state.n_cells))
     v_t, w_t, h_t = out
     w_mid = np.empty(state.n_cells)
 
     def field(mid):
         v, _, h = mid
-        q = 1.0 + v
-        gh = half_g * h
-        P = kernel_sums(factors, a_u * q + gh, dxi).P
-        # w_t = gh + (w_u - P) q; then v_t = g w_mid and h_t = (h_u - 2 P)
-        # w_mid, each rounded as ``vector_field_g1`` rounds it
-        np.subtract(w_u, P, out=w_t)
-        np.multiply(w_t, q, out=w_t)
-        np.add(w_t, gh, out=w_t)
+        P = kernel_sums(factors, a_u * (1.0 + v) + half_g * h, dxi).P
+        # w_t = (n_u - P m_u) / (d_u + e P); then v_t = g w_mid and
+        # h_t = (h_u - 2 P) w_mid
+        np.multiply(P, m_u, out=w_t)
+        np.subtract(n_u, w_t, out=w_t)
+        np.multiply(P, e, out=w_mid)
+        np.add(w_mid, d_u, out=w_mid)
+        np.divide(w_t, w_mid, out=w_t)
         np.multiply(w_t, half_dt, out=w_mid)
         np.add(w_mid, w0, out=w_mid)
         np.multiply(g, w_mid, out=v_t)
@@ -199,10 +217,28 @@ def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
 # Each sub-flow: the rows it moves, and a function of the substep's state,
 # its start rows and dt that builds the frozen terms once and returns the
 # field.  The field maps the midpoint of the moving rows to their rates,
-# which are Gauss-Seidel ordered: the one row whose rate reads only the
-# midpoint's own rows and kernel terms (w under g1, U under g2) comes
-# first, and the other rows read it at its updated midpoint.
+# which are Gauss-Seidel ordered: one row's rate comes first from the
+# kernel terms (w under g1, U under g2), and the other rows read it at its
+# updated midpoint.
 _SUB_FLOWS = {"g1": (G1_ROWS, _g1), "g2": (G2_ROWS, _g2)}
+
+
+def _relative_change(z_next: np.ndarray, z: np.ndarray, y0_size: list) -> float:
+    """The largest over the rows of |z_next - z|_inf / max(|y0|_inf,
+    |z_next|_inf), given the rows' |y0|_inf; nan or inf when an iterate
+    is not finite."""
+    moved = np.abs(z_next - z).max(axis=1).tolist()
+    sizes = np.abs(z_next).max(axis=1).tolist()
+    worst = 0.0
+    for m, s0, s in zip(moved, y0_size, sizes):
+        size = s0 if s0 > s else s      # nan when z_next is
+        # a row of size 0 ends at zero: unmoved, it has converged; moved,
+        # it changed by all of its previous iterate
+        change = m / size if size else float(m != 0.0)
+        if math.isnan(change):
+            return change
+        worst = max(worst, change)
+    return worst
 
 
 def midpoint_substep(
@@ -210,18 +246,23 @@ def midpoint_substep(
 ) -> tuple[LagrangianState, StepReport]:
     """Solve Z = Y + dt*G_k((Z+Y)/2) by fixed-point iteration from Z=Y.
 
-    The iteration runs on the rows the sub-flow moves; its residual is the
-    norm of the difference of successive iterates, which the frozen rows
-    would only add exact zeros to (``rows_norm``).  The field is given the
+    The iteration runs on the rows the sub-flow moves.  Its residual is the
+    change between successive iterates relative to each row's size, the
+    largest over those rows (``_relative_change``); it stops once that is
+    at most cfg.fp_tol.  Every iterate conserves each I_i, so the bound is
+    one of accuracy alone.  The rule is scale-free: a state scaled by
+    u -> c u, run at dt/c with c a power of two, takes the same decisions
+    and ends at the scaled result bit for bit.  The field is given the
     start rows Y and dt, so that within one iterate the rows after the
-    first read the first row's updated midpoint (Gauss-Seidel; see
-    ``_SUB_FLOWS``).  The substep's state is built at the end; g2 also
-    builds one midpoint state per iterate, for its kernel evaluation.
-    Raises FixedPointDiverged when |dt| is too large for the contraction to
-    hold; overflow on the way there raises no warning.
+    first read the first row's updated midpoint (see ``_SUB_FLOWS``).  The
+    substep's state is built at the end; g2 also builds one midpoint state
+    per iterate, for its kernel evaluation.  Raises FixedPointDiverged when
+    no iterate within cfg.fp_max_iter converges, or at once when one is
+    not finite; overflow on the way there raises no warning.
     """
     rows, make_field = _SUB_FLOWS[which]
     z = y0 = state.x[rows]
+    y0_size = np.abs(y0).max(axis=1).tolist()
     # a diverging iterate overflows, and 1/exp(y - r) in the kernel's
     # factors divides by an underflowed zero: FixedPointDiverged says so
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -229,14 +270,16 @@ def midpoint_substep(
         for m in range(1, cfg.fp_max_iter + 1):
             rates = field(0.5 * (y0 + z))
             z_next = y0 + dt * rates
-            residual = rows_norm(z_next - z, rows, state.grid.dxi)
+            residual = _relative_change(z_next, z, y0_size)
             z = z_next
+            if m == 1:
+                first = residual
             if residual <= cfg.fp_tol:
                 break
             if not math.isfinite(residual):
-                raise FixedPointDiverged(m, residual)
+                raise FixedPointDiverged(m, residual, first)
         else:
-            raise FixedPointDiverged(cfg.fp_max_iter, residual)
+            raise FixedPointDiverged(cfg.fp_max_iter, residual, first)
     # the frozen rows take the update by dt * 0, as in a whole-state step,
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0

@@ -149,7 +149,7 @@ class TestGraphWriter:
         def step(state, cfg, dt):
             calls.append(dt)
             if len(calls) == at_step:
-                raise FixedPointDiverged(50, 1.0)
+                raise FixedPointDiverged(50, 1.0, 2.0)
             return stepping.step_strang(state, cfg, dt)
 
         monkeypatch.setattr(experiments, "evolve", functools.partial(stepping.evolve, _step=step))
@@ -316,7 +316,7 @@ class TestJobLanes:
         def evolve(state, t_final, cfg, *args, **kwargs):
             if cfg.scheme == "strang":  # job 3 of compare's list: the child's
                 (tmp_path / "diverged").write_text(str(os.getpid()))
-                raise FixedPointDiverged(50, 1.0)
+                raise FixedPointDiverged(50, 1.0, 2.0)
             return stepping.evolve(state, t_final, cfg, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "evolve", evolve)
