@@ -128,7 +128,7 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     terms are the same at every iterate and are built once.
 
     An iterate takes P at the midpoint.  For that P the midpoint system is
-    linear in each cell and is solved in closed form: with A = w_u - P and
+    linear in each cell and is solved in closed form: with A = a_u - P and
     B = h_u - 2 P, w's rate is w_t = (c0 + c1 w0) / (1 - dt/2 c1), where
     c0 = g/2 h0 + A q0 and c1 = dt g/2 (B/2 + A); v's and h's rates then
     read w at w's updated midpoint, w0 + dt/2 * w_t.  The U-only and
@@ -139,16 +139,14 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     g, dxi = state.params.gamma, state.grid.dxi
     U = state.U
     factors = kernel_factors(state.y)
-    U2 = U * U
-    a_u = integrand_u(g, U)
-    w_u = 0.5 * (3.0 - 2.0 * g) * U2
-    h_u = 3.0 * U2
+    a_u = integrand_u(g, U)          # (3 - 2g)/2 U^2, in P's integrand and in A
+    h_u = 3.0 * U * U
     v0, w0, h0 = y0
     q0 = 1.0 + v0
     half_g, half_dt, g_dt = 0.5 * g, 0.5 * dt, g * dt
-    # c1 = s_u - g dt P, with s_u = dt g/2 (h_u/2 + w_u)
-    s_u = (half_dt * g) * (0.5 * h_u + w_u)
-    n_u = half_g * h0 + w_u * q0 + s_u * w0
+    # c1 = s_u - g dt P, with s_u = dt g/2 (h_u/2 + a_u)
+    s_u = (half_dt * g) * (0.5 * h_u + a_u)
+    n_u = half_g * h0 + a_u * q0 + s_u * w0
     m_u = q0 + g_dt * w0
     d_u = 1.0 - half_dt * s_u
     e = half_dt * g_dt

@@ -9,7 +9,7 @@ import numpy as np
 from rodwave import GridSpec, LagrangianState, Parameters, invariants
 from rodwave.dynamics import vector_field_g2
 from rodwave.errors import FixedPointDiverged
-from rodwave.source_terms import evaluate_source_terms
+from rodwave.source_terms import evaluate_source_terms, integrand_u
 from rodwave.stepping import StepReport
 
 
@@ -90,11 +90,10 @@ def _g1_rates(state, mid, dt):
     w0 + dt/2 * w_t.  Each term is rounded as ``stepping._g1`` rounds it."""
     g, U, q0, w0, h0 = state.params.gamma, state.U, state.q, state.w, state.h
     P = evaluate_source_terms(mid).P
-    U2 = U * U
-    w_u = 0.5 * (3.0 - 2.0 * g) * U2
-    h_u = 3.0 * U2
-    s_u = (0.5 * dt * g) * (0.5 * h_u + w_u)
-    numerator = 0.5 * g * h0 + w_u * q0 + s_u * w0 - P * (q0 + g * dt * w0)
+    a_u = integrand_u(g, U)
+    h_u = 3.0 * U * U
+    s_u = (0.5 * dt * g) * (0.5 * h_u + a_u)
+    numerator = 0.5 * g * h0 + a_u * q0 + s_u * w0 - P * (q0 + g * dt * w0)
     w_t = numerator / ((1.0 - 0.5 * dt * s_u) + P * (0.5 * dt * (g * dt)))
     w_mid = w0 + 0.5 * dt * w_t
     rates = np.zeros(state.x.shape)
