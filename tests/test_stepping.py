@@ -90,7 +90,8 @@ class TestMidpointSubstep:
     @pytest.mark.parametrize("which", ["g1", "g2"])
     @pytest.mark.parametrize("dt", [5.0, 1e3])
     def test_diverges_for_huge_dt(self, which, dt):
-        # the iterates overflow; FixedPointDiverged is the only report of it
+        # g2's iterates overflow and g1's do not settle in fp_max_iter;
+        # FixedPointDiverged is the only report of either
         s = build_initial_state(resolve_config("peakon_c1"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
