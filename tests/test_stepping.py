@@ -382,7 +382,7 @@ class TestStoppingRule:
 
     @pytest.mark.parametrize("name", ["peakon_c1", "cuspon_gamma5"])
     def test_a_loose_tolerance_still_conserves(self, name):
-        # measured drift <= 5.7e-14
+        # measured drift <= 1.7e-13; an absolute 1e-4 drifts 1.2e-3 on peakon_c1
         cfg = resolve_config(name)
         s = build_initial_state(cfg)
         I0 = rw.invariants(s)
