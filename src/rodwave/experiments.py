@@ -9,13 +9,17 @@ reproduce it.
 The drivers run part of their work on one lane (``_Lane``): a child forked
 when the lane opens, which handles the items sent down its pipe in order
 while the caller goes on, and which is joined before anything that names
-its results is written.  ``run_experiment`` sends it the graph snapshots;
-``compare_experiment`` and ``converge_experiment`` the evolves at odd
-places of their list of independent jobs (``_run_jobs``), while the caller
-runs those at even places.  On one CPU (``os.sched_getaffinity``) nothing
-is forked, and the caller handles each item as it sends it.  An item that
-raises does not stop the lane; after the join, the first error in list
-order is raised, unless the caller raised first.  So a run directory with
+its results is written.  ``run_experiment`` sends it the graph snapshots,
+at most two not yet written at a time (the lane's ``depth``): while two
+wait, the time loop writes the next snapshot itself rather than wait for
+the child.  ``compare_experiment`` and ``converge_experiment`` send it the
+evolves at odd places of their list of independent jobs (``_run_jobs``),
+while the caller runs those at even places; that split is fixed, so the
+same process runs the same jobs on every call.  On one CPU
+(``os.sched_getaffinity``) nothing is forked, and the caller handles each
+item as it sends it.  An item that raises does not stop the lane; after
+the join, the first error in send order is raised, unless the caller
+raised first.  So a run directory with
 a manifest holds every graph it names, complete.  ``_Lane.__enter__`` is
 the package's only fork site: fork is POSIX only, a caller with threads of
 its own should know that the lane is a fork of it, and a Python (3.12 on)
@@ -25,6 +29,7 @@ that warns of forking a process with threads would warn there.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -384,29 +389,40 @@ def _raise_first(results: list) -> list:
 
 def _serve(handle, conn, parent_conn) -> None:
     """A lane's child: ``_attempt(handle, item)`` on each item from ``conn``
-    until None, then send back the results and the seconds in ``handle``."""
+    until None, acknowledging each with an empty message once it is done,
+    then send back the results and the seconds in ``handle``."""
     parent_conn.close()  # else the parent's death would not end conn.recv()
     results, busy = [], 0.0
     while (item := conn.recv()) is not None:
         start = time.perf_counter()
         results.append(_attempt(handle, item))
         busy += time.perf_counter() - start
+        conn.send_bytes(b"")
     conn.send((results, busy))
+
+
+_SENT = object()  # stands in ``_Lane.results`` for an item the child was sent
 
 
 class _Lane:
     """A child forked when the ``with`` block starts (on one CPU, none) that
     calls ``handle`` on each item ``send`` passes it, in order, while the
-    caller goes on.  The pipe's buffer bounds what waits: once it is full,
+    caller goes on.  ``depth`` bounds what waits: while ``depth`` items sent
+    to the child are not yet done, ``send`` calls ``handle`` on the item in
+    the caller instead, as it does every item once the child has died.
+    With no ``depth``, the pipe's buffer bounds what waits: once it is full,
     ``send`` waits for the child.  Leaving the block joins the child, also
-    when the block raised, and sets ``results``, one per item, each a value
-    or the exception ``handle`` raised.  A child that exits without
-    replying gives each item it was sent a ``RodwaveError`` naming ``what``
-    and its exit code.  ``busy_s`` is the time spent in ``handle``, and
-    ``wait_s`` the caller's time blocked in ``send`` and in the join."""
+    when the block raised, and sets ``results``, one per item in send
+    order, each a value or the exception ``handle`` raised.  A child that
+    exits without replying gives each item it was sent a ``RodwaveError``
+    naming ``what`` and its exit code.  ``busy_s`` is the time spent in
+    ``handle`` by either process, and ``wait_s`` the caller's time in
+    ``send``, its own calls of ``handle`` included, and in the join."""
 
-    def __init__(self, handle, what: str):
-        self._handle, self._what, self._child, self._sent = handle, what, None, 0
+    def __init__(self, handle, what: str, depth: int | None = None):
+        self._handle, self._what, self._depth = handle, what, depth
+        self._child = self._conn = None
+        self._pending = 0  # items sent to the child and not yet acknowledged
         self.results, self.busy_s, self.wait_s = [], 0.0, 0.0
 
     def __enter__(self) -> "_Lane":
@@ -425,11 +441,20 @@ class _Lane:
 
     def send(self, item) -> None:
         start = time.perf_counter()
-        if self._child is None:  # one CPU: the caller handles the item
+        if self._conn is not None and not self._conn.closed:
+            try:
+                while self._pending and self._conn.poll():
+                    self._conn.recv_bytes()
+                    self._pending -= 1
+            except (OSError, EOFError):  # the child is gone, and the join says how
+                self._conn.close()
+        if self._conn is None or self._conn.closed or self._pending == self._depth:
+            handled = time.perf_counter()
             self.results.append(_attempt(self._handle, item))
-            self.busy_s += time.perf_counter() - start
+            self.busy_s += time.perf_counter() - handled
         else:
-            self._sent += 1
+            self.results.append(_SENT)
+            self._pending += 1
             try:
                 self._conn.send(item)
             except OSError:  # the child is gone: send nothing more, and the join says how
@@ -443,6 +468,8 @@ class _Lane:
         reply = None
         try:
             self._conn.send(None)
+            for _ in range(self._pending):
+                self._conn.recv_bytes()
             reply = self._conn.recv()
         except (OSError, EOFError):  # the child is gone, and its exit code says how
             pass
@@ -452,8 +479,11 @@ class _Lane:
             self.wait_s += time.perf_counter() - start
         if reply is None:
             error = RodwaveError(f"{self._what} exited with code {self._child.exitcode}")
-            reply = [error] * self._sent, 0.0
-        self.results, self.busy_s = reply
+            reply = itertools.repeat(error), 0.0
+        theirs, busy = reply
+        theirs = iter(theirs)
+        self.results = [next(theirs) if result is _SENT else result for result in self.results]
+        self.busy_s += busy
 
 
 def _run_jobs(jobs: list) -> list:
@@ -522,12 +552,16 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     """Run one experiment, writing graph snapshots, diagnostics and a
     manifest into ``run_dir``, which is returned.
 
-    The snapshots are written by the graph writer, a ``_Lane`` (see the
-    module docstring), while the time loop goes on.  It tries every one,
-    and is joined before the rest is written, also when the run fails:
-    every snapshot taken before a failure is complete.  A snapshot that
-    could not be written fails the run, with no manifest.  The manifest's
-    ``timings`` give the writer's busy time and the run's time waiting on it."""
+    The snapshots are written by the graph writer, a ``_Lane`` of depth 2
+    (see the module docstring), while the time loop goes on; the loop
+    writes a snapshot itself when two sent ones are not yet written.  Every
+    snapshot is tried, and the writer is joined before the rest is
+    written, also when the run fails: every snapshot taken before a failure
+    is complete.  A snapshot that could not be written fails the run, with
+    no manifest.  The manifest's ``timings`` give ``graph_writer_busy_s``,
+    the seconds spent writing graphs in either process, and
+    ``graph_writer_wait_s``, the time loop's time in ``send``, its own
+    writes included, plus the join."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -535,7 +569,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     recorder = DiagnosticsRecorder()
     snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
-    with _Lane(lambda item: _write_graph(*item), "the graph writer") as writer:
+    with _Lane(lambda item: _write_graph(*item), "the graph writer", depth=2) as writer:
         def snapshot(step, t, state, report):
             fname = f"graph_{len(snapshots):04d}.csv"
             writer.send((run_dir / fname, state.grid, _graph_columns(state)))

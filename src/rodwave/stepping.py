@@ -271,13 +271,14 @@ def midpoint_substep(
             residual = _relative_change(z_next, z, y0_size)
             z = z_next
             if m == 1:
-                first = residual
+                first = smallest = residual
+            smallest = min(smallest, residual)
             if residual <= cfg.fp_tol:
                 break
             if not math.isfinite(residual):
-                raise FixedPointDiverged(m, residual, first)
+                raise FixedPointDiverged(m, residual, first, smallest)
         else:
-            raise FixedPointDiverged(cfg.fp_max_iter, residual, first)
+            raise FixedPointDiverged(cfg.fp_max_iter, residual, first, smallest)
     # the frozen rows take the update by dt * 0, as in a whole-state step,
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0

@@ -144,9 +144,10 @@ def midpoint_substep_on_states(state, dt, which, cfg):
         residual = relative_change(z_next, z, state)
         z = z_next
         if m == 1:
-            first = residual
+            first = smallest = residual
+        smallest = min(smallest, residual)
         if residual <= cfg.fp_tol:
             return z, StepReport(fp_iterations=(m,), final_residual=residual)
         if not math.isfinite(residual):
-            raise FixedPointDiverged(m, residual, first)
-    raise FixedPointDiverged(cfg.fp_max_iter, residual, first)
+            raise FixedPointDiverged(m, residual, first, smallest)
+    raise FixedPointDiverged(cfg.fp_max_iter, residual, first, smallest)

@@ -6,7 +6,7 @@ import pytest
 from rodwave import errors
 
 # constructor arguments of the classes whose __init__ takes more than a message
-ARGS = {errors.FixedPointDiverged: (50, 1.0, 2.0)}
+ARGS = {errors.FixedPointDiverged: (50, 1.0, 2.0, 0.5)}
 
 RODWAVE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                   if issubclass(cls, errors.RodwaveError)]

@@ -149,12 +149,15 @@ class TestGraphWriter:
         def step(state, cfg, dt):
             calls.append(dt)
             if len(calls) == at_step:
-                raise FixedPointDiverged(50, 1.0, 2.0)
+                raise FixedPointDiverged(50, 1.0, 2.0, 1.0)
             return stepping.step_strang(state, cfg, dt)
 
         monkeypatch.setattr(experiments, "evolve", functools.partial(stepping.evolve, _step=step))
 
-    def test_graphs_equal_write_graph_csv_of_the_observed_states(self, tmp_path, monkeypatch):
+    def observed_run(self, tmp_path, monkeypatch, graphs, **changes):
+        """Run TINY with ``changes`` into ``tmp_path / "run"``, and check
+        that it leaves no child and that its ``graphs`` graphs equal
+        ``write_graph_csv`` of the states the run observed, byte for byte."""
         states = []
 
         def evolve(*args, observers, **kwargs):
@@ -162,17 +165,47 @@ class TestGraphWriter:
             return stepping.evolve(*args, observers=observers, **kwargs)
 
         monkeypatch.setattr(experiments, "evolve", evolve)
-        run_dir = rw.run_experiment(rw.load_config(write_config(tmp_path)), tmp_path / "run",
-                                    quiet=True)
+        run_dir = rw.run_experiment(rw.load_config(write_config(tmp_path, **changes)),
+                                    tmp_path / "run", quiet=True)
         assert multiprocessing.active_children() == []
-        assert len(states) == len(list(run_dir.glob("graph_*.csv"))) == 3
+        assert len(states) == len(list(run_dir.glob("graph_*.csv"))) == graphs
         for k, state in enumerate(states):
             experiments.write_graph_csv(tmp_path / "inline.csv", state)
             assert (run_dir / f"graph_{k:04d}.csv").read_bytes() == (
                 tmp_path / "inline.csv").read_bytes()
+        return run_dir
+
+    def test_graphs_equal_write_graph_csv_of_the_observed_states(self, tmp_path, monkeypatch):
+        run_dir = self.observed_run(tmp_path, monkeypatch, graphs=3)
         timings = json.loads((run_dir / "manifest.json").read_text())["timings"]
         assert set(timings) == {"graph_writer_busy_s", "graph_writer_wait_s"}
         assert timings["graph_writer_busy_s"] > 0 and timings["graph_writer_wait_s"] > 0
+
+    def test_the_caller_writes_the_graphs_a_busy_writer_has_not_taken(
+            self, tmp_path, monkeypatch):
+        log = log_writers(monkeypatch, tmp_path / "writers", child_delay=0.1)
+        # 11 snapshots: the slowed child takes the first two, the caller the
+        # ones sent while two are waiting
+        self.observed_run(tmp_path, monkeypatch, graphs=11, output_stride=1, t_final=1.0)
+        pids = [int(p.read_text()) for p in sorted(log.glob("graph_*.csv"))]
+        assert len(pids) == 11
+        assert pids[0] == pids[1] != os.getpid() and os.getpid() in pids
+
+    def test_a_lane_keeps_send_order_across_both_processes(self):
+        caller = os.getpid()
+
+        def handle(k):
+            if os.getpid() != caller:
+                time.sleep(0.1)
+            return pid_of(k)
+
+        with experiments._Lane(handle, "a test lane", depth=2) as lane:
+            for k in range(6):
+                lane.send(k)
+        assert [k for k, _ in lane.results] == list(range(6))
+        pids = [pid for _, pid in lane.results]
+        assert pids[0] == pids[1] != caller and caller in pids
+        assert multiprocessing.active_children() == []
 
     def test_one_cpu_writes_the_same_graphs_in_the_caller(self, tmp_path, monkeypatch):
         set_cpus(monkeypatch, {0})
@@ -203,6 +236,26 @@ class TestGraphWriter:
         assert multiprocessing.active_children() == []
         assert not (run_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("writer", ["child", "caller"])
+    def test_an_unwritable_graph_fails_the_run_in_either_process(
+            self, tmp_path, monkeypatch, writer):
+        log = log_writers(monkeypatch, tmp_path / "writers", child_delay=0.1)
+        if writer == "caller":
+            # a lane that keeps no graph waiting: while the slowed child
+            # writes graph 0, the caller writes graph 1
+            lane = experiments._Lane
+            monkeypatch.setattr(experiments, "_Lane",
+                                lambda handle, what, depth: lane(handle, what, depth=1))
+        cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=0.5))
+        run_dir = tmp_path / "run"
+        (run_dir / "graph_0001.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            rw.run_experiment(cfg, run_dir, quiet=True)
+        wrote_it = int((log / "graph_0001.csv").read_text())
+        assert (wrote_it == os.getpid()) == (writer == "caller")
+        assert multiprocessing.active_children() == []
+        assert not (run_dir / "manifest.json").exists()
+
     def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
         # the forked writer inherits the patched function
         monkeypatch.setattr(experiments, "_write_graph", lambda *args: os._exit(3))
@@ -214,13 +267,44 @@ class TestGraphWriter:
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_a_writer_that_dies_mid_run_fails_the_run(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "_write_graph", lambda *args: os._exit(3))
+        # only the forked writer dies: the caller, which writes the graphs
+        # the writer has not taken, is the test process itself
+        in_child(monkeypatch, lambda *args: os._exit(3))
         # 11 snapshots: the run goes on sending after the writer has died
         cfg = rw.load_config(write_config(tmp_path, output_stride=1, t_final=1.0))
         with pytest.raises(RodwaveError, match="^the graph writer exited with code 3$"):
             rw.run_experiment(cfg, tmp_path / "run", quiet=True)
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def in_child(monkeypatch, write_graph):
+    """Patch ``_write_graph`` to call ``write_graph`` in any process but
+    this one, and the real writer in this one."""
+    real, caller = experiments._write_graph, os.getpid()
+
+    def patched(*args):
+        return (real if os.getpid() == caller else write_graph)(*args)
+
+    monkeypatch.setattr(experiments, "_write_graph", patched)
+
+
+def log_writers(monkeypatch, log, child_delay):
+    """Patch ``_write_graph`` to record, in a file of the new directory
+    ``log`` named after its graph, the pid of the process that writes it,
+    and to sleep ``child_delay`` seconds first in any process but this
+    one.  Returns ``log``."""
+    real, caller = experiments._write_graph, os.getpid()
+    log.mkdir()
+
+    def write(path, grid, columns):
+        if os.getpid() != caller:
+            time.sleep(child_delay)
+        (log / path.name).write_text(str(os.getpid()))
+        real(path, grid, columns)
+
+    monkeypatch.setattr(experiments, "_write_graph", write)
+    return log
 
 
 def pid_of(k):
@@ -316,7 +400,7 @@ class TestJobLanes:
         def evolve(state, t_final, cfg, *args, **kwargs):
             if cfg.scheme == "strang":  # job 3 of compare's list: the child's
                 (tmp_path / "diverged").write_text(str(os.getpid()))
-                raise FixedPointDiverged(50, 1.0, 2.0)
+                raise FixedPointDiverged(50, 1.0, 2.0, 1.0)
             return stepping.evolve(state, t_final, cfg, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "evolve", evolve)

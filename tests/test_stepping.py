@@ -116,6 +116,18 @@ class TestMidpointSubstep:
         assert err.iterations == 2 and 0 < err.residual < err.first_residual
         assert not err.grew and "still contracting" in str(err) and "grew" not in str(err)
 
+    def test_a_wandering_iteration_reads_stalled(self):
+        # g1 at a huge dt neither grows nor settles: its residual falls from
+        # about 2.0 to about 0.56 and ends near 1.0
+        s = build_initial_state(resolve_config("peakon_c1"))
+        with pytest.raises(FixedPointDiverged) as exc:
+            midpoint_substep(s, 1e3, "g1", CFG)
+        err = exc.value
+        assert err.smallest_residual < err.residual <= err.first_residual
+        assert not err.grew and err.trend == "stalled"
+        assert "stalled" in str(err) and "contracting" not in str(err) and "grew" not in str(err)
+        assert f"{err.smallest_residual:.3e} at its smallest" in str(err)
+
 
 def substep_cases():
     """States for the midpoint iteration: random admissible ones, a folded
