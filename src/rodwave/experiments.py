@@ -19,11 +19,11 @@ same process runs the same jobs on every call.  On one CPU
 (``os.sched_getaffinity``) nothing is forked, and the caller handles each
 item as it sends it.  An item that raises does not stop the lane; after
 the join, the first error in send order is raised, unless the caller
-raised first.  So a run directory with
-a manifest holds every graph it names, complete.  ``_Lane.__enter__`` is
-the package's only fork site: fork is POSIX only, a caller with threads of
-its own should know that the lane is a fork of it, and a Python (3.12 on)
-that warns of forking a process with threads would warn there.
+raised first.  So a run directory with a manifest holds every graph it
+names, complete.  ``_Lane.__enter__`` is the package's only fork site:
+fork is POSIX only, a caller with threads of its own should know that the
+lane is a fork of it, and a Python (3.12 on) that warns of forking a
+process with threads would warn there.
 """
 
 from __future__ import annotations
@@ -448,6 +448,7 @@ class _Lane:
                     self._pending -= 1
             except (OSError, EOFError):  # the child is gone, and the join says how
                 self._conn.close()
+        # one CPU, a child that is gone, or depth items waiting: handle it here
         if self._conn is None or self._conn.closed or self._pending == self._depth:
             handled = time.perf_counter()
             self.results.append(_attempt(self._handle, item))

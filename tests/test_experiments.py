@@ -258,7 +258,7 @@ class TestGraphWriter:
 
     def test_a_writer_that_dies_fails_the_run(self, tmp_path, monkeypatch):
         # the forked writer inherits the patched function
-        monkeypatch.setattr(experiments, "_write_graph", lambda *args: os._exit(3))
+        in_child(monkeypatch, lambda *args: os._exit(3))
         # one snapshot, at t = 0: the writer dies after the run's last submit
         cfg = rw.load_config(write_config(tmp_path, t_final=0.0))
         with pytest.raises(RodwaveError, match="graph writer exited with code 3"):
