@@ -51,9 +51,7 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import (
-    SCHEMES, StepperConfig, evolve, reference_coarse, reference_fine, richardson_extrapolate,
-)
+from .stepping import SCHEMES, StepperConfig, evolve, reference_runs, richardson_extrapolate
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -164,11 +162,18 @@ class ExperimentConfig:
         unknown = sorted(set(self.sweep) - {"dt", "dxi"})
         if unknown:
             raise ValueError(f"sweep: unknown keys {unknown}; a sweep has dt and dxi")
-        # each sweep entry goes through the validator of what it sets
-        for v in _cast("tuple[float, ...]", self.sweep.get("dt", []), "sweep.dt"):
-            replace(self.stepper, dt=v)
-        for v in _cast("tuple[float, ...]", self.sweep.get("dxi", []), "sweep.dxi"):
-            GridSpec.from_radius(v, self.r)
+        # each sweep entry goes through the validator of what it sets, and
+        # appears once: a repeated dxi measures 0 against the finest run, and
+        # a repeated dt counts one point twice in the fit
+        for key, check in (("dt", lambda v: replace(self.stepper, dt=v)),
+                           ("dxi", lambda v: GridSpec.from_radius(v, self.r))):
+            values = _cast("tuple[float, ...]", self.sweep.get(key, []), f"sweep.{key}")
+            for v in values:
+                check(v)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(
+                    f"sweep.{key}: {', '.join(map(repr, repeated))} named more than once")
         self.grid_spec()
         FineGrid(m_ref=self.m_ref)
         self.wave_spec()
@@ -620,20 +625,6 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     return state.x, recorder.max_invariant_drift, min_q, min_h
 
 
-def _reference_jobs(state0, t_final: float, stepper: StepperConfig) -> list:
-    """The fine and the coarse run of ``stepping.richardson_reference`` as
-    two jobs, the longer first; each returns its final state's array."""
-    return [lambda: reference_fine(state0, t_final, stepper).x,
-            lambda: reference_coarse(state0, t_final, stepper).x]
-
-
-def _reference(state0, fine_x: np.ndarray, coarse_x: np.ndarray) -> LagrangianState:
-    """The reference from the arrays of ``_reference_jobs``, extrapolated as
-    ``stepping.richardson_reference`` does.  A job's array comes back
-    through a pipe writeable: ``with_x`` makes every state's x read-only."""
-    return richardson_extrapolate(state0.with_x(fine_x), state0.with_x(coarse_x))
-
-
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Run every scheme in cfg.schemes from identical initial data, writing
     into ``out_dir``, which is returned.
@@ -648,10 +639,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     minima take in t=0 and every state a scheme accepted, the internal
     steps of the adaptive comparator included.
 
-    The reference's fine run, its coarse run and the schemes, in that
-    order, are the jobs of ``_run_jobs``: the caller runs the fine run and
-    every other scheme from the first, the lane's forked child the rest,
-    or the caller all of them on one CPU.  Each scheme writes its own
+    The reference's two runs (``stepping.reference_runs``, the fine run
+    first) and the schemes, in that order, are the jobs of ``_run_jobs``:
+    the caller runs the fine run and every other scheme from the first, the
+    lane's forked child the rest, or the caller all of them on one CPU.  Each scheme writes its own
     subdirectory from whichever process runs it.  The reference graph, the
     summary, the manifest and the per-scheme lines printed unless ``quiet``
     come after every job has finished.  A failed job fails the call with
@@ -664,10 +655,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     out_dir.mkdir(parents=True, exist_ok=True)
     h = cfg.stepper.dt * cfg.reference_dt_factor
     fine_x, coarse_x, *finals = _run_jobs([
-        *_reference_jobs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
+        *reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
         *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
           for scheme in cfg.schemes)])
-    reference = _reference(state0, fine_x, coarse_x)
+    reference = richardson_extrapolate(state0, fine_x, coarse_x)
     write_graph_csv(out_dir / "reference_graph.csv", reference)
     rows = [(scheme, sup_graph_error(state0.with_x(x), reference), drift, min_q, min_h)
             for scheme, (x, drift, min_q, min_h) in zip(cfg.schemes, finals)]
@@ -718,9 +709,10 @@ def converge_experiment(
     exact peakon when available, otherwise against the finest run via
     nearest-xi graph matching.
 
-    The reference's fine and coarse runs (with a dt sweep), then each
-    swept run, in that order, are the jobs of ``_run_jobs``: the caller
-    runs every other job from the first, the lane's forked child the rest.
+    The reference's two runs (``stepping.reference_runs``, with a dt
+    sweep), then each swept run, in that order, are the jobs of
+    ``_run_jobs``: the caller runs every other job from the first, the
+    lane's forked child the rest.
     Every artifact is written after every job has finished, so a failed
     job, whose error is that of the first job in that order that raised,
     leaves nothing on disk.
@@ -754,12 +746,12 @@ def converge_experiment(
     ref_jobs = []
     if dt_list:
         ref_dt = min(dt_list) * cfg.reference_dt_factor
-        ref_jobs = _reference_jobs(runs[0][0], cfg.t_final, replace(cfg.stepper, dt=ref_dt))
+        ref_jobs = reference_runs(runs[0][0], cfg.t_final, replace(cfg.stepper, dt=ref_dt))
     results = _run_jobs([*ref_jobs, *(functools.partial(final_x, *run) for run in runs)])
     finals = [s0.with_x(x) for (s0, _), x in zip(runs, results[len(ref_jobs):])]
 
     if dt_list:
-        reference = _reference(runs[0][0], *results[:2])
+        reference = richardson_extrapolate(runs[0][0], *results[:2])
         errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
         report["dt_sweep"] = {
             "dt": dt_list,

@@ -35,7 +35,7 @@ Every scheme has the same interface,
 ``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
 ``dt`` (default cfg.dt); ``evolve`` drives any of them.  ``compare`` and
 ``converge`` measure against ``richardson_reference``: Strang runs at steps h
-and h/2 (``reference_coarse``, ``reference_fine``), extrapolated to order 4
+and h/2, built as two jobs by ``reference_runs``, extrapolated to order 4
 (``richardson_extrapolate``).  It is their reference only, not a scheme.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 from .dynamics import G1_ROWS, G2_ROWS, vector_field_full
 from .errors import FixedPointDiverged, StepSizeUnderflow
 from .source_terms import (
-    evaluate_source_terms, integrand_u, is_folded, kernel_factors, kernel_sums,
+    evaluate_source_terms, integrand, integrand_u, is_folded, kernel_factors, kernel_sums,
 )
 # distance_f is no longer called here (the midpoint residual is the
 # relative change of _relative_change), but perfbench's tracer reports
@@ -114,8 +114,9 @@ class StepReport:
 
 
 def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState, StepReport]:
-    """Record the minima of q and h, and whether y is folded, on the state a
-    fixed step ends at."""
+    """Record the minima of q and h, and whether y is folded, on a state a
+    step accepts: the end state of a fixed step, or one accepted internal
+    state of an adaptive segment."""
     report.min_q = float(np.min(state.q))
     report.min_h = float(np.min(state.h))
     report.folded = is_folded(state.y)
@@ -156,7 +157,7 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
 
     def field(mid):
         v, _, h = mid
-        P = kernel_sums(factors, a_u * (1.0 + v) + half_g * h, dxi).P
+        P = kernel_sums(factors, integrand(g, a_u, 1.0 + v, h), dxi).P
         # w_t = (n_u - P m_u) / (d_u + e P); then v_t = g w_mid and
         # h_t = (h_u - 2 P) w_mid
         np.multiply(P, m_u, out=w_t)
@@ -380,11 +381,7 @@ def step_adaptive_rk(
     h = min(cfg.dt, t_target)
     h_floor = 1e-14 * max(1.0, t_target)
     err_prev = 1.0
-    accepted = 0
-    rejected = 0
-    min_q = min_h = math.inf
-    folded = False
-    out = state
+    out, report = state, StepReport()
     k = np.empty((7, y.size))
 
     while t < t_target:
@@ -404,25 +401,19 @@ def step_adaptive_rk(
         if err <= 1.0:
             t += h
             y = y_new
-            accepted += 1
-            out = state.with_x(y.reshape(shape))
-            min_q = min(min_q, float(np.min(out.q)))
-            min_h = min(min_h, float(np.min(out.h)))
-            folded = folded or is_folded(out.y)
+            out, ended = _ended(state.with_x(y.reshape(shape)), StepReport(accepted=1))
+            report = report.merge(ended)
             # PI controller (order 5): safety * err^-0.14 * err_prev^0.08
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
         else:
             # non-finite estimates shrink hard and retry; a persistent
             # failure ends at the step-size floor above
-            rejected += 1
+            report.rejected += 1
             fac = 0.2 if not np.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
         h *= min(5.0, max(0.2, fac))
 
-    return out, StepReport(
-        folded=folded, accepted=accepted, rejected=rejected,
-        min_q=min_q, min_h=min_h,
-    )
+    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +474,23 @@ def evolve(
     return state, reports
 
 
-def reference_coarse(
-    state: LagrangianState, t_final: float, cfg: StepperConfig
-) -> LagrangianState:
-    """The coarse run of ``richardson_reference``: Strang at h = cfg.dt."""
-    return evolve(state, t_final, cfg, _step=step_strang)[0]
-
-
-def reference_fine(
-    state: LagrangianState, t_final: float, cfg: StepperConfig
-) -> LagrangianState:
-    """The fine run of ``richardson_reference``: each step of the coarse
-    run taken as two Strang steps of half its size."""
-    return evolve(state, t_final, cfg, _step=_step_two_halves)[0]
+def reference_runs(state: LagrangianState, t_final: float, cfg: StepperConfig) -> list:
+    """The two runs of ``richardson_reference`` as zero-argument jobs, the
+    fine run first: Strang at h = cfg.dt, and each of its steps taken as two
+    Strang steps of half its size.  Each job returns its final state's
+    array, for ``richardson_extrapolate``."""
+    return [lambda: evolve(state, t_final, cfg, _step=_step_two_halves)[0].x,
+            lambda: evolve(state, t_final, cfg, _step=step_strang)[0].x]
 
 
 def richardson_extrapolate(
-    fine: LagrangianState, coarse: LagrangianState
+    state: LagrangianState, fine_x: np.ndarray, coarse_x: np.ndarray
 ) -> LagrangianState:
-    """(4 fine - coarse) / 3, with fine's grid and boundary constants."""
-    return fine.with_x((4.0 * fine.x - coarse.x) / 3.0)
+    """(4 fine - coarse) / 3 of the arrays of ``reference_runs``, on the grid
+    and boundary constants of their start state.  A job's array may come
+    back through a pipe writeable: ``with_x`` makes every state's x
+    read-only."""
+    return state.with_x((4.0 * fine_x - coarse_x) / 3.0)
 
 
 def richardson_reference(
@@ -516,9 +504,10 @@ def richardson_reference(
     Solving ODEs I, II.9).  The fine run halves each of the coarse run's
     steps rather than planning its own, so that the cancellation holds when
     t_final is not a multiple of h.  The result is an extrapolated state,
-    not one the flow reaches: its invariants are not conserved.  compare and
-    converge run the two runs as independent jobs and extrapolate with the
-    same ``richardson_extrapolate``.
+    not one the flow reaches: its invariants are not conserved.  Here the
+    two runs of ``reference_runs`` run in turn, the coarse run first;
+    compare and converge hand the same jobs to their lanes.
     """
-    coarse = reference_coarse(state, t_final, cfg)
-    return richardson_extrapolate(reference_fine(state, t_final, cfg), coarse)
+    fine, coarse = reference_runs(state, t_final, cfg)
+    coarse_x = coarse()
+    return richardson_extrapolate(state, fine(), coarse_x)

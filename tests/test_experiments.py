@@ -624,6 +624,9 @@ class TestErrors:
             (["converge"], {"sweep": {"dt": [0.1, 1e-300, 0.05]}}),
             (["compare"], {"reference_dt_factor": 1e-300}),
             (["compare", "--scheme", "strang,strang"], {}),
+            # a sweep that repeats a value
+            (["converge"], {"sweep": {"dxi": [1.0, 0.5, 0.25, 0.25]}}),
+            (["converge", "--dt-list", "0.1,0.05,0.1"], {}),
         ],
     )
     def test_json_error_report_and_exit_code(
@@ -632,10 +635,10 @@ class TestErrors:
         def no_run(*args, **kwargs):
             raise AssertionError("a rejected input reached the time loop")
 
-        # every evolve the drivers start: run's and the schemes', the
-        # reference's two runs, and converge's sweeps
-        for name in ("evolve", "reference_fine", "reference_coarse"):
-            monkeypatch.setattr(experiments, name, no_run)
+        # every evolve the drivers start: run's, the schemes' and converge's
+        # sweeps in experiments, the reference's two runs in stepping
+        for module in (experiments, stepping):
+            monkeypatch.setattr(module, "evolve", no_run)
         monkeypatch.chdir(tmp_path)
         # exists, so the config is accepted, but fails to parse at its line 3
         Path("bad_profile.txt").write_text("x u\n0 0\nfoo bar\n1 1\n2 0\n")
@@ -696,6 +699,16 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "schemes: strang named more than once"}
         assert not out.exists()
+
+    def test_a_repeated_sweep_value_is_refused(self, tmp_path):
+        # a repeated dxi would measure 0 against the finest run, and a
+        # repeated dt count one point twice in the fit
+        with pytest.raises(ValueError, match=r"^sweep\.dt: 0\.1 named more than once$"):
+            rw.ExperimentConfig.from_dict(merged(TINY, {"sweep": {"dt": [0.1, 0.05, 0.1]}}))
+        cfg = rw.bundled_config("smooth_gamma02")
+        with pytest.raises(ValueError, match=r"^sweep\.dxi: 0\.25 named more than once$"):
+            rw.converge_experiment(cfg, tmp_path / "out", dxi_list=[1.0, 0.5, 0.25, 0.25])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("changes, dt", [
         ({"stepper": {"dt": 1e-300}}, 1e-300),

@@ -501,6 +501,18 @@ class TestAdaptiveRK:
         out, report = rw.step_adaptive_rk(s, cfg, 2.0)
         assert report.min_q < 0.05 < min(s.q.min(), out.q.min())
 
+    def test_fold_flag_comes_from_the_accepted_internal_states(self):
+        # y folds inside the first 0.5 of the gamma = 5 collision and is
+        # monotone again at its end; measured 4 accepted steps over 0.5, 1
+        # over 0.1
+        cfg = resolve_config("peakon_antipeakon_gamma5")
+        state0 = build_initial_state(cfg)
+        out, report = rw.step_adaptive_rk(state0, cfg.stepper, 0.5)
+        assert report.accepted == 4 and report.folded
+        assert not source_terms.is_folded(out.y)
+        out, report = rw.step_adaptive_rk(state0, cfg.stepper, 0.1)
+        assert report.accepted == 1 and not report.folded
+
     def test_step_size_underflow(self):
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.1, rk_rel_tol=1e-300, rk_abs_tol=1e-300)
