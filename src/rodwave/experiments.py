@@ -642,12 +642,13 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     The reference's two runs (``stepping.reference_runs``, the fine run
     first) and the schemes, in that order, are the jobs of ``_run_jobs``:
     the caller runs the fine run and every other scheme from the first, the
-    lane's forked child the rest, or the caller all of them on one CPU.  Each scheme writes its own
-    subdirectory from whichever process runs it.  The reference graph, the
-    summary, the manifest and the per-scheme lines printed unless ``quiet``
-    come after every job has finished.  A failed job fails the call with
-    the error of the first job in that order that raised, after both lanes
-    are done, and leaves no reference graph, no summary and no manifest.
+    lane's forked child the rest, or the caller all of them on one CPU.
+    Each scheme writes its own subdirectory from whichever process runs it.
+    The reference graph, the summary, the manifest and the per-scheme lines
+    printed unless ``quiet`` come after every job has finished.  A failed
+    job fails the call with the error of the first job in that order that
+    raised, after both lanes are done, and leaves no reference graph, no
+    summary and no manifest.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
@@ -712,10 +713,9 @@ def converge_experiment(
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
     ``_run_jobs``: the caller runs every other job from the first, the
-    lane's forked child the rest.
-    Every artifact is written after every job has finished, so a failed
-    job, whose error is that of the first job in that order that raised,
-    leaves nothing on disk.
+    lane's forked child the rest.  Every artifact is written after every
+    job has finished, so a failed job, whose error is that of the first job
+    in that order that raised, leaves nothing on disk.
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
