@@ -538,8 +538,8 @@ def _version_string() -> str:
 
 def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries) -> None:
     """The config that replays the run, the version and the wall time, plus
-    ``entries``: the artifacts, for compare the reference, and for run the
-    graph writer's timings."""
+    ``entries``: the artifacts, the solver's reports, for compare the
+    reference, and for run the graph writer's timings."""
     manifest = {
         "config": cfg.to_dict(),
         "version": _version_string(),
@@ -567,7 +567,10 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     no manifest.  The manifest's ``timings`` give ``graph_writer_busy_s``,
     the seconds spent writing graphs in either process, and
     ``graph_writer_wait_s``, the time loop's time in ``send``, its own
-    writes included, plus the join."""
+    writes included, plus the join.  Its ``solver`` is the run's
+    ``StepReport`` (``stepping.evolve``), with the keys of the histogram
+    ``fp_iterations`` written as strings: over t=0 and every accepted state,
+    ``min_q``, ``min_h`` and ``folded``, the states with y folded."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -581,7 +584,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
             writer.send((run_dir / fname, state.grid, _graph_columns(state)))
             snapshots.append((len(snapshots), step, t, fname))
 
-        _, reports = evolve(
+        _, report = evolve(
             state0,
             cfg.t_final,
             cfg.stepper,
@@ -596,13 +599,15 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
                     artifacts={"diagnostics": "diagnostics.csv",
                                "snapshots": [s[3] for s in snapshots]},
                     timings={"graph_writer_busy_s": writer.busy_s,
-                             "graph_writer_wait_s": writer.wait_s})
+                             "graph_writer_wait_s": writer.wait_s},
+                    solver=asdict(report))
     if not quiet:
         rows = recorder.rows
         print(
-            f"[{cfg.name}] scheme={cfg.stepper.scheme} steps={len(reports)} "
-            f"energy={rows[-1].total_energy:.6f} min_q={recorder.min_q_overall:.3e} "
-            f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
+            f"[{cfg.name}] scheme={cfg.stepper.scheme} steps={snapshots[-1][1]} "
+            f"energy={rows[-1].total_energy:.6f} min_q={report.min_q:.3e} "
+            f"folded={report.folded} inv_drift={recorder.max_invariant_drift:.3e} "
+            f"wall={wall:.2f}s"
         )
     return run_dir
 
@@ -610,19 +615,15 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
     """Evolve one scheme, recording every step, and write its diagnostics
     and final graph into ``scheme_dir``.  Returns the final state's array,
-    the largest invariant drift and the minima of q and h over the run:
-    over t=0, every step's end state and every internal state a step
-    accepted."""
+    the largest invariant drift and the run's ``StepReport``."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
-    state, reports = evolve(
+    state, report = evolve(
         state0, cfg.t_final, replace(cfg.stepper, scheme=scheme), observers=(recorder,)
     )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
-    min_q = min([recorder.min_q_overall, *(r.min_q for r in reports)])
-    min_h = min([recorder.min_h_overall, *(r.min_h for r in reports)])
-    return state.x, recorder.max_invariant_drift, min_q, min_h
+    return state.x, recorder.max_invariant_drift, report
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
@@ -637,7 +638,8 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     graph is written to ``reference_graph.csv``, whose I column holds the
     invariants of the extrapolated state: they are not conserved.  The
     minima take in t=0 and every state a scheme accepted, the internal
-    steps of the adaptive comparator included.
+    steps of the adaptive comparator included.  The manifest's ``solver``
+    maps each scheme to its run's report, as ``run_experiment``'s.
 
     The reference's two runs (``stepping.reference_runs``, the fine run
     first) and the schemes, in that order, are the jobs of ``_run_jobs``:
@@ -661,8 +663,8 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
           for scheme in cfg.schemes)])
     reference = richardson_extrapolate(state0, fine_x, coarse_x)
     write_graph_csv(out_dir / "reference_graph.csv", reference)
-    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), drift, min_q, min_h)
-            for scheme, (x, drift, min_q, min_h) in zip(cfg.schemes, finals)]
+    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), drift, r.min_q, r.min_h)
+            for scheme, (x, drift, r) in zip(cfg.schemes, finals)]
     _write_csv(
         out_dir / "summary.csv",
         ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"),
@@ -671,7 +673,8 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     wall = time.perf_counter() - t_start
     _write_manifest(out_dir, cfg, wall,
                     artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
-                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2]})
+                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2]},
+                    solver={scheme: asdict(r) for scheme, (_, _, r) in zip(cfg.schemes, finals)})
     if not quiet:
         for scheme, err, drift, min_q, min_h in rows:
             print(

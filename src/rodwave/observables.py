@@ -84,11 +84,3 @@ class DiagnosticsRecorder:
     @property
     def max_invariant_drift(self) -> float:
         return max(r.max_inv_drift for r in self.rows)
-
-    @property
-    def min_q_overall(self) -> float:
-        return min(r.min_q for r in self.rows)
-
-    @property
-    def min_h_overall(self) -> float:
-        return min(r.min_h for r in self.rows)

@@ -33,17 +33,18 @@ stepped by one function.
 
 Every scheme has the same interface,
 ``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
-``dt`` (default cfg.dt); ``evolve`` drives any of them.  ``compare`` and
-``converge`` measure against ``richardson_reference``: Strang runs at steps h
-and h/2, built as two jobs by ``reference_runs``, extrapolated to order 4
+``dt`` (default cfg.dt); ``evolve`` drives any of them.  One rule,
+``StepReport.merge``, folds substeps into a step and steps into a run, so a
+run's report is no larger than a step's.  ``compare`` and ``converge``
+measure against ``richardson_reference``: Strang runs at steps h and h/2,
+built as two jobs by ``reference_runs``, extrapolated to order 4
 (``richardson_extrapolate``).  It is their reference only, not a scheme.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,31 +82,34 @@ class StepperConfig:
 
 @dataclass
 class StepReport:
-    """Bookkeeping for one step (or one adaptive segment).
+    """Bookkeeping for one substep, step, adaptive segment or run.
 
-    ``final_residual`` is the largest, over the step's midpoint substeps,
-    of the last iterate's change relative to the size of each moving row
-    (see ``midpoint_substep``); 0 for the explicit schemes.  ``min_q`` and
-    ``min_h`` are the minima of q and h over the states the step accepted:
-    the end state of a fixed step, every accepted internal state of an
-    adaptive segment.  ``folded`` is True when the particle map y of one of
-    those states is folded (``is_folded``); the iterates that led to them
-    do not count, and a bare midpoint substep leaves it False.
+    ``fp_iterations`` is the histogram {iterations: midpoint substeps}, a
+    substep's {m: 1}.  ``final_residual`` is the largest, over the midpoint
+    substeps, of the last iterate's change relative to the size of each
+    moving row (see ``midpoint_substep``); 0 for the explicit schemes.
+    ``min_q`` and ``min_h`` are the minima of q and h over the accepted
+    states, and ``folded`` counts those whose y is folded (``is_folded``):
+    a fixed step's end state, each accepted internal state of an adaptive
+    segment, and a run's start state; not the iterates that led to them.
     """
 
-    fp_iterations: tuple[int, ...] = ()
+    fp_iterations: dict[int, int] = field(default_factory=dict)
     final_residual: float = 0.0
-    folded: bool = False
+    folded: int = 0
     accepted: int = 0
     rejected: int = 0
     min_q: float = math.inf
     min_h: float = math.inf
 
     def merge(self, other: "StepReport") -> "StepReport":
+        fp_iterations = dict(self.fp_iterations)
+        for m, count in other.fp_iterations.items():
+            fp_iterations[m] = fp_iterations.get(m, 0) + count
         return StepReport(
-            fp_iterations=self.fp_iterations + other.fp_iterations,
+            fp_iterations=fp_iterations,
             final_residual=max(self.final_residual, other.final_residual),
-            folded=self.folded or other.folded,
+            folded=self.folded + other.folded,
             accepted=self.accepted + other.accepted,
             rejected=self.rejected + other.rejected,
             min_q=min(self.min_q, other.min_q),
@@ -114,12 +118,11 @@ class StepReport:
 
 
 def _ended(state: LagrangianState, report: StepReport) -> tuple[LagrangianState, StepReport]:
-    """Record the minima of q and h, and whether y is folded, on a state a
-    step accepts: the end state of a fixed step, or one accepted internal
-    state of an adaptive segment."""
+    """Record the minima of q and h, and whether y is folded, on one
+    accepted state (see ``StepReport``)."""
     report.min_q = float(np.min(state.q))
     report.min_h = float(np.min(state.h))
-    report.folded = is_folded(state.y)
+    report.folded = int(is_folded(state.y))
     return state, report
 
 
@@ -284,7 +287,7 @@ def midpoint_substep(
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0
     x[rows] = z
-    return state.with_x(x), StepReport(fp_iterations=(m,), final_residual=residual)
+    return state.with_x(x), StepReport(fp_iterations={m: 1}, final_residual=residual)
 
 
 # A splitting scheme is a plan: which sub-flow, for which fraction of dt.
@@ -297,11 +300,11 @@ def _step_plan(
 ) -> tuple[LagrangianState, StepReport]:
     """Run the substeps of ``plan`` in order, merging their reports."""
     dt = cfg.dt if dt is None else dt
-    reports = []
+    report = StepReport()
     for which, fraction in plan:
-        state, report = midpoint_substep(state, fraction * dt, which, cfg)
-        reports.append(report)
-    return _ended(state, functools.reduce(StepReport.merge, reports))
+        state, substep = midpoint_substep(state, fraction * dt, which, cfg)
+        report = report.merge(substep)
+    return _ended(state, report)
 
 
 def step_lie_trotter(
@@ -443,8 +446,9 @@ def evolve(
 
     Observers are callables obs(step_index, t, state, report) invoked at
     t=0 (report None), after every ``observe_stride``-th step, and at the
-    final step.  Returns (final state, list of per-step StepReports).
-    Fully deterministic for a given configuration.
+    final step; ``report`` is that step's.  Returns (final state, the run's
+    StepReport): ``_ended`` of the start state merged with each step's
+    report as it comes.  Fully deterministic for a given configuration.
 
     ``_step`` is private to the package: a step function to drive in place
     of cfg.scheme's, for the reference that is not in ``SCHEMES``.
@@ -459,7 +463,7 @@ def evolve(
         obs(0, 0.0, state, None)
     # Looked up at call time, so a replaced module-level stepper is used.
     step = _step or globals()[f"step_{cfg.scheme}"]
-    reports: list[StepReport] = []
+    _, run = _ended(state, StepReport())
     n_full, last = plan_steps(t_final, cfg.dt)
     n_steps = n_full + (last is not None)
     t = 0.0
@@ -467,11 +471,11 @@ def evolve(
         dt_j = cfg.dt if j <= n_full else last
         t += dt_j
         state, report = step(state, cfg, dt_j)
-        reports.append(report)
+        run = run.merge(report)
         if j % observe_stride == 0 or j == n_steps:
             for obs in observers:
                 obs(j, t, state, report)
-    return state, reports
+    return state, run
 
 
 def reference_runs(state: LagrangianState, t_final: float, cfg: StepperConfig) -> list:

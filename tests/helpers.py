@@ -147,7 +147,7 @@ def midpoint_substep_on_states(state, dt, which, cfg):
             first = smallest = residual
         smallest = min(smallest, residual)
         if residual <= cfg.fp_tol:
-            return z, StepReport(fp_iterations=(m,), final_residual=residual)
+            return z, StepReport(fp_iterations={m: 1}, final_residual=residual)
         if not math.isfinite(residual):
             raise FixedPointDiverged(m, residual, first, smallest)
     raise FixedPointDiverged(cfg.fp_max_iter, residual, first, smallest)

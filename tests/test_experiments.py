@@ -63,6 +63,9 @@ class TestRun:
         config = write_config(tmp_path)
         assert run_cli("run", "--config", config, "--out", str(tmp_path / "a")) == 0
         manifest = tmp_path / "a" / "tiny" / "manifest.json"
+        # the run's report: three Strang steps of three substeps, no fold
+        solver = json.loads(manifest.read_text())["solver"]
+        assert sum(solver["fp_iterations"].values()) == 9 and solver["folded"] == 0
         assert run_cli("run", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
         assert csv_bytes(tmp_path / "a" / "tiny") == csv_bytes(tmp_path / "b" / "tiny")
 
@@ -70,6 +73,13 @@ class TestRun:
         cfg = rw.load_config(write_config(tmp_path))
         rw.run_experiment(cfg, tmp_path / "run")
         assert "steps=3 " in capsys.readouterr().out
+
+    def test_printed_minimum_is_over_every_step(self, tmp_path, capsys):
+        # output_stride 5 observes 17 of the 81 states, whose least q is
+        # 1.145e-02; the least over every step falls between them
+        rw.run_experiment(rw.bundled_config("peakon_antipeakon_gamma1"), tmp_path / "run")
+        out = capsys.readouterr().out
+        assert "steps=80 " in out and " min_q=8.019e-04 folded=13 " in out
 
 
 class TestWriters:
@@ -427,10 +437,9 @@ class TestJobLanes:
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
-            x, drift, min_q, min_h = experiments._run_one_scheme(
-                cfg, state0, scheme, serial / scheme)
+            x, drift, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
             err = rw.sup_graph_error(state0.with_x(x), reference)
-            rows.append((scheme, err, drift, min_q, min_h))
+            rows.append((scheme, err, drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",
             ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"), rows)
@@ -500,12 +509,12 @@ class TestCompareConverge:
         # and 0.8, from t = 0.2 on at gamma = 5
         cfg = rw.bundled_config(name)
         minima = []
-        _, reports = rw.evolve(
+        _, run = rw.evolve(
             rw.build_initial_state(cfg), 3.0, cfg.stepper, _step=step,
             observers=lambda j, t, s, r: minima.append((s.q.min(), s.h.min())))
-        assert len(minima) == 31 and any(r.folded for r in reports)
-        # the reports hold the states between two halves of a step too
-        minima += [(r.min_q, r.min_h) for r in reports]
+        assert len(minima) == 31 and run.folded > 0
+        # the run's report holds the states between two halves of a step too
+        minima.append((run.min_q, run.min_h))
         assert np.min(minima) >= 0.0
 
     def test_compare_manifest_replays_the_run(self, tmp_path):
@@ -514,6 +523,14 @@ class TestCompareConverge:
         manifest = tmp_path / "a" / "tiny_compare" / "manifest.json"
         assert json.loads(manifest.read_text())["reference"] == {
             "method": "richardson_strang", "dt": [0.05, 0.025]}
+        # each scheme's report holds the minima its summary row gives
+        solver = json.loads(manifest.read_text())["solver"]
+        header, *rows = (tmp_path / "a" / "tiny_compare" / "summary.csv").read_text().split()
+        for row in rows:
+            row = dict(zip(header.split(","), row.split(",")))
+            report = solver[row["scheme"]]
+            assert (float(row["min_q"]), float(row["min_h"])) == (report["min_q"], report["min_h"])
+        assert list(solver) == sorted(rw.SCHEMES) and solver["adaptive_rk"]["accepted"] >= 3
         assert run_cli("compare", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
         a = csv_bytes(tmp_path / "a" / "tiny_compare")
         assert {"summary.csv", "reference_graph.csv", "strang/final_graph.csv",

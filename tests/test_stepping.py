@@ -58,7 +58,7 @@ class TestMidpointSubstep:
         for which in ("g1", "g2"):
             out, report = midpoint_substep(s, 0.7, which, CFG)
             assert states_equal(out, s)
-            assert report.fp_iterations == (1,)
+            assert report.fp_iterations == {1: 1}
             assert report.final_residual == 0.0
 
     def test_g1_freezes_primary_fields_bitwise(self):
@@ -85,7 +85,8 @@ class TestMidpointSubstep:
         s = small_peakon()
         _, rep_large = midpoint_substep(s, 0.2, "g2", CFG)
         _, rep_small = midpoint_substep(s, 0.05, "g2", CFG)
-        assert rep_small.fp_iterations[0] <= rep_large.fp_iterations[0]
+        (small,), (large,) = rep_small.fp_iterations, rep_large.fp_iterations
+        assert small <= large
 
     @pytest.mark.parametrize("which", ["g1", "g2"])
     @pytest.mark.parametrize("dt", [5.0, 1e3])
@@ -160,6 +161,21 @@ def substep_cases():
 
 CASES = substep_cases()
 DIVERGING_DT = 1e3
+
+
+def substep_iterations(monkeypatch):
+    """(sub-flow, iterations) of each midpoint substep taken from now on, in
+    order."""
+    substeps = []
+    original = stepping.midpoint_substep
+
+    def recorded(state, dt, which, cfg):
+        out, report = original(state, dt, which, cfg)
+        substeps.append((which, *report.fp_iterations))
+        return out, report
+
+    monkeypatch.setattr(stepping, "midpoint_substep", recorded)
+    return substeps
 
 
 def substep_outcome(substep, state, dt, which):
@@ -242,11 +258,12 @@ class TestG1Iteration:
 
         monkeypatch.setattr(source_terms, "kernel_factors", counted)
         monkeypatch.setattr(stepping, "kernel_factors", counted)
-        _, report = step(small_peakon(), CFG)
-        # the plans run g2 second, between their g1 substeps
-        n_g1 = len(report.fp_iterations) - 1
-        assert len(calls) == n_g1 + report.fp_iterations[1]
-        assert report.fp_iterations[0] > 1
+        substeps = substep_iterations(monkeypatch)
+        step(small_peakon(), CFG)
+        g1 = [m for which, m in substeps if which == "g1"]
+        g2 = [m for which, m in substeps if which == "g2"]
+        assert len(calls) == len(g1) + sum(g2)
+        assert min(g1) > 1
 
 
 class TestG2Iteration:
@@ -272,12 +289,15 @@ class TestG2Iteration:
 
         monkeypatch.setattr(source_terms, "source_terms_fast", recorded)
         s = small_peakon()
-        _, report = step(s, CFG)
-        assert len(seen) == report.fp_iterations[1] > 1
+        substeps = substep_iterations(monkeypatch)
+        step(s, CFG)
+        [g2] = [m for which, m in substeps if which == "g2"]
+        assert len(seen) == g2 > 1
         assert all(isinstance(state, rw.LagrangianState) for state in seen)
         del seen[:]
         _, report = midpoint_substep(s, 0.1, "g1", CFG)
-        assert report.fp_iterations[0] > 1 and seen == []
+        (g1,) = report.fp_iterations
+        assert g1 > 1 and seen == []
 
     @pytest.mark.parametrize("dt", [0.1, -0.17, 1.0])
     @pytest.mark.parametrize("case", RANDOM_CASES)
@@ -346,12 +366,17 @@ class TestSplittingSteps:
     def test_the_fold_flag_is_that_of_the_end_state(self, scheme):
         # the gamma = 5 collision folds y at some steps and not at others
         cfg = resolve_config("peakon_antipeakon_gamma5")
-        ends = []
-        _, reports = rw.evolve(
+        ends, flags = [], []
+
+        def observe(j, t, s, r):
+            ends.append(source_terms.is_folded(s.y))
+            flags.append(r and r.folded)
+
+        _, run = rw.evolve(
             build_initial_state(cfg), cfg.t_final, replace(cfg.stepper, scheme=scheme),
-            observers=lambda j, t, s, r: ends.append(source_terms.is_folded(s.y)))
-        assert [r.folded for r in reports] == ends[1:]
-        assert 0 < sum(ends) < len(reports)
+            observers=observe)
+        assert flags[1:] == ends[1:]
+        assert run.folded == sum(ends) and 0 < sum(ends) < len(ends) - 1
 
     def test_euler_and_lie_trotter_agree_to_first_order(self):
         # both are first-order consistent: difference is O(dt^2)
@@ -399,11 +424,11 @@ class TestStoppingRule:
         s = build_initial_state(cfg)
         I0 = rw.invariants(s)
         drift = []
-        _, reports = rw.evolve(
+        _, run = rw.evolve(
             s, cfg.t_final, replace(cfg.stepper, fp_tol=1e-4),
             observers=lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()))
         assert max(drift) <= 1e-12
-        assert min(r.min_q for r in reports) >= 0 and min(r.min_h for r in reports) >= 0
+        assert run.min_q >= 0 and run.min_h >= 0
 
 
 class TestRichardsonReference:
@@ -524,9 +549,10 @@ class TestEvolve:
     def test_zero_time_returns_input(self):
         s = small_peakon()
         calls = []
-        out, reports = rw.evolve(s, 0.0, CFG, observers=lambda j, t, st, r: calls.append(t))
+        out, run = rw.evolve(s, 0.0, CFG, observers=lambda j, t, st, r: calls.append(t))
         assert states_equal(out, s)
-        assert reports == []
+        # the report of the start state alone: no substep, no fold
+        assert run == stepping.StepReport(min_q=s.q.min(), min_h=s.h.min())
         assert calls == [0.0]
 
     def test_plan_steps_shortens_final_step(self):
@@ -544,13 +570,15 @@ class TestEvolve:
 
         def recorded(state, cfg, dt=None):
             dts.append(dt)
-            return state, stepping.StepReport()
+            return state, stepping.StepReport(fp_iterations={len(dts): 1}, accepted=1)
 
         monkeypatch.setattr(stepping, "step_strang", recorded)
-        rw.evolve(small_peakon(), 1.05, rw.StepperConfig(dt=0.1),
-                  observers=lambda j, t, st, r: times.append(t))
+        _, run = rw.evolve(small_peakon(), 1.05, rw.StepperConfig(dt=0.1),
+                           observers=lambda j, t, st, r: times.append(t))
         n_full, last = plan_steps(1.05, 0.1)
         assert dts == [0.1] * n_full + [last] and n_full == 10
+        # the run's report merges each step's once
+        assert run.fp_iterations == {j: 1 for j in range(1, 12)} and run.accepted == 11
         # t adds the steps in order: ten steps of 0.1 add to 0.9999999999999999
         assert times == list(itertools.accumulate([0.0, *dts]))
         assert times[10] != 10 * 0.1
@@ -581,9 +609,31 @@ class TestEvolve:
     def test_adaptive_scheme_through_evolve(self):
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.25, scheme="adaptive_rk")
-        out, reports = rw.evolve(s, 0.5, cfg)
-        assert len(reports) == 2
-        assert all(r.accepted >= 1 for r in reports)
+        steps = []
+        out, run = rw.evolve(s, 0.5, cfg, observers=lambda j, t, st, r: steps.append(r))
+        assert len(steps) == 3
+        assert all(r.accepted >= 1 for r in steps[1:])
+        assert run.accepted == sum(r.accepted for r in steps[1:])
+
+    @pytest.mark.parametrize("scheme, substeps", [("strang", 3), ("lie_trotter", 2)])
+    def test_the_run_report_is_complete_and_bounded(self, scheme, substeps):
+        cfg = rw.StepperConfig(dt=0.01, scheme=scheme)
+        minima = []
+        _, run = rw.evolve(small_peakon(dxi=0.5, r=10.0), 3.0, cfg,
+                           observers=lambda j, t, st, r: minima.append((st.q.min(), st.h.min())))
+        assert len(minima) == 301
+        assert sum(run.fp_iterations.values()) == substeps * 300
+        assert len(run.fp_iterations) <= cfg.fp_max_iter
+        assert (run.min_q, run.min_h) == tuple(np.min(minima, axis=0))
+
+    @pytest.mark.parametrize("name, folded", [
+        ("peakon_antipeakon_gamma1", 13), ("peakon_antipeakon_gamma5", 3), ("collision_smooth", 7)])
+    def test_the_run_report_counts_the_folded_states(self, name, folded):
+        # each collision starts unfolded, so each folded state is a step's
+        cfg = resolve_config(name)
+        assert cfg.stepper.scheme == "strang"
+        _, run = rw.evolve(build_initial_state(cfg), cfg.t_final, cfg.stepper)
+        assert run.folded == folded
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
