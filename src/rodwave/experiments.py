@@ -568,9 +568,10 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     the seconds spent writing graphs in either process, and
     ``graph_writer_wait_s``, the time loop's time in ``send``, its own
     writes included, plus the join.  Its ``solver`` is the run's
-    ``StepReport`` (``stepping.evolve``), with the keys of the histogram
-    ``fp_iterations`` written as strings: over t=0 and every accepted state,
-    ``min_q``, ``min_h`` and ``folded``, the states with y folded."""
+    ``StepReport`` (``stepping.evolve``): ``fp_iterations``, the histogram's
+    keys as strings, ``final_residual``, ``accepted``, ``rejected``, and over
+    t=0 and every accepted state ``min_q``, ``min_h`` and ``folded``, the
+    count of those with y folded."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -605,9 +606,8 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
         rows = recorder.rows
         print(
             f"[{cfg.name}] scheme={cfg.stepper.scheme} steps={snapshots[-1][1]} "
-            f"energy={rows[-1].total_energy:.6f} min_q={report.min_q:.3e} "
-            f"folded={report.folded} inv_drift={recorder.max_invariant_drift:.3e} "
-            f"wall={wall:.2f}s"
+            f"energy={rows[-1].total_energy:.6f} min_q={report.min_q:.3e} folded={report.folded} "
+            f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
         )
     return run_dir
 
