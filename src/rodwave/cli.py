@@ -35,13 +35,16 @@ def _config_from_args(args) -> experiments.ExperimentConfig:
         # a single scheme also becomes the run's scheme
         stepper = replace(cfg.stepper, scheme=schemes[0]) if len(schemes) == 1 else cfg.stepper
         cfg = replace(cfg, stepper=stepper, schemes=schemes)
+    # --dt-list and --dxi-list each override that key of the config's sweep
+    given = {key: values for key in ("dt", "dxi")
+             if (values := _parse_floats(getattr(args, f"{key}_list", None)))}
+    if given:
+        cfg = replace(cfg, sweep={**cfg.sweep, **given})
     return cfg
 
 
-def _parse_floats(text: str | None):
-    if not text:
-        return None
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_floats(text: str | None) -> list:
+    return [float(x) for x in (text or "").split(",") if x.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="error-vs-resolution sweeps")
     add_common(p_conv)
-    p_conv.add_argument("--dt-list", default=None, help="comma-separated dt sweep")
-    p_conv.add_argument("--dxi-list", default=None, help="comma-separated dxi sweep")
+    p_conv.add_argument("--dt-list", default=None,
+                        help="comma-separated dt sweep; overrides the config's sweep.dt")
+    p_conv.add_argument("--dxi-list", default=None,
+                        help="comma-separated dxi sweep; overrides the config's sweep.dxi")
 
     p_plot = sub.add_parser("emit-plots", help="write gnuplot scripts for a run directory")
     p_plot.add_argument("artifacts_dir", help="directory containing manifest.json")
@@ -100,13 +105,8 @@ def main(argv=None) -> int:
                 cfg, out_root / f"{cfg.name}_compare", quiet=args.quiet
             )
         elif args.command == "converge":
-            experiments.converge_experiment(
-                cfg,
-                out_root / f"{cfg.name}_converge",
-                dt_list=_parse_floats(args.dt_list),
-                dxi_list=_parse_floats(args.dxi_list),
-                quiet=args.quiet,
-            )
+            experiments.converge_experiment(cfg, out_root / f"{cfg.name}_converge",
+                                            quiet=args.quiet)
         return 0
     except (RodwaveError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         json.dump(

@@ -9,13 +9,14 @@ reproduce it.
 The drivers run part of their work on one lane (``_Lane``): a child forked
 when the lane opens, which handles the items sent down its pipe in order
 while the caller goes on, and which is joined before anything that names
-its results is written.  ``run_experiment`` sends it the graph snapshots,
-at most two not yet written at a time (the lane's ``depth``): while two
-wait, the time loop writes the next snapshot itself rather than wait for
-the child.  ``compare_experiment`` and ``converge_experiment`` send it the
-evolves at odd places of their list of independent jobs (``_run_jobs``),
-while the caller runs those at even places; that split is fixed, so the
-same process runs the same jobs on every call.  On one CPU
+its results is written.  ``run_experiment`` sends it the observed
+states, each with the path of its graph, at most two not yet written at a
+time (the lane's ``depth``): while two wait, the time loop writes the next
+graph itself rather than wait for the child.  ``compare_experiment`` and
+``converge_experiment`` send it the evolves at odd places of their list of
+independent jobs (``_run_jobs``), while the caller runs those at even
+places; that split is fixed, so the same process runs the same jobs on
+every call.  On one CPU
 (``os.sched_getaffinity``) nothing is forked, and the caller handles each
 item as it sends it.  An item that raises does not stop the lane; after
 the join, the first error in send order is raised, unless the caller
@@ -51,7 +52,8 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import SCHEMES, StepperConfig, evolve, reference_runs, richardson_extrapolate
+from .stepping import (SCHEMES, StepperConfig, evolve, plan_steps, reference_runs,
+                       richardson_extrapolate)
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -100,6 +102,16 @@ def _cast(declared: str, value, where: str):
     if isinstance(value, float) and not math.isfinite(value):  # JSON's Infinity and NaN
         raise ValueError(f"{where}: {value!r} is not finite")
     return value
+
+
+def _warn_if_shortened(t_final: float, dt: float) -> None:
+    """Warn, at the line that called the caller, when a run to t_final at
+    dt ends with a shortened step, as ``stepping.plan_steps`` plans it."""
+    if plan_steps(t_final, dt)[1] is not None:
+        warnings.warn(
+            f"t_final={t_final} is not a multiple of dt={dt}; the last step will be shortened",
+            stacklevel=3,
+        )
 
 
 def _read_section(cls, section, where: str, only=None, **given) -> dict:
@@ -194,13 +206,7 @@ class ExperimentConfig:
             if steps > MAX_STEPS:
                 raise ValueError(f"t_final={self.t_final} at dt={dt} takes {steps:.3g} steps, "
                                  f"more than {MAX_STEPS}")
-        ratio = self.t_final / self.stepper.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            warnings.warn(
-                f"t_final={self.t_final} is not a multiple of dt={self.stepper.dt}; "
-                "the last step will be shortened",
-                stacklevel=2,
-            )
+        _warn_if_shortened(self.t_final, self.stepper.dt)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -358,22 +364,13 @@ def _graph_template(grid: GridSpec) -> str:
     return "xi,y,U,q,w,h,I\r\n" + rows
 
 
-def _graph_columns(state: LagrangianState) -> np.ndarray:
-    """The graph fields of ``state`` after xi, as the rows of one (6, N) array."""
-    return np.stack((state.y, state.U, state.q, state.w, state.h, invariants(state)))
-
-
-def _write_graph(path: Path, grid: GridSpec, columns: np.ndarray) -> None:
-    """Write one graph CSV: ``_graph_template(grid)`` filled, cell by cell,
-    with the six values of ``columns`` (rows in ``_graph_columns`` order)."""
-    text = _graph_template(grid) % tuple(columns.T.ravel().tolist())
+def write_graph_csv(path: Path, state: LagrangianState) -> None:
+    """One row per cell: the graph point (y, U) and its Lagrangian fields,
+    written as ``_graph_template(state.grid)`` filled cell by cell."""
+    columns = np.stack((state.y, state.U, state.q, state.w, state.h, invariants(state)))
+    text = _graph_template(state.grid) % tuple(columns.T.ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def write_graph_csv(path: Path, state: LagrangianState) -> None:
-    """One row per cell: the graph point (y, U) and its Lagrangian fields."""
-    _write_graph(path, state.grid, _graph_columns(state))
 
 
 def _attempt(fn, *args):
@@ -579,10 +576,10 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     recorder = DiagnosticsRecorder()
     snapshots: list[tuple[int, int, float, str]] = []  # index, step, t, file
 
-    with _Lane(lambda item: _write_graph(*item), "the graph writer", depth=2) as writer:
+    with _Lane(lambda item: write_graph_csv(*item), "the graph writer", depth=2) as writer:
         def snapshot(step, t, state, report):
             fname = f"graph_{len(snapshots):04d}.csv"
-            writer.send((run_dir / fname, state.grid, _graph_columns(state)))
+            writer.send((run_dir / fname, state))
             snapshots.append((len(snapshots), step, t, fname))
 
         _, report = evolve(
@@ -697,21 +694,19 @@ def _nearest_xi_error(coarse: LagrangianState, fine: LagrangianState) -> float:
     )
 
 
-def converge_experiment(
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    dt_list=None,
-    dxi_list=None,
-    quiet: bool = False,
-) -> dict:
-    """Error-vs-resolution sweeps with fitted log-log slopes.
+def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> dict:
+    """Error-vs-resolution sweeps with fitted log-log slopes, over the
+    resolutions of ``cfg.sweep``: its ``dt`` list, its ``dxi`` list, or both.
 
     Time sweeps hold the grid fixed and compare final states (distance_f)
     against the reference of ``compare_experiment``, Strang runs at h and
     h/2 extrapolated to order 4, at h = min(dt) * reference_dt_factor
-    (``reference_dt`` in the report).  Space sweeps compare against the
-    exact peakon when available, otherwise against the finest run via
-    nearest-xi graph matching.
+    (``reference_dt`` in the report).  Every run of a time sweep, and the
+    reference, starts from one initial state.  Space sweeps build each grid's
+    initial state and run it at dt = dxi / 4, and compare against the exact
+    peakon when available, otherwise against the finest run via nearest-xi
+    graph matching.  As the config does for its own dt, each swept run warns
+    when its last step is shortened.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -722,12 +717,10 @@ def converge_experiment(
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
-    dt_list = list(dt_list or cfg.sweep.get("dt", []))
-    dxi_list = list(dxi_list or cfg.sweep.get("dxi", []))
+    dt_list = list(cfg.sweep.get("dt", []))
+    dxi_list = list(cfg.sweep.get("dxi", []))
     if not dt_list and not dxi_list:
         raise RodwaveError("converge needs a dt and/or dxi sweep")
-    # the sweep that runs, so that the manifest replays it
-    cfg = replace(cfg, sweep={k: v for k, v in (("dt", dt_list), ("dxi", dxi_list)) if v})
     peakon = cfg.initial_data.get("kind") == "peakon"  # validated: gamma = 1, exact solution known
     # a fit needs 3 points; a space sweep against its finest run loses one
     for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if peakon else 4)):
@@ -735,26 +728,27 @@ def converge_experiment(
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
 
-    def start(dxi, dt):
-        """The initial state and the stepper of cfg's scheme at (dxi, dt)."""
-        run_cfg = replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dt))
-        return build_initial_state(run_cfg), run_cfg.stepper
-
-    def final_x(state0, stepper):
-        return evolve(state0, cfg.t_final, stepper)[0].x
-
-    # the dt sweep's runs, then the dxi sweep's, after the reference's two
-    runs = [start(cfg.dxi, dt) for dt in dt_list]
-    runs += [start(dxi, dxi / _DXI_PER_DT) for dxi in dxi_list]
-    ref_jobs = []
+    # the start state and stepper of each run: the dt sweep's, then the dxi
+    # sweep's, after the reference's two
+    runs, ref_jobs = [], []
     if dt_list:
+        state0 = build_initial_state(cfg)
+        runs = [(state0, replace(cfg.stepper, dt=dt)) for dt in dt_list]
         ref_dt = min(dt_list) * cfg.reference_dt_factor
-        ref_jobs = reference_runs(runs[0][0], cfg.t_final, replace(cfg.stepper, dt=ref_dt))
+        ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
+    runs += [(build_initial_state(replace(cfg, dxi=dxi)),
+              replace(cfg.stepper, dt=dxi / _DXI_PER_DT)) for dxi in dxi_list]
+    for _, stepper in runs:
+        _warn_if_shortened(cfg.t_final, stepper.dt)
+
+    def final_x(state, stepper):
+        return evolve(state, cfg.t_final, stepper)[0].x
+
     results = _run_jobs([*ref_jobs, *(functools.partial(final_x, *run) for run in runs)])
     finals = [s0.with_x(x) for (s0, _), x in zip(runs, results[len(ref_jobs):])]
 
     if dt_list:
-        reference = richardson_extrapolate(runs[0][0], *results[:2])
+        reference = richardson_extrapolate(state0, *results[:2])
         errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
         report["dt_sweep"] = {
             "dt": dt_list,

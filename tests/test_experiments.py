@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +49,11 @@ def run_cli(*argv):
 
 def csv_bytes(run_dir):
     return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*.csv"))}
+
+
+def converge_bytes(out_dir):
+    """``csv_bytes`` of a converge directory, plus its order report."""
+    return {**csv_bytes(out_dir), "order_report.json": (out_dir / "order_report.json").read_bytes()}
 
 
 class TestRun:
@@ -106,9 +112,14 @@ class TestWriters:
         oracle = [",".join(map(repr, row)) for row in zip(grid.cells.tolist(), *columns.tolist())]
         assert rows == oracle
         assert "-0.30000000000000004" in rows[4]
+        # write_graph_csv writes the template filled with a state's fields
+        s = rw.LagrangianState.zero(grid, rw.Parameters(1.0))
+        s = s.replace(zeta=special * 2, U=special[::-1] * 2, w=columns[2], h=np.abs(columns[3]))
+        columns = np.stack((s.y, s.U, s.q, s.w, s.h, rw.invariants(s)))
+        text = experiments._graph_template(grid) % tuple(columns.T.ravel().tolist())
         path = tmp_path / "graph.csv"
-        experiments._write_graph(path, grid, columns)
-        assert path.read_bytes() == text.encode()
+        experiments.write_graph_csv(path, s)
+        assert path.read_bytes() == text.encode() and text.count("\r\n") == 1 + grid.n_cells
 
     def test_integer_sweep_resolutions_are_written_as_floats(self, tmp_path):
         config = write_config(tmp_path, sweep={"dxi": [1, 0.5, 0.25]})
@@ -289,31 +300,31 @@ class TestGraphWriter:
 
 
 def in_child(monkeypatch, write_graph):
-    """Patch ``_write_graph`` to call ``write_graph`` in any process but
+    """Patch ``write_graph_csv`` to call ``write_graph`` in any process but
     this one, and the real writer in this one."""
-    real, caller = experiments._write_graph, os.getpid()
+    real, caller = experiments.write_graph_csv, os.getpid()
 
     def patched(*args):
         return (real if os.getpid() == caller else write_graph)(*args)
 
-    monkeypatch.setattr(experiments, "_write_graph", patched)
+    monkeypatch.setattr(experiments, "write_graph_csv", patched)
 
 
 def log_writers(monkeypatch, log, child_delay):
-    """Patch ``_write_graph`` to record, in a file of the new directory
+    """Patch ``write_graph_csv`` to record, in a file of the new directory
     ``log`` named after its graph, the pid of the process that writes it,
     and to sleep ``child_delay`` seconds first in any process but this
     one.  Returns ``log``."""
-    real, caller = experiments._write_graph, os.getpid()
+    real, caller = experiments.write_graph_csv, os.getpid()
     log.mkdir()
 
-    def write(path, grid, columns):
+    def write(path, state):
         if os.getpid() != caller:
             time.sleep(child_delay)
         (log / path.name).write_text(str(os.getpid()))
-        real(path, grid, columns)
+        real(path, state)
 
-    monkeypatch.setattr(experiments, "_write_graph", write)
+    monkeypatch.setattr(experiments, "write_graph_csv", write)
     return log
 
 
@@ -566,9 +577,46 @@ class TestCompareConverge:
         manifest = tmp_path / "a" / "tiny_converge" / "manifest.json"
         assert json.loads(manifest.read_text())["config"]["sweep"] == {"dxi": [1.0, 0.5, 0.25]}
         assert run_cli("converge", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
-        a = csv_bytes(tmp_path / "a" / "tiny_converge")
-        assert set(a) == {"errors.csv"}
-        assert a == csv_bytes(tmp_path / "b" / "tiny_converge")
+        a = converge_bytes(tmp_path / "a" / "tiny_converge")
+        assert set(a) == {"errors.csv", "order_report.json"}
+        assert a == converge_bytes(tmp_path / "b" / "tiny_converge")
+
+    def test_a_sweep_flag_overrides_its_key_of_the_config_sweep(self, tmp_path):
+        config = write_config(tmp_path, sweep={"dt": [0.1, 0.05, 0.025], "dxi": [1.0, 0.5, 0.25]})
+        argv = ("converge", "--config", config, "--dt-list", "0.125,0.0625,0.03125")
+        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 0
+        out = tmp_path / "a" / "tiny_converge"
+        report = json.loads((out / "order_report.json").read_text())
+        assert report["dt_sweep"]["dt"] == [0.125, 0.0625, 0.03125]
+        assert report["dxi_sweep"]["dxi"] == [1.0, 0.5, 0.25]
+        assert json.loads((out / "manifest.json").read_text())["config"]["sweep"] == {
+            "dt": [0.125, 0.0625, 0.03125], "dxi": [1.0, 0.5, 0.25]}
+        argv = ("converge", "--config", str(out / "manifest.json"))
+        assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
+        assert converge_bytes(out) == converge_bytes(tmp_path / "b" / "tiny_converge")
+
+    def test_a_dt_sweep_builds_one_start_state(self, tmp_path, monkeypatch):
+        # one for the dt sweep and its reference, one per swept dxi
+        built = []
+        build = experiments.build_initial_state
+        monkeypatch.setattr(experiments, "build_initial_state",
+                            lambda cfg: built.append(cfg.dxi) or build(cfg))
+        cfg = rw.load_config(write_config(
+            tmp_path, sweep={"dt": [0.1, 0.05, 0.025], "dxi": [1.0, 0.5, 0.25]}))
+        rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
+        assert built == [0.25, 1.0, 0.5, 0.25]
+
+    def test_converge_warns_of_each_swept_run_with_a_short_last_step(self, tmp_path):
+        # TINY's t_final 0.25 is a multiple of 0.05 and of each dxi / 4 but
+        # 0.15 = 0.6 / 4, of 0.03 and of the config's dt 0.1
+        cfg = rw.load_config(write_config(
+            tmp_path, sweep={"dt": [0.1, 0.05, 0.03], "dxi": [0.6, 0.5, 0.25]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
+        assert {str(w.message) for w in caught} == {
+            f"t_final=0.25 is not a multiple of dt={dt}; the last step will be shortened"
+            for dt in (0.1, 0.03, 0.15)}
 
     def test_emit_plots_for_run_and_compare(self, tmp_path):
         config = write_config(tmp_path)
@@ -722,10 +770,10 @@ class TestErrors:
         # repeated dt count one point twice in the fit
         with pytest.raises(ValueError, match=r"^sweep\.dt: 0\.1 named more than once$"):
             rw.ExperimentConfig.from_dict(merged(TINY, {"sweep": {"dt": [0.1, 0.05, 0.1]}}))
+        # as when --dxi-list names it
         cfg = rw.bundled_config("smooth_gamma02")
         with pytest.raises(ValueError, match=r"^sweep\.dxi: 0\.25 named more than once$"):
-            rw.converge_experiment(cfg, tmp_path / "out", dxi_list=[1.0, 0.5, 0.25, 0.25])
-        assert not (tmp_path / "out").exists()
+            replace(cfg, sweep={"dxi": [1.0, 0.5, 0.25, 0.25]})
 
     @pytest.mark.parametrize("changes, dt", [
         ({"stepper": {"dt": 1e-300}}, 1e-300),
@@ -738,6 +786,21 @@ class TestErrors:
             rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
         assert str(info.value) == (f"t_final=5.0 at dt={dt} takes {5.0 / dt:.3g} steps, "
                                    f"more than {experiments.MAX_STEPS}")
+
+    def test_the_config_warns_of_the_short_last_step_that_plan_steps_takes(self):
+        # below t_final = 1 a ratio test of t_final / dt would warn here too,
+        # of a last step of 5e-10 that plan_steps does not take
+        changes = {"stepper": {"dt": 1e-3}, "t_final": 0.1000000005}
+        assert stepping.plan_steps(0.1000000005, 1e-3) == (100, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        n_full, last = stepping.plan_steps(0.10000005, 1e-3)
+        assert n_full == 100 and last == pytest.approx(5e-8, rel=1e-6)
+        with pytest.warns(UserWarning, match="^t_final=0.10000005 is not a multiple of "
+                                             "dt=0.001; the last step will be shortened$"):
+            rw.ExperimentConfig.from_dict(
+                merged(rw.BUNDLED["peakon_c1"], {**changes, "t_final": 0.10000005}))
 
     def test_step_count_up_to_the_bound_is_accepted(self):
         assert 2**23 <= experiments.MAX_STEPS < 2**24
