@@ -35,7 +35,6 @@ def _config_from_args(args) -> experiments.ExperimentConfig:
         # a single scheme also becomes the run's scheme
         stepper = replace(cfg.stepper, scheme=schemes[0]) if len(schemes) == 1 else cfg.stepper
         cfg = replace(cfg, stepper=stepper, schemes=schemes)
-    # --dt-list and --dxi-list each override that key of the config's sweep
     given = {key: values for key in ("dt", "dxi")
              if (values := _parse_floats(getattr(args, f"{key}_list", None)))}
     if given:
