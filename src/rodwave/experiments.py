@@ -52,8 +52,8 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import (SCHEMES, StepperConfig, evolve, plan_steps, reference_runs,
-                       richardson_extrapolate)
+from .stepping import (SCHEMES, StepperConfig, evolve, evolve_job, plan_steps,
+                       reference_runs, richardson_extrapolate)
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -566,9 +566,11 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     ``graph_writer_wait_s``, the time loop's time in ``send``, its own
     writes included, plus the join.  Its ``solver`` is the run's
     ``StepReport`` (``stepping.evolve``): ``fp_iterations``, the histogram's
-    keys as strings, ``final_residual``, ``accepted``, ``rejected``, and over
+    keys as strings, ``final_residual``, ``accepted``, ``rejected``, over
     t=0 and every accepted state ``min_q``, ``min_h`` and ``folded``, the
-    count of those with y folded."""
+    count of those with y folded, and over t=0 and every step's end state
+    ``max_inv_drift``, the largest invariant drift, which the printed line
+    gives too."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
     state0 = build_initial_state(cfg)
@@ -604,15 +606,15 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
         print(
             f"[{cfg.name}] scheme={cfg.stepper.scheme} steps={snapshots[-1][1]} "
             f"energy={rows[-1].total_energy:.6f} min_q={report.min_q:.3e} folded={report.folded} "
-            f"inv_drift={recorder.max_invariant_drift:.3e} wall={wall:.2f}s"
+            f"inv_drift={report.max_inv_drift:.3e} wall={wall:.2f}s"
         )
     return run_dir
 
 
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
     """Evolve one scheme, recording every step, and write its diagnostics
-    and final graph into ``scheme_dir``.  Returns the final state's array,
-    the largest invariant drift and the run's ``StepReport``."""
+    and final graph into ``scheme_dir``.  Returns the final state's array
+    and the run's ``StepReport``, as ``stepping.evolve_job`` does."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     state, report = evolve(
@@ -620,7 +622,7 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
-    return state.x, recorder.max_invariant_drift, report
+    return state.x, report
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
@@ -635,8 +637,11 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     graph is written to ``reference_graph.csv``, whose I column holds the
     invariants of the extrapolated state: they are not conserved.  The
     minima take in t=0 and every state a scheme accepted, the internal
-    steps of the adaptive comparator included.  The manifest's ``solver``
-    maps each scheme to its run's report, as ``run_experiment``'s.
+    steps of the adaptive comparator included; the drift takes in t=0 and
+    each step's end state.  The manifest's ``solver`` maps each scheme to
+    its run's report, as ``run_experiment``'s, and its ``reference`` holds
+    the ``solver`` reports of the reference's runs, in the order of its
+    ``dt``: the run at h, then the run at h/2.
 
     The reference's two runs (``stepping.reference_runs``, the fine run
     first) and the schemes, in that order, are the jobs of ``_run_jobs``:
@@ -654,14 +659,14 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = cfg.stepper.dt * cfg.reference_dt_factor
-    fine_x, coarse_x, *finals = _run_jobs([
+    (fine_x, fine), (coarse_x, coarse), *finals = _run_jobs([
         *reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
         *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
           for scheme in cfg.schemes)])
     reference = richardson_extrapolate(state0, fine_x, coarse_x)
     write_graph_csv(out_dir / "reference_graph.csv", reference)
-    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), drift, r.min_q, r.min_h)
-            for scheme, (x, drift, r) in zip(cfg.schemes, finals)]
+    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), r.max_inv_drift,
+             r.min_q, r.min_h) for scheme, (x, r) in zip(cfg.schemes, finals)]
     _write_csv(
         out_dir / "summary.csv",
         ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"),
@@ -670,8 +675,9 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     wall = time.perf_counter() - t_start
     _write_manifest(out_dir, cfg, wall,
                     artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
-                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2]},
-                    solver={scheme: asdict(r) for scheme, (_, _, r) in zip(cfg.schemes, finals)})
+                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2],
+                               "solver": [asdict(coarse), asdict(fine)]},
+                    solver={scheme: asdict(r) for scheme, (_, r) in zip(cfg.schemes, finals)})
     if not quiet:
         for scheme, err, drift, min_q, min_h in rows:
             print(
@@ -703,10 +709,15 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     h/2 extrapolated to order 4, at h = min(dt) * reference_dt_factor
     (``reference_dt`` in the report).  Every run of a time sweep, and the
     reference, starts from one initial state.  Space sweeps build each grid's
-    initial state and run it at dt = dxi / 4, and compare against the exact
-    peakon when available, otherwise against the finest run via nearest-xi
-    graph matching.  As the config does for its own dt, each swept run warns
-    when its last step is shortened.
+    initial state, from the config at that dxi and at dt = dxi / 4, and run
+    it at that dt, and compare against the exact peakon when available,
+    otherwise against the finest run via nearest-xi graph matching.  As the
+    config does for its own dt, each swept run warns when its last step is
+    shortened; the config's own dt, which no run takes, warns only when the
+    config is built.  The manifest's ``solver`` holds each run's
+    ``StepReport``, as ``run_experiment``'s: under ``reference`` the
+    reference's runs at h and h/2, and under ``dt_sweep`` and ``dxi_sweep``
+    one per swept run, in the order of the report's lists.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -734,21 +745,24 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     if dt_list:
         state0 = build_initial_state(cfg)
         runs = [(state0, replace(cfg.stepper, dt=dt)) for dt in dt_list]
+        for _, stepper in runs:
+            _warn_if_shortened(cfg.t_final, stepper.dt)
         ref_dt = min(dt_list) * cfg.reference_dt_factor
         ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-    runs += [(build_initial_state(replace(cfg, dxi=dxi)),
-              replace(cfg.stepper, dt=dxi / _DXI_PER_DT)) for dxi in dxi_list]
-    for _, stepper in runs:
-        _warn_if_shortened(cfg.t_final, stepper.dt)
+    # each grid's config takes the dt its run takes, and warns of that dt
+    grids = [replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dxi / _DXI_PER_DT))
+             for dxi in dxi_list]
+    runs += [(build_initial_state(grid), grid.stepper) for grid in grids]
 
-    def final_x(state, stepper):
-        return evolve(state, cfg.t_final, stepper)[0].x
-
-    results = _run_jobs([*ref_jobs, *(functools.partial(final_x, *run) for run in runs)])
-    finals = [s0.with_x(x) for (s0, _), x in zip(runs, results[len(ref_jobs):])]
+    results = _run_jobs([*ref_jobs, *(functools.partial(evolve_job, s0, cfg.t_final, stepper)
+                                      for s0, stepper in runs)])
+    ref_results, results = results[:len(ref_jobs)], results[len(ref_jobs):]
+    finals = [s0.with_x(x) for (s0, _), (x, _) in zip(runs, results)]
+    solver = {}
 
     if dt_list:
-        reference = richardson_extrapolate(state0, *results[:2])
+        (fine_x, fine), (coarse_x, coarse) = ref_results
+        reference = richardson_extrapolate(state0, fine_x, coarse_x)
         errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
         report["dt_sweep"] = {
             "dt": dt_list,
@@ -757,6 +771,8 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "reference_dt": ref_dt,
             "reference": _REFERENCE_METHOD,
         }
+        solver["reference"] = [asdict(coarse), asdict(fine)]
+        solver["dt_sweep"] = [asdict(r) for _, r in results[:len(dt_list)]]
 
     if dxi_list:
         finals = finals[len(dt_list):]
@@ -782,6 +798,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "slope": convergence_order(fit_pairs),
             "against": "exact_peakon" if peakon else "finest_run",
         }
+        solver["dxi_sweep"] = [asdict(r) for _, r in results[len(dt_list):]]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "order_report.json", report)
@@ -796,7 +813,8 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         ],
     )
     _write_manifest(out_dir, cfg, time.perf_counter() - t_start,
-                    artifacts={"order_report": "order_report.json", "errors": "errors.csv"})
+                    artifacts={"order_report": "order_report.json", "errors": "errors.csv"},
+                    solver=solver)
     if not quiet:
         for key in ("dt_sweep", "dxi_sweep"):
             if key in report:

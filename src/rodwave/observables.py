@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFit, GridMismatch
-from .state import LagrangianState, invariants
+from .state import LagrangianState
 from .stepping import StepReport
 
 
@@ -61,26 +61,19 @@ class DiagnosticsRow:
 
 @dataclass
 class DiagnosticsRecorder:
-    """evolve() observer accumulating one row per observation time."""
+    """evolve() observer accumulating one row per observation time.  A
+    row's drift is its step report's ``max_inv_drift``, 0 at t=0."""
 
     rows: list[DiagnosticsRow] = field(default_factory=list)
-    _I0: np.ndarray | None = None
 
     def __call__(self, step: int, t: float, state: LagrangianState, report: StepReport | None):
-        I = invariants(state)
-        if self._I0 is None:
-            self._I0 = I
         self.rows.append(
             DiagnosticsRow(
                 t=t,
                 total_energy=float(state.grid.dxi * np.sum(state.h)),
                 min_q=float(np.min(state.q)),
                 min_h=float(np.min(state.h)),
-                max_inv_drift=float(np.max(np.abs(I - self._I0))),
+                max_inv_drift=report.max_inv_drift if report else 0.0,
                 fp_iters_max=max(report.fp_iterations) if report and report.fp_iterations else 0,
             )
         )
-
-    @property
-    def max_invariant_drift(self) -> float:
-        return max(r.max_inv_drift for r in self.rows)

@@ -35,7 +35,8 @@ Every scheme has the same interface,
 ``step_<scheme>(state, cfg, dt=None) -> (state, StepReport)``, advancing by
 ``dt`` (default cfg.dt); ``evolve`` drives any of them.  One rule,
 ``StepReport.merge``, folds substeps into a step and steps into a run, so a
-run's report is no larger than a step's.  ``compare`` and ``converge``
+run's report is no larger than a step's; ``evolve`` alone measures the
+invariant drift, into each step's report.  ``compare`` and ``converge``
 measure against ``richardson_reference``: Strang runs at steps h and h/2,
 built as two jobs by ``reference_runs``, extrapolated to order 4
 (``richardson_extrapolate``).  It is their reference only, not a scheme.
@@ -43,6 +44,7 @@ built as two jobs by ``reference_runs``, extrapolated to order 4
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +58,7 @@ from .source_terms import (
 # distance_f is no longer called here (the midpoint residual is the
 # relative change of _relative_change), but perfbench's tracer reports
 # calls to it by this module's name.
-from .state import LagrangianState, distance_f  # noqa: F401
+from .state import LagrangianState, distance_f, invariants  # noqa: F401
 
 SCHEMES = ("lie_trotter", "strang", "explicit_euler", "adaptive_rk")
 
@@ -92,6 +94,10 @@ class StepReport:
     states, and ``folded`` counts those whose y is folded (``is_folded``):
     a fixed step's end state, each accepted internal state of an adaptive
     segment, and a run's start state; not the iterates that led to them.
+    ``max_inv_drift`` is the largest max_i |I_i - I_i(0)| (``invariants``)
+    over t=0 and the end state of each step of ``evolve``, which sets it;
+    unlike the minima, it does not cover the internal states of an
+    adaptive step.
     """
 
     fp_iterations: dict[int, int] = field(default_factory=dict)
@@ -101,6 +107,7 @@ class StepReport:
     rejected: int = 0
     min_q: float = math.inf
     min_h: float = math.inf
+    max_inv_drift: float = 0.0
 
     def merge(self, other: "StepReport") -> "StepReport":
         fp_iterations = dict(self.fp_iterations)
@@ -114,6 +121,7 @@ class StepReport:
             rejected=self.rejected + other.rejected,
             min_q=min(self.min_q, other.min_q),
             min_h=min(self.min_h, other.min_h),
+            max_inv_drift=max(self.max_inv_drift, other.max_inv_drift),
         )
 
 
@@ -446,9 +454,11 @@ def evolve(
 
     Observers are callables obs(step_index, t, state, report) invoked at
     t=0 (report None), after every ``observe_stride``-th step, and at the
-    final step; ``report`` is that step's.  Returns (final state, the run's
-    StepReport): ``_ended`` of the start state merged with each step's
-    report as it comes.  Fully deterministic for a given configuration.
+    final step; ``report`` is that step's, its ``max_inv_drift`` set to
+    max_i |I_i - I_i(0)| of the step's end state.  Returns (final state,
+    the run's StepReport): ``_ended`` of the start state merged with each
+    step's report as it comes.  Fully deterministic for a given
+    configuration.
 
     ``_step`` is private to the package: a step function to drive in place
     of cfg.scheme's, for the reference that is not in ``SCHEMES``.
@@ -464,6 +474,7 @@ def evolve(
     # Looked up at call time, so a replaced module-level stepper is used.
     step = _step or globals()[f"step_{cfg.scheme}"]
     _, run = _ended(state, StepReport())
+    I0 = invariants(state)
     n_full, last = plan_steps(t_final, cfg.dt)
     n_steps = n_full + (last is not None)
     t = 0.0
@@ -471,6 +482,7 @@ def evolve(
         dt_j = cfg.dt if j <= n_full else last
         t += dt_j
         state, report = step(state, cfg, dt_j)
+        report.max_inv_drift = float(np.max(np.abs(invariants(state) - I0)))
         run = run.merge(report)
         if j % observe_stride == 0 or j == n_steps:
             for obs in observers:
@@ -478,13 +490,19 @@ def evolve(
     return state, run
 
 
+def evolve_job(state: LagrangianState, t_final: float, cfg: StepperConfig, *, _step=None):
+    """``evolve`` as a job of ``_run_jobs``: the final state's array, all
+    of the state that a job sends back, and the run's report."""
+    state, report = evolve(state, t_final, cfg, _step=_step)
+    return state.x, report
+
+
 def reference_runs(state: LagrangianState, t_final: float, cfg: StepperConfig) -> list:
-    """The two runs of ``richardson_reference`` as zero-argument jobs, the
-    fine run first: Strang at h = cfg.dt, and each of its steps taken as two
-    Strang steps of half its size.  Each job returns its final state's
-    array, for ``richardson_extrapolate``."""
-    return [lambda: evolve(state, t_final, cfg, _step=_step_two_halves)[0].x,
-            lambda: evolve(state, t_final, cfg, _step=step_strang)[0].x]
+    """The two runs of ``richardson_reference`` as zero-argument jobs
+    (``evolve_job``), the fine run first: Strang at h = cfg.dt, and each of
+    its steps taken as two Strang steps of half its size."""
+    return [functools.partial(evolve_job, state, t_final, cfg, _step=_step_two_halves),
+            functools.partial(evolve_job, state, t_final, cfg, _step=step_strang)]
 
 
 def richardson_extrapolate(
@@ -513,5 +531,5 @@ def richardson_reference(
     compare and converge hand the same jobs to their lanes.
     """
     fine, coarse = reference_runs(state, t_final, cfg)
-    coarse_x = coarse()
-    return richardson_extrapolate(state, fine(), coarse_x)
+    coarse_x, _ = coarse()
+    return richardson_extrapolate(state, fine()[0], coarse_x)

@@ -51,6 +51,12 @@ def csv_bytes(run_dir):
     return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*.csv"))}
 
 
+def fp_substeps(reports):
+    """The midpoint substeps of each manifest report: its fp-iteration
+    histogram's sum."""
+    return [sum(report["fp_iterations"].values()) for report in reports]
+
+
 def converge_bytes(out_dir):
     """``csv_bytes`` of a converge directory, plus its order report."""
     return {**csv_bytes(out_dir), "order_report.json": (out_dir / "order_report.json").read_bytes()}
@@ -82,10 +88,12 @@ class TestRun:
 
     def test_printed_minimum_is_over_every_step(self, tmp_path, capsys):
         # output_stride 5 observes 17 of the 81 states, whose least q is
-        # 1.145e-02; the least over every step falls between them
+        # 1.145e-02 and largest drift 2.864e-14; the extremes over every
+        # step fall between them
         rw.run_experiment(rw.bundled_config("peakon_antipeakon_gamma1"), tmp_path / "run")
         out = capsys.readouterr().out
         assert "steps=80 " in out and " min_q=8.019e-04 folded=13 " in out
+        assert " inv_drift=4.285e-14 " in out
 
 
 class TestWriters:
@@ -448,9 +456,9 @@ class TestJobLanes:
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
-            x, drift, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
+            x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
             err = rw.sup_graph_error(state0.with_x(x), reference)
-            rows.append((scheme, err, drift, run.min_q, run.min_h))
+            rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",
             ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"), rows)
@@ -532,8 +540,12 @@ class TestCompareConverge:
         config = write_config(tmp_path)
         assert run_cli("compare", "--config", config, "--out", str(tmp_path / "a")) == 0
         manifest = tmp_path / "a" / "tiny_compare" / "manifest.json"
-        assert json.loads(manifest.read_text())["reference"] == {
-            "method": "richardson_strang", "dt": [0.05, 0.025]}
+        reference = json.loads(manifest.read_text())["reference"]
+        # the reports of the runs at h and h/2: the fine run takes two
+        # Strang steps per coarse step
+        coarse, fine = reference.pop("solver")
+        assert reference == {"method": "richardson_strang", "dt": [0.05, 0.025]}
+        assert fp_substeps([coarse, fine]) == [15, 30]
         # each scheme's report holds the minima its summary row gives
         solver = json.loads(manifest.read_text())["solver"]
         header, *rows = (tmp_path / "a" / "tiny_compare" / "summary.csv").read_text().split()
@@ -576,6 +588,10 @@ class TestCompareConverge:
         assert run_cli(*argv, "--out", str(tmp_path / "a")) == 0
         manifest = tmp_path / "a" / "tiny_converge" / "manifest.json"
         assert json.loads(manifest.read_text())["config"]["sweep"] == {"dxi": [1.0, 0.5, 0.25]}
+        # one report per swept run, in the report's order: dxi / 4 divides
+        # t_final 0.25 in 1, 2 and 4 Strang steps
+        solver = json.loads(manifest.read_text())["solver"]
+        assert list(solver) == ["dxi_sweep"] and fp_substeps(solver["dxi_sweep"]) == [3, 6, 12]
         assert run_cli("converge", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
         a = converge_bytes(tmp_path / "a" / "tiny_converge")
         assert set(a) == {"errors.csv", "order_report.json"}
@@ -589,8 +605,16 @@ class TestCompareConverge:
         report = json.loads((out / "order_report.json").read_text())
         assert report["dt_sweep"]["dt"] == [0.125, 0.0625, 0.03125]
         assert report["dxi_sweep"]["dxi"] == [1.0, 0.5, 0.25]
-        assert json.loads((out / "manifest.json").read_text())["config"]["sweep"] == {
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["sweep"] == {
             "dt": [0.125, 0.0625, 0.03125], "dxi": [1.0, 0.5, 0.25]}
+        # the reference's runs at h = 0.015625 and h/2, then each swept run,
+        # in the report's order
+        solver = manifest["solver"]
+        assert report["dt_sweep"]["reference_dt"] == 0.015625
+        assert fp_substeps(solver["reference"]) == [48, 96]
+        assert fp_substeps(solver["dt_sweep"]) == [6, 12, 24]
+        assert fp_substeps(solver["dxi_sweep"]) == [3, 6, 12]
         argv = ("converge", "--config", str(out / "manifest.json"))
         assert run_cli(*argv, "--out", str(tmp_path / "b")) == 0
         assert converge_bytes(out) == converge_bytes(tmp_path / "b" / "tiny_converge")
@@ -617,6 +641,15 @@ class TestCompareConverge:
         assert {str(w.message) for w in caught} == {
             f"t_final=0.25 is not a multiple of dt={dt}; the last step will be shortened"
             for dt in (0.1, 0.03, 0.15)}
+
+    def test_converge_warns_of_no_dt_that_no_run_takes(self, tmp_path):
+        # the config's dt 0.1 does not divide t_final 0.25, but no converge
+        # run takes it, and each dxi / 4 divides 0.25
+        cfg = rw.load_config(write_config(tmp_path, sweep={"dxi": [0.5, 0.25, 0.125]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
+        assert [str(w.message) for w in caught] == []
 
     def test_emit_plots_for_run_and_compare(self, tmp_path):
         config = write_config(tmp_path)

@@ -144,14 +144,27 @@ class TestDiagnosticsRecorder:
         grid = rw.GridSpec.from_radius(0.1, 10.0)
         s = rw.make_peakon_pair([(1.0, 0.0)], grid)
         rec = rw.DiagnosticsRecorder()
-        rw.evolve(s, 0.5, rw.StepperConfig(dt=0.1, scheme="strang"),
-                  observers=(rec,), observe_stride=1)
+        _, run = rw.evolve(s, 0.5, rw.StepperConfig(dt=0.1, scheme="strang"),
+                           observers=(rec,), observe_stride=1)
         assert len(rec.rows) == 6
         assert rec.rows[0].t == 0.0
         assert rec.rows[0].max_inv_drift == 0.0
         assert rec.rows[0].fp_iters_max == 0
         assert rec.rows[-1].fp_iters_max > 0
-        assert rec.max_invariant_drift <= 50 * 1e-12
+        assert run.max_inv_drift <= 50 * 1e-12
         # only the per-cell invariants are exact; the energy sum drifts at
         # discretisation level (measured ~0.2% here)
         assert rec.rows[-1].total_energy == pytest.approx(rec.rows[0].total_energy, rel=0.01)
+
+    @pytest.mark.parametrize("scheme", rw.SCHEMES)
+    def test_a_rows_drift_is_its_states_and_the_run_takes_the_largest(self, scheme):
+        s0 = rw.make_peakon_pair([(1.0, 0.0)], rw.GridSpec.from_radius(0.25, 5.0))
+        rec, drifts = rw.DiagnosticsRecorder(), []
+
+        def drift(step, t, state, report):
+            drifts.append(float(np.max(np.abs(rw.invariants(state) - rw.invariants(s0)))))
+
+        _, run = rw.evolve(s0, 0.5, rw.StepperConfig(dt=0.1, scheme=scheme),
+                           observers=(rec, drift))
+        assert [row.max_inv_drift for row in rec.rows] == drifts and len(drifts) == 6
+        assert run.max_inv_drift == max(drifts)
