@@ -709,15 +709,14 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     h/2 extrapolated to order 4, at h = min(dt) * reference_dt_factor
     (``reference_dt`` in the report).  Every run of a time sweep, and the
     reference, starts from one initial state.  Space sweeps build each grid's
-    initial state, from the config at that dxi and at dt = dxi / 4, and run
-    it at that dt, and compare against the exact peakon when available,
-    otherwise against the finest run via nearest-xi graph matching.  As the
-    config does for its own dt, each swept run warns when its last step is
-    shortened; the config's own dt, which no run takes, warns only when the
-    config is built.  The manifest's ``solver`` holds each run's
-    ``StepReport``, as ``run_experiment``'s: under ``reference`` the
-    reference's runs at h and h/2, and under ``dt_sweep`` and ``dxi_sweep``
-    one per swept run, in the order of the report's lists.
+    initial state and run it at dt = dxi / 4, and compare against the exact
+    peakon when available, otherwise against the finest run via nearest-xi
+    graph matching.  As the config does for its own dt, each swept run warns
+    when its last step is shortened; the config's own dt, which no run
+    takes, warns only when the config is built.  The manifest's ``solver``
+    holds each run's ``StepReport``, as ``run_experiment``'s: under
+    ``reference`` the reference's runs at h and h/2, and under ``dt_sweep``
+    and ``dxi_sweep`` one per swept run, in the order of the report's lists.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -745,14 +744,17 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     if dt_list:
         state0 = build_initial_state(cfg)
         runs = [(state0, replace(cfg.stepper, dt=dt)) for dt in dt_list]
-        for _, stepper in runs:
-            _warn_if_shortened(cfg.t_final, stepper.dt)
         ref_dt = min(dt_list) * cfg.reference_dt_factor
         ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-    # each grid's config takes the dt its run takes, and warns of that dt
-    grids = [replace(cfg, dxi=dxi, stepper=replace(cfg.stepper, dt=dxi / _DXI_PER_DT))
-             for dxi in dxi_list]
-    runs += [(build_initial_state(grid), grid.stepper) for grid in grids]
+    with warnings.catch_warnings():
+        # each dxi's config would warn again of the config's own dt, which no
+        # run here takes; built with its run's dt instead, it would also
+        # bound the steps of a reference at that dt, which none takes either
+        warnings.filterwarnings("ignore", "t_final=.* is not a multiple of dt=", UserWarning)
+        runs += [(build_initial_state(replace(cfg, dxi=dxi)),
+                  replace(cfg.stepper, dt=dxi / _DXI_PER_DT)) for dxi in dxi_list]
+    for _, stepper in runs:
+        _warn_if_shortened(cfg.t_final, stepper.dt)
 
     results = _run_jobs([*ref_jobs, *(functools.partial(evolve_job, s0, cfg.t_final, stepper)
                                       for s0, stepper in runs)])

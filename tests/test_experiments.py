@@ -543,9 +543,8 @@ class TestCompareConverge:
         reference = json.loads(manifest.read_text())["reference"]
         # the reports of the runs at h and h/2: the fine run takes two
         # Strang steps per coarse step
-        coarse, fine = reference.pop("solver")
+        assert fp_substeps(reference.pop("solver")) == [15, 30]
         assert reference == {"method": "richardson_strang", "dt": [0.05, 0.025]}
-        assert fp_substeps([coarse, fine]) == [15, 30]
         # each scheme's report holds the minima its summary row gives
         solver = json.loads(manifest.read_text())["solver"]
         header, *rows = (tmp_path / "a" / "tiny_compare" / "summary.csv").read_text().split()
@@ -650,6 +649,16 @@ class TestCompareConverge:
             warnings.simplefilter("always")
             rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
         assert [str(w.message) for w in caught] == []
+
+    def test_a_dxi_sweep_is_bound_by_the_steps_its_runs_take(self, tmp_path, monkeypatch):
+        # the finest run takes 25000 / 0.025 = 1e6 steps, within MAX_STEPS;
+        # a reference at its dt, which converge does not run, would take 2e7
+        monkeypatch.setattr(experiments, "evolve_job",
+                            lambda state, t_final, cfg: (state.x, stepping.StepReport()))
+        cfg = rw.load_config(write_config(
+            tmp_path, t_final=25000.0, reference_dt_factor=0.1, sweep={"dxi": [0.4, 0.2, 0.1]}))
+        report = rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
+        assert report["dxi_sweep"]["dt"] == [0.1, 0.05, 0.025]
 
     def test_emit_plots_for_run_and_compare(self, tmp_path):
         config = write_config(tmp_path)
