@@ -104,16 +104,6 @@ def _cast(declared: str, value, where: str):
     return value
 
 
-def _warn_if_shortened(t_final: float, dt: float) -> None:
-    """Warn, at the line that called the caller, when a run to t_final at
-    dt ends with a shortened step, as ``stepping.plan_steps`` plans it."""
-    if plan_steps(t_final, dt)[1] is not None:
-        warnings.warn(
-            f"t_final={t_final} is not a multiple of dt={dt}; the last step will be shortened",
-            stacklevel=3,
-        )
-
-
 def _read_section(cls, section, where: str, only=None, **given) -> dict:
     """Keyword arguments for the dataclass ``cls`` from one JSON object, plus
     ``given``.  The keys must be fields (of ``only``, when given) not in
@@ -138,7 +128,9 @@ def _read_section(cls, section, where: str, only=None, **given) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment.  The fields are the JSON layout of a config file,
-    whose ``"grid"`` object holds ``dxi`` and ``r``."""
+    whose ``"grid"`` object holds ``dxi`` and ``r``.  A config checks its
+    own fields and warns of nothing: each driver checks the evolves it
+    starts (``_preflight``)."""
 
     name: str
     initial_data: dict
@@ -196,17 +188,6 @@ class ExperimentConfig:
         if not 0 < self.reference_dt_factor < math.inf:
             raise ValueError(
                 f"reference_dt_factor must be positive and finite, got {self.reference_dt_factor}")
-        # every dt an evolve of run, compare or converge can take: the run's,
-        # each swept dt, each swept dxi's, and the reference's fine step h / 2
-        # at the least h
-        dts = [self.stepper.dt, *self.sweep.get("dt", ())]
-        h = min(dts) * self.reference_dt_factor
-        for dt in (*dts, *(d / _DXI_PER_DT for d in self.sweep.get("dxi", ())), h / 2):
-            steps = self.t_final / dt if dt else math.inf
-            if steps > MAX_STEPS:
-                raise ValueError(f"t_final={self.t_final} at dt={dt} takes {steps:.3g} steps, "
-                                 f"more than {MAX_STEPS}")
-        _warn_if_shortened(self.t_final, self.stepper.dt)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -551,9 +532,26 @@ def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries
 # ---------------------------------------------------------------------------
 
 
+def _preflight(t_final: float, dts, h: float | None = None) -> None:
+    """Before a driver builds a state: refuse an evolve to t_final of more
+    than ``MAX_STEPS`` steps at one of ``dts``, its runs' dts, or at h/2, the
+    fine step of its reference at h; then warn, at the line that called the
+    driver, of each of ``dts`` whose last step ``plan_steps`` shortens."""
+    for dt in (*dts, *(() if h is None else (h / 2,))):
+        steps = t_final / dt if dt else math.inf
+        if steps > MAX_STEPS:
+            raise ValueError(f"t_final={t_final} at dt={dt} takes {steps:.3g} steps, "
+                             f"more than {MAX_STEPS}")
+    for dt in dts:
+        if plan_steps(t_final, dt)[1] is not None:
+            warnings.warn(f"t_final={t_final} is not a multiple of dt={dt}; the last step "
+                          "will be shortened", stacklevel=3)
+
+
 def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) -> Path:
     """Run one experiment, writing graph snapshots, diagnostics and a
-    manifest into ``run_dir``, which is returned.
+    manifest into ``run_dir``, which is returned.  Before it builds a
+    state, ``_preflight`` refuses or warns of its run at ``stepper.dt``.
 
     The snapshots are written by the graph writer, a ``_Lane`` of depth 2
     (see the module docstring), while the time loop goes on; the loop
@@ -573,6 +571,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
     gives too."""
     run_dir = Path(run_dir)
     t_start = time.perf_counter()
+    _preflight(cfg.t_final, [cfg.stepper.dt])
     state0 = build_initial_state(cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
@@ -627,7 +626,8 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Run every scheme in cfg.schemes from identical initial data, writing
-    into ``out_dir``, which is returned.
+    into ``out_dir``, which is returned.  Before it builds a state,
+    ``_preflight`` refuses or warns of its runs at ``stepper.dt`` and h.
 
     The summary table reports the final graph distance to a reference, the
     invariant drift and the minima of q and h over the run.  The reference
@@ -656,9 +656,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
+    h = cfg.stepper.dt * cfg.reference_dt_factor
+    _preflight(cfg.t_final, [cfg.stepper.dt], h)
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = cfg.stepper.dt * cfg.reference_dt_factor
     (fine_x, fine), (coarse_x, coarse), *finals = _run_jobs([
         *reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
         *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
@@ -711,12 +712,12 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     reference, starts from one initial state.  Space sweeps build each grid's
     initial state and run it at dt = dxi / 4, and compare against the exact
     peakon when available, otherwise against the finest run via nearest-xi
-    graph matching.  As the config does for its own dt, each swept run warns
-    when its last step is shortened; the config's own dt, which no run
-    takes, warns only when the config is built.  The manifest's ``solver``
-    holds each run's ``StepReport``, as ``run_experiment``'s: under
-    ``reference`` the reference's runs at h and h/2, and under ``dt_sweep``
-    and ``dxi_sweep`` one per swept run, in the order of the report's lists.
+    graph matching.  Before it builds a state, ``_preflight`` refuses or
+    warns of its swept runs and h, not of the config's own dt, which no run
+    takes.  The manifest's ``solver`` holds each run's ``StepReport``, as
+    ``run_experiment``'s: under ``reference`` the reference's runs at h and
+    h/2, and under ``dt_sweep`` and ``dxi_sweep`` one per swept run, in the
+    order of the report's lists.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -737,6 +738,9 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         if values and len(values) < need:
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
+    ref_dt = min(dt_list) * cfg.reference_dt_factor if dt_list else None
+    dxi_dts = [dxi / _DXI_PER_DT for dxi in dxi_list]
+    _preflight(cfg.t_final, [*dt_list, *dxi_dts], ref_dt)
 
     # the start state and stepper of each run: the dt sweep's, then the dxi
     # sweep's, after the reference's two
@@ -744,17 +748,9 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     if dt_list:
         state0 = build_initial_state(cfg)
         runs = [(state0, replace(cfg.stepper, dt=dt)) for dt in dt_list]
-        ref_dt = min(dt_list) * cfg.reference_dt_factor
         ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-    with warnings.catch_warnings():
-        # each dxi's config would warn again of the config's own dt, which no
-        # run here takes; built with its run's dt instead, it would also
-        # bound the steps of a reference at that dt, which none takes either
-        warnings.filterwarnings("ignore", "t_final=.* is not a multiple of dt=", UserWarning)
-        runs += [(build_initial_state(replace(cfg, dxi=dxi)),
-                  replace(cfg.stepper, dt=dxi / _DXI_PER_DT)) for dxi in dxi_list]
-    for _, stepper in runs:
-        _warn_if_shortened(cfg.t_final, stepper.dt)
+    runs += [(build_initial_state(replace(cfg, dxi=dxi)), replace(cfg.stepper, dt=dt))
+             for dxi, dt in zip(dxi_list, dxi_dts)]
 
     results = _run_jobs([*ref_jobs, *(functools.partial(evolve_job, s0, cfg.t_final, stepper)
                                       for s0, stepper in runs)])
@@ -795,7 +791,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         ]
         report["dxi_sweep"] = {
             "dxi": dxi_list,
-            "dt": [dxi / _DXI_PER_DT for dxi in dxi_list],
+            "dt": dxi_dts,
             "error": errors,
             "slope": convergence_order(fit_pairs),
             "against": "exact_peakon" if peakon else "finest_run",

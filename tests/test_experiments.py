@@ -32,6 +32,14 @@ TINY = {
 }
 
 
+class Reached(Exception):
+    """Raised by ``reach``, which a test patches in to stop a driver there."""
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
 def merged(base, changes):
     """``base`` with ``changes`` applied; a None value removes the key."""
     return {k: v for k, v in {**base, **changes}.items() if v is not None}
@@ -823,34 +831,86 @@ class TestErrors:
         # the reference's fine steps, h / 2 with h = dt * reference_dt_factor
         ({"reference_dt_factor": 1e-300}, 0.2 * 1e-300 / 2),
         ({"sweep": {"dxi": [0.5, 1e-300, 0.125]}}, 1e-300 / 4)])
-    def test_step_count_is_bounded(self, changes, dt):
-        with pytest.raises(ValueError) as info:
-            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
-        assert str(info.value) == (f"t_final=5.0 at dt={dt} takes {5.0 / dt:.3g} steps, "
-                                   f"more than {experiments.MAX_STEPS}")
+    def test_step_count_is_bounded(self, tmp_path, changes, dt):
+        # the config builds; each driver that takes the dt refuses it
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        drivers = {"stepper": (rw.run_experiment, rw.compare_experiment),
+                   "sweep": (rw.converge_experiment,),
+                   "reference_dt_factor": (rw.compare_experiment,)}[next(iter(changes))]
+        for driver in drivers:
+            with pytest.raises(ValueError) as info:
+                driver(cfg, tmp_path / "out", quiet=True)
+            assert str(info.value) == (f"t_final=5.0 at dt={dt} takes {5.0 / dt:.3g} steps, "
+                                       f"more than {experiments.MAX_STEPS}")
+            assert not (tmp_path / "out").exists()
 
-    def test_the_config_warns_of_the_short_last_step_that_plan_steps_takes(self):
+    def test_run_warns_of_the_short_last_step_that_plan_steps_takes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "evolve", reach)
         # below t_final = 1 a ratio test of t_final / dt would warn here too,
         # of a last step of 5e-10 that plan_steps does not take
         changes = {"stepper": {"dt": 1e-3}, "t_final": 0.1000000005}
         assert stepping.plan_steps(0.1000000005, 1e-3) == (100, None)
-        with warnings.catch_warnings():
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        with warnings.catch_warnings(), pytest.raises(Reached):
             warnings.simplefilter("error")
-            rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+            rw.run_experiment(cfg, tmp_path / "a", quiet=True)
         n_full, last = stepping.plan_steps(0.10000005, 1e-3)
         assert n_full == 100 and last == pytest.approx(5e-8, rel=1e-6)
         with pytest.warns(UserWarning, match="^t_final=0.10000005 is not a multiple of "
                                              "dt=0.001; the last step will be shortened$"):
-            rw.ExperimentConfig.from_dict(
-                merged(rw.BUNDLED["peakon_c1"], {**changes, "t_final": 0.10000005}))
+            with pytest.raises(Reached):
+                rw.run_experiment(replace(cfg, t_final=0.10000005), tmp_path / "b", quiet=True)
 
-    def test_step_count_up_to_the_bound_is_accepted(self):
+    def test_step_count_up_to_the_bound_is_accepted(self, tmp_path, monkeypatch):
+        # compare's reference takes its fine steps at h / 2, with h = dt *
+        # reference_dt_factor; a driver that passes its checks builds a state
+        monkeypatch.setattr(experiments, "build_initial_state", reach)
         assert 2**23 <= experiments.MAX_STEPS < 2**24
         changes = {"t_final": 1.0, "stepper": {"dt": 2.0**-23}, "reference_dt_factor": 2.0}
-        rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
-        with pytest.raises(ValueError):  # the reference would take 2**24 steps
-            rw.ExperimentConfig.from_dict(
-                merged(rw.BUNDLED["peakon_c1"], {**changes, "reference_dt_factor": 1.0}))
+        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        with pytest.raises(Reached):  # 2**23 steps at h / 2 = dt
+            rw.compare_experiment(cfg, tmp_path / "out", quiet=True)
+        with pytest.raises(ValueError) as info:  # the reference would take 2**24 steps
+            rw.compare_experiment(replace(cfg, reference_dt_factor=1.0), tmp_path / "out",
+                                  quiet=True)
+        assert str(info.value) == (f"t_final=1.0 at dt={2.0**-24} takes {2**24:.3g} steps, "
+                                   f"more than {experiments.MAX_STEPS}")
+
+    @pytest.mark.parametrize("argv, warned", [
+        (["converge"], 0), (["converge", "--dxi-list", "0.5,0.25,0.125"], 0),
+        (["run"], 1), (["run", "--scheme", "strang"], 1),
+        (["compare", "--scheme", "strang,explicit_euler"], 1)])
+    def test_a_call_warns_once_of_each_dt_its_runs_take(self, tmp_path, argv, warned):
+        # TINY's dt 0.1 does not divide t_final 0.25, which converge's dxi /
+        # 4 do; a flag's edit of the config warns of nothing
+        config = write_config(tmp_path, sweep={"dxi": [0.5, 0.25, 0.125]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--config", config, "--out", str(tmp_path / "out")) == 0
+        assert [str(w.message) for w in caught] == warned * [
+            "t_final=0.25 is not a multiple of dt=0.1; the last step will be shortened"]
+        # at the line that called the driver
+        assert all(w.filename == cli.__file__ for w in caught)
+
+    def test_only_the_driver_that_takes_a_dt_bounds_its_steps(self, tmp_path, capsys):
+        # run takes the config's dt, not the swept dxi's 1e-300 / 4
+        config = write_config(tmp_path, sweep={"dxi": [0.5, 1e-300, 0.125]})
+        assert run_cli("run", "--config", config, "--out", str(tmp_path / "run")) == 0
+        out = tmp_path / "converge"
+        assert run_cli("converge", "--config", config, "--out", str(out)) == 1
+        dt = 1e-300 / 4
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"t_final=0.25 at dt={dt} takes {0.25 / dt:.3g} "
+                                              f"steps, more than {experiments.MAX_STEPS}"}
+        assert not out.exists()
+
+    def test_a_config_is_built_without_a_warning(self):
+        # TINY's t_final 0.25 is not a multiple of its dt 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = rw.ExperimentConfig.from_dict(TINY)
+            replace(cfg, sweep={"dxi": [0.5, 0.25, 0.125]})
+            assert rw.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("changes", [
         {"t_final": float("inf")}, {"t_final": float("nan")}, {"reference_dt_factor": 0.0},
