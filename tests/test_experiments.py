@@ -831,8 +831,10 @@ class TestErrors:
         # the reference's fine steps, h / 2 with h = dt * reference_dt_factor
         ({"reference_dt_factor": 1e-300}, 0.2 * 1e-300 / 2),
         ({"sweep": {"dxi": [0.5, 1e-300, 0.125]}}, 1e-300 / 4)])
-    def test_step_count_is_bounded(self, tmp_path, changes, dt):
-        # the config builds; each driver that takes the dt refuses it
+    def test_step_count_is_bounded(self, tmp_path, monkeypatch, changes, dt):
+        # the config builds; each driver that takes the dt refuses it before
+        # it builds a state
+        monkeypatch.setattr(experiments, "build_initial_state", reach)
         cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
         drivers = {"stepper": (rw.run_experiment, rw.compare_experiment),
                    "sweep": (rw.converge_experiment,),
@@ -892,10 +894,12 @@ class TestErrors:
         # at the line that called the driver
         assert all(w.filename == cli.__file__ for w in caught)
 
-    def test_only_the_driver_that_takes_a_dt_bounds_its_steps(self, tmp_path, capsys):
+    def test_only_the_driver_that_takes_a_dt_bounds_its_steps(
+            self, tmp_path, capsys, monkeypatch):
         # run takes the config's dt, not the swept dxi's 1e-300 / 4
         config = write_config(tmp_path, sweep={"dxi": [0.5, 1e-300, 0.125]})
         assert run_cli("run", "--config", config, "--out", str(tmp_path / "run")) == 0
+        monkeypatch.setattr(experiments, "build_initial_state", reach)
         out = tmp_path / "converge"
         assert run_cli("converge", "--config", config, "--out", str(out)) == 1
         dt = 1e-300 / 4
