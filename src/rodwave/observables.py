@@ -62,18 +62,20 @@ class DiagnosticsRow:
 @dataclass
 class DiagnosticsRecorder:
     """evolve() observer accumulating one row per observation time.  A
-    row's drift is its step report's ``max_inv_drift``, 0 at t=0."""
+    row's minima, drift and largest fixed-point iteration count are its
+    step report's (at t=0 the start state's); only the total energy is
+    measured on the state."""
 
     rows: list[DiagnosticsRow] = field(default_factory=list)
 
-    def __call__(self, step: int, t: float, state: LagrangianState, report: StepReport | None):
+    def __call__(self, step: int, t: float, state: LagrangianState, report: StepReport):
         self.rows.append(
             DiagnosticsRow(
                 t=t,
                 total_energy=float(state.grid.dxi * np.sum(state.h)),
-                min_q=float(np.min(state.q)),
-                min_h=float(np.min(state.h)),
-                max_inv_drift=report.max_inv_drift if report else 0.0,
-                fp_iters_max=max(report.fp_iterations) if report and report.fp_iterations else 0,
+                min_q=report.min_q,
+                min_h=report.min_h,
+                max_inv_drift=report.max_inv_drift,
+                fp_iters_max=max(report.fp_iterations, default=0),
             )
         )

@@ -55,7 +55,7 @@ class Parameters:
                 f"gamma={self.gamma} is outside the physical range "
                 f"[{PHYSICAL_GAMMA_MIN}, {PHYSICAL_GAMMA_MAX}]",
                 PhysicalRangeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -63,36 +63,30 @@ class Parameters:
 class GridSpec:
     """Uniform xi-grid with 2N cells covering [-r, r).
 
-    Cell i (i = -N..N-1) is [xi_i, xi_{i+1}) with xi_i = i*dxi.  The radius is
-    stored once at construction (r = n_half*dxi exactly) and never recomputed,
-    so repeated use cannot drift.
+    Cell i (i = -N..N-1) is [xi_i, xi_{i+1}) with xi_i = i*dxi.  The radius
+    r = n_half*dxi is computed from the two fields, so it cannot disagree
+    with them.
     """
 
     n_half: int
     dxi: float
-    r: float
 
     def __post_init__(self):
         if self.n_half < 1:
             raise ValueError("n_half must be >= 1")
         if not self.dxi > 0:
             raise ValueError("dxi must be positive")
-        if self.r != self.n_half * self.dxi:
-            raise ValueError(
-                f"inconsistent grid: r={self.r!r} but n_half*dxi={self.n_half * self.dxi!r}"
-            )
-
-    @classmethod
-    def from_cells(cls, n_half: int, dxi: float) -> "GridSpec":
-        return cls(n_half=n_half, dxi=dxi, r=n_half * dxi)
 
     @classmethod
     def from_radius(cls, dxi: float, r: float) -> "GridSpec":
         """Grid whose radius is the closest multiple of dxi to ``r``."""
         if not dxi > 0:
             raise ValueError("dxi must be positive")
-        n_half = max(1, int(round(r / dxi)))
-        return cls.from_cells(n_half, dxi)
+        return cls(max(1, int(round(r / dxi))), dxi)
+
+    @property
+    def r(self) -> float:
+        return self.n_half * self.dxi
 
     @property
     def n_cells(self) -> int:

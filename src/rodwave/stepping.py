@@ -453,10 +453,11 @@ def evolve(
     """Drive the time loop, invoking observers along the way.
 
     Observers are callables obs(step_index, t, state, report) invoked at
-    t=0 (report None), after every ``observe_stride``-th step, and at the
-    final step; ``report`` is that step's, its ``max_inv_drift`` set to
+    t=0, after every ``observe_stride``-th step, and at the final step.
+    Each gets a StepReport: at t=0 the start state's, ``_ended`` of it;
+    after a step that step's, its ``max_inv_drift`` set to
     max_i |I_i - I_i(0)| of the step's end state.  Returns (final state,
-    the run's StepReport): ``_ended`` of the start state merged with each
+    the run's StepReport): the start state's report merged with each
     step's report as it comes.  Fully deterministic for a given
     configuration.
 
@@ -469,11 +470,11 @@ def evolve(
         raise ValueError(f"observe_stride must be >= 1, got {observe_stride}")
     if callable(observers):
         observers = (observers,)
+    _, run = _ended(state, StepReport())
     for obs in observers:
-        obs(0, 0.0, state, None)
+        obs(0, 0.0, state, run)
     # Looked up at call time, so a replaced module-level stepper is used.
     step = _step or globals()[f"step_{cfg.scheme}"]
-    _, run = _ended(state, StepReport())
     I0 = invariants(state)
     n_full, last = plan_steps(t_final, cfg.dt)
     n_steps = n_full + (last is not None)

@@ -16,6 +16,18 @@ from rodwave.stepping import StepperConfig, evolve
 T_STAR = math.acosh(math.exp(0.5)) / math.sqrt(1.0 - math.exp(-1.0))
 
 
+def exact_collision(x, t):
+    """u at time t != T_STAR of the conservative gamma = 1 solution from the
+    pair at x0 = 0 (Holden & Raynaud, J. Hyperbolic Differ. Equ. 4, 2007):
+    u = p (e^(-|x - m + q|) - e^(-|x - m - q|)) with m = x0 + s/2,
+    q = ln cosh(sqrt(H) (T_STAR - t)) and p = sqrt(H) coth(sqrt(H) (T_STAR - t)),
+    on both sides of T_STAR."""
+    root_H = math.sqrt(1.0 - math.exp(-1.0))
+    tau = root_H * (T_STAR - t)
+    q, p = math.log(math.cosh(tau)), root_H / math.tanh(tau)
+    return p * (np.exp(-np.abs(x - 0.5 + q)) - np.exp(-np.abs(x - 0.5 - q)))
+
+
 def collision(gamma, dxi):
     spec = rw.TravelingWaveSpec(kind="peakon_antipeakon", gamma=gamma, c=1.0, separation=1.0)
     return rw.build_from_spec(spec, rw.GridSpec.from_radius(dxi, 10.0))
@@ -39,6 +51,18 @@ def test_the_energy_collapses_to_a_point_at_the_blow_up():
         assert report.max_inv_drift <= 1e-13
     assert min(ratios(outside)) >= 1.8
     assert min(ratios(peaks)) >= 1.8
+
+
+def test_the_solution_converges_through_the_blow_up():
+    # max_i |U_i - u(y_i, 2)| after the collision at T_STAR about halves per
+    # dxi halving: 1.332e-1, 6.988e-2, 3.584e-2
+    errors = []
+    for dxi in (0.2, 0.1, 0.05):
+        state, report = evolve(collision(1.0, dxi), 2.0, StepperConfig(dt=dxi / 4))
+        errors.append(float(np.max(np.abs(state.U - exact_collision(state.y, 2.0)))))
+        assert report.min_q >= 0 and report.min_h >= 0
+        assert report.max_inv_drift <= 1e-13
+    assert min(ratios(errors)) >= 1.8
 
 
 @pytest.mark.parametrize("gamma, t_final", [(1.0, 2.4), (5.0, 0.5)])

@@ -7,7 +7,7 @@ from helpers import random_admissible_state
 
 def zero_state(gamma=1.0):
     return rw.LagrangianState.zero(
-        rw.GridSpec.from_cells(8, 0.25), rw.Parameters(gamma)
+        rw.GridSpec(8, 0.25), rw.Parameters(gamma)
     )
 
 
@@ -22,7 +22,7 @@ class TestVectorFields:
         # U = 0: a = gamma/2 h, Udot = -Q, wdot = gamma/2 h - P q, hdot = -2 P w
         rng = np.random.default_rng(4)
         gamma = 0.8
-        grid = rw.GridSpec.from_cells(16, 0.2)
+        grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, gamma).replace(U=np.zeros(32))
         terms = rw.evaluate_source_terms(s)
         a = rw.integrand_a(s)
@@ -37,7 +37,7 @@ class TestVectorFields:
 
     def test_gamma_zero_freezes_characteristics(self):
         rng = np.random.default_rng(5)
-        grid = rw.GridSpec.from_cells(16, 0.2)
+        grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 0.0)
         terms = rw.evaluate_source_terms(s)
         zeta_t, U_t, _, v_t, _, h_t = rw.vector_field_full(s, terms)
@@ -53,7 +53,7 @@ class TestVectorFields:
     def test_split_sums_to_full_bitwise(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            grid = rw.GridSpec.from_cells(8, 0.25)
+            grid = rw.GridSpec(8, 0.25)
             s = random_admissible_state(rng, grid, rng.uniform(-1.0, 3.0))
             terms = rw.evaluate_source_terms(s)
             g1 = rw.vector_field_g1(s, terms)
@@ -63,7 +63,7 @@ class TestVectorFields:
 
     def test_velocity_frozen_under_g1(self):
         rng = np.random.default_rng(7)
-        grid = rw.GridSpec.from_cells(16, 0.2)
+        grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 1.0)
         terms = rw.evaluate_source_terms(s)
         zeta_t, U_t, H_t, _, _, _ = rw.vector_field_g1(s, terms)
@@ -77,7 +77,7 @@ class TestInvariantDerivative:
         # d/dt I_i expanded along the full field is identically zero
         rng = np.random.default_rng(8)
         for _ in range(10):
-            grid = rw.GridSpec.from_cells(16, 0.2)
+            grid = rw.GridSpec(16, 0.2)
             s = random_admissible_state(rng, grid, rng.uniform(-1.0, 3.0))
             terms = rw.evaluate_source_terms(s)
             _, U_t, _, v_t, w_t, h_t = rw.vector_field_full(s, terms)
@@ -94,7 +94,7 @@ class TestInvariantDerivative:
 
     def test_finite_difference_derivative_shrinks_like_eps_squared(self):
         rng = np.random.default_rng(9)
-        grid = rw.GridSpec.from_cells(16, 0.2)
+        grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 1.0)
         terms = rw.evaluate_source_terms(s)
         tan = rw.vector_field_full(s, terms)
@@ -122,7 +122,7 @@ class TestStateAlgebra:
 
     def test_row_views_follow_array_averages(self):
         rng = np.random.default_rng(10)
-        g = rw.GridSpec.from_cells(8, 0.25)
+        g = rw.GridSpec(8, 0.25)
         a = random_admissible_state(rng, g, 1.0)
         b = random_admissible_state(rng, g, 1.0)
         mid = a.with_x(0.5 * (a.x + b.x))

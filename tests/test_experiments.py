@@ -107,7 +107,7 @@ class TestRun:
 class TestWriters:
     def test_graph_csv_reads_back_bit_for_bit(self, tmp_path):
         special = [0.1 + 0.2, -0.0, 1e-300, 5e-324, -2.5, 1.0]
-        s = rw.LagrangianState.zero(rw.GridSpec.from_cells(3, 0.1), rw.Parameters(1.0))
+        s = rw.LagrangianState.zero(rw.GridSpec(3, 0.1), rw.Parameters(1.0))
         s = s.replace(U=special, w=special[::-1], h=np.abs(special), zeta=special)
         path = tmp_path / "graph.csv"
         rw.experiments.write_graph_csv(path, s)
@@ -120,7 +120,7 @@ class TestWriters:
     def test_graph_template_formats_like_repr(self, tmp_path):
         # dxi = 0.1 gives xi values with long reprs, such as -0.30000000000000004
         special = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 1e22, -2.5]
-        grid = rw.GridSpec.from_cells(7, 0.1)
+        grid = rw.GridSpec(7, 0.1)
         columns = np.array([np.roll(special * 2, k) for k in range(6)])
         text = experiments._graph_template(grid) % tuple(columns.T.ravel().tolist())
         header, *rows, end = text.split("\r\n")

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import rodwave as rw
-from rodwave.errors import NonMonotoneConstruction
+from rodwave import initial_data
+from rodwave.errors import NonMonotoneConstruction, PhysicalRangeWarning
 from rodwave.initial_data import _CusponCurves, travel_distance
 
 from helpers import admissible
@@ -25,7 +27,7 @@ class TestEulerianToLagrangian:
             u=lambda x: np.zeros_like(x), ux=lambda x: np.zeros_like(x),
             support_radius=1.0,
         )
-        grid = rw.GridSpec.from_cells(8, 0.25)
+        grid = rw.GridSpec(8, 0.25)
         data = rw.eulerian_to_lagrangian(profile, rw.FineGrid(4), grid)
         np.testing.assert_allclose(data.y, data.xi, atol=1e-13)
         np.testing.assert_array_equal(data.U, np.zeros_like(data.xi))
@@ -106,7 +108,7 @@ class TestEulerianToLagrangian:
 
 class TestProjectToGrid:
     def test_constant_fine_data_projects_to_itself(self):
-        grid = rw.GridSpec.from_cells(4, 0.5)
+        grid = rw.GridSpec(4, 0.5)
         m = 8
         n_nodes = grid.n_cells * m + 1
         ones = np.ones(n_nodes)
@@ -117,7 +119,7 @@ class TestProjectToGrid:
             q=0.25 * ones, w=0.125 * ones, h=0.75 * ones,
             m_ref=m, grid=grid,
         )
-        state = rw.project_to_grid(data, grid, rw.Parameters(1.0))
+        state = rw.project_to_grid(data, rw.Parameters(1.0))
         np.testing.assert_allclose(state.U, 0.3)
         np.testing.assert_allclose(state.q, 0.25)
         np.testing.assert_allclose(state.w, 0.125)
@@ -126,7 +128,7 @@ class TestProjectToGrid:
     def test_projected_peakon_identities(self):
         grid = rw.GridSpec.from_radius(0.1, 15.0)
         data = rw.eulerian_to_lagrangian(peakon_profile(), rw.FineGrid(16), grid)
-        state = rw.project_to_grid(data, grid, rw.Parameters(1.0))
+        state = rw.project_to_grid(data, rw.Parameters(1.0))
         # q + h = 1 exactly (averaging the fine identity)
         np.testing.assert_array_equal(state.q + state.h, np.ones(grid.n_cells))
         # projection turns the equality into <= (values <= 1e-12)
@@ -134,7 +136,7 @@ class TestProjectToGrid:
         assert admissible(state, floor=0.5)
 
     def test_degenerate_cells_get_zero_velocity(self):
-        grid = rw.GridSpec.from_cells(2, 0.5)
+        grid = rw.GridSpec(2, 0.5)
         m = 4
         n_nodes = grid.n_cells * m + 1
         q = np.ones(n_nodes)
@@ -145,7 +147,7 @@ class TestProjectToGrid:
             U=U, H=np.zeros(n_nodes), q=q, w=np.zeros(n_nodes),
             h=1.0 - q, m_ref=m, grid=grid,
         )
-        state = rw.project_to_grid(data, grid, rw.Parameters(1.0))
+        state = rw.project_to_grid(data, rw.Parameters(1.0))
         assert state.U[0] == 0.0
         np.testing.assert_allclose(state.U[1:], 7.0)
 
@@ -155,7 +157,7 @@ class TestProjectToGrid:
         states = {
             m: rw.project_to_grid(
                 rw.eulerian_to_lagrangian(profile, rw.FineGrid(m), grid),
-                grid, rw.Parameters(1.0),
+                rw.Parameters(1.0),
             )
             for m in (16, 64, 256)
         }
@@ -163,13 +165,6 @@ class TestProjectToGrid:
         d_fine = rw.distance_f(states[64], states[256])
         assert d_fine < d_coarse
         assert d_coarse < 0.02  # measured ~7e-3 baseline
-
-    def test_grid_mismatch_rejected(self):
-        grid = rw.GridSpec.from_radius(0.2, 10.0)
-        other = rw.GridSpec.from_radius(0.2, 5.0)
-        data = rw.eulerian_to_lagrangian(peakon_profile(), rw.FineGrid(2), grid)
-        with pytest.raises(ValueError):
-            rw.project_to_grid(data, other, rw.Parameters(1.0))
 
 
 class TestMakePeakon:
@@ -227,7 +222,7 @@ class TestRelabelingConsistency:
             grid = rw.GridSpec.from_radius(dxi, 15.0)
             projected = rw.project_to_grid(
                 rw.eulerian_to_lagrangian(profile, rw.FineGrid(16), grid),
-                grid, rw.Parameters(1.0),
+                rw.Parameters(1.0),
             )
             sups.append(np.max(np.abs(projected.U - profile.u(projected.y))))
         assert sups[2] < sups[1] < sups[0]
@@ -486,6 +481,16 @@ class TestBuildFromSpec:
         floor = float(np.min(s.q + s.h)) / 2
         assert floor > 0
         assert admissible(s, floor)
+
+    @pytest.mark.parametrize("kind", ["cuspon", "peakon_antipeakon"])
+    def test_the_range_warning_names_the_builder(self, kind):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rw.build_from_spec(rw.TravelingWaveSpec(kind=kind, gamma=5.0, c=1.0),
+                               rw.GridSpec.from_radius(0.25, 10.0))
+        [warning] = caught
+        assert warning.category is PhysicalRangeWarning
+        assert warning.filename == initial_data.__file__
 
     def test_profile_file_builds_the_tabulated_profile(self, tmp_path):
         # the gaussian_derivative u0, tabulated: both go through the same

@@ -10,7 +10,7 @@ from helpers import admissible, random_admissible_state
 
 
 def zero_state(n_half=8, dxi=0.25):
-    return rw.LagrangianState.zero(rw.GridSpec.from_cells(n_half, dxi), rw.Parameters(1.0))
+    return rw.LagrangianState.zero(rw.GridSpec(n_half, dxi), rw.Parameters(1.0))
 
 
 class TestGraph:
@@ -77,7 +77,7 @@ class TestSupGraphError:
 
     def test_pseudometric(self):
         rng = np.random.default_rng(13)
-        g = rw.GridSpec.from_cells(16, 0.2)
+        g = rw.GridSpec(16, 0.2)
         a, b, c = (random_admissible_state(rng, g, 1.0) for _ in range(3))
         assert rw.sup_graph_error(a, b) == rw.sup_graph_error(b, a)
         assert rw.sup_graph_error(a, c) <= (
@@ -168,3 +168,23 @@ class TestDiagnosticsRecorder:
                            observers=(rec, drift))
         assert [row.max_inv_drift for row in rec.rows] == drifts and len(drifts) == 6
         assert run.max_inv_drift == max(drifts)
+
+    def test_a_rows_minima_are_its_step_reports_over_every_accepted_state(self):
+        # DP45 splits the gamma = 5 collision's steps of 0.1 into up to 3
+        # internal steps, and 3 of its 5 steps reach a lower q inside the
+        # step than at its end
+        spec = rw.TravelingWaveSpec(kind="peakon_antipeakon", gamma=5.0, c=1.0, separation=1.0)
+        s0 = rw.build_from_spec(spec, rw.GridSpec.from_radius(0.1, 10.0))
+        rec, steps = rw.DiagnosticsRecorder(), []
+
+        def keep(step, t, state, report):
+            if step:
+                steps.append((report, float(np.min(state.q))))
+
+        rw.evolve(s0, 0.5, rw.StepperConfig(dt=0.1, scheme="adaptive_rk"), observers=(rec, keep))
+        rows = rec.rows[1:]
+        assert len(rows) == len(steps) == 5
+        assert max(report.accepted for report, _ in steps) > 1
+        assert [(row.min_q, row.min_h) for row in rows] == [
+            (report.min_q, report.min_h) for report, _ in steps]
+        assert any(row.min_q < end_q for row, (_, end_q) in zip(rows, steps))

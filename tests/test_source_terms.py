@@ -13,7 +13,7 @@ from helpers import random_admissible_state, rel_entrywise
 
 def zero_state(n_half=8, dxi=0.25, gamma=1.0):
     return rw.LagrangianState.zero(
-        rw.GridSpec.from_cells(n_half, dxi), rw.Parameters(gamma)
+        rw.GridSpec(n_half, dxi), rw.Parameters(gamma)
     )
 
 
@@ -99,7 +99,7 @@ class TestDirect:
 
     def test_folded_state_matches_the_signed_kernel_formula(self):
         rng = np.random.default_rng(21)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(8, 0.25), 0.7)
+        s = random_admissible_state(rng, rw.GridSpec(8, 0.25), 0.7)
         s = folded(folded(s, 5, 3, 0.4), 11, 2, 1.3)
         y, a, n = s.y, rw.integrand_a(s), s.n_cells
         assert np.any(np.diff(y) < 0)
@@ -116,7 +116,7 @@ class TestDirect:
 
     def test_monotone_state_uses_the_absolute_kernel_bit_for_bit(self):
         rng = np.random.default_rng(22)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.2)
+        s = random_admissible_state(rng, rw.GridSpec(32, 0.1), 1.2)
         y, a = s.y, rw.integrand_a(s)
         kernel = np.exp(-np.abs(y[:, None] - y[None, :]))
         signs = np.sign(np.subtract.outer(np.arange(y.size), np.arange(y.size)))
@@ -128,7 +128,7 @@ class TestDirect:
     def test_kernel_positivity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            grid = rw.GridSpec.from_cells(16, 0.2)
+            grid = rw.GridSpec(16, 0.2)
             s = random_admissible_state(rng, grid, gamma=rng.uniform(0.1, 1.4))
             assert np.all(rw.integrand_a(s) >= 0)
             terms = rw.source_terms_direct(s)
@@ -145,7 +145,7 @@ class TestFast:
     def test_matches_direct_oracle(self, n_half):
         rng = np.random.default_rng(n_half)
         for _ in range(10):
-            grid = rw.GridSpec.from_cells(n_half, rng.uniform(0.05, 0.3))
+            grid = rw.GridSpec(n_half, rng.uniform(0.05, 0.3))
             s = random_admissible_state(rng, grid, gamma=rng.uniform(0.1, 1.45))
             d = rw.source_terms_direct(s)
             f = rw.source_terms_fast(s)
@@ -158,7 +158,7 @@ class TestFast:
         # gamma outside [0, 1.5] makes a change sign; compare at global scale
         rng = np.random.default_rng(99)
         for gamma in (-1.0, 2.5, 3.4):
-            grid = rw.GridSpec.from_cells(64, 0.1)
+            grid = rw.GridSpec(64, 0.1)
             s = random_admissible_state(rng, grid, gamma=gamma)
             d = rw.source_terms_direct(s)
             f = rw.source_terms_fast(s)
@@ -179,14 +179,14 @@ class TestFast:
 
     def test_monotone_state_does_not_fall_back(self):
         rng = np.random.default_rng(2)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(16, 0.2), 1.0)
         assert not source_terms.is_folded(s.y)
 
     def test_wide_position_span_does_not_overflow(self):
         # y spans ~2000 kernel lengths: a single rescaled sum would need
         # exp(2000); the blocked sum must stay finite, exact and silent
         rng = np.random.default_rng(17)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(128, 0.1), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(128, 0.1), 1.0)
         y = s.y * (2000.0 / np.ptp(s.y))
         s = with_y(s, y)
         assert np.ptp(s.y) >= 1500
@@ -200,7 +200,7 @@ class TestFast:
         # a fold of depth 6 lifts the blocked sums' exponents by up to 6
         # above the block's own rescaling; they must stay finite and exact
         rng = np.random.default_rng(18)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(128, 0.1), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(128, 0.1), 1.0)
         s = with_y(s, s.y * (2000.0 / np.ptp(s.y)))
         for start in (64, 128, 200):
             s = folded(s, start, 6, 6.0)
@@ -223,7 +223,7 @@ class TestFast:
 
         monkeypatch.setattr(source_terms, "source_terms_fast", spy)
         rng = np.random.default_rng(4)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(16, 0.2), 1.0)
         rw.evaluate_source_terms(s)
         assert calls == [s]
 
@@ -244,7 +244,7 @@ class TestFolded:
         )
         for _ in range(25):
             n_half = int(rng.integers(8, 200))
-            grid = rw.GridSpec.from_cells(n_half, rng.uniform(0.05, 0.3))
+            grid = rw.GridSpec(n_half, rng.uniform(0.05, 0.3))
             s = random_admissible_state(rng, grid, gamma)
             for _ in range(int(rng.integers(1, 4))):
                 start = int(rng.integers(1, grid.n_cells - 1))
@@ -258,7 +258,7 @@ class TestFolded:
     @pytest.mark.parametrize("depth", [1.5, 6.0])
     def test_deep_fold_is_the_direct_sum(self, depth):
         rng = np.random.default_rng(8)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.1), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(32, 0.1), 1.0)
         s = folded(s, 30, 6, depth)
         terms = rw.evaluate_source_terms(s)
         assert source_terms.is_folded(s.y)
@@ -269,7 +269,7 @@ class TestFolded:
         direct = source_terms.source_terms_direct
         monkeypatch.setattr(source_terms, "source_terms_direct", None)
         rng = np.random.default_rng(9)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.02), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(16, 0.02), 1.0)
         y = s.y.copy()
         y[16:] -= y[16] - y[15] + 0.9
         s = with_y(s, y)
@@ -281,7 +281,7 @@ class TestFolded:
     @pytest.mark.parametrize("depth", [0.05, 3.0])
     def test_any_fold_sets_the_step_report_flag(self, depth):
         rng = np.random.default_rng(12)
-        s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.2), 1.0)
+        s = random_admissible_state(rng, rw.GridSpec(16, 0.2), 1.0)
         s = folded(s, 10, 3, depth)
         assert source_terms.is_folded(s.y)
         # g1 freezes y, so the state the substep ends at is folded

@@ -23,7 +23,7 @@ def small_peakon(dxi=0.1, r=15.0, c=1.0):
 
 
 def zero_state():
-    return rw.LagrangianState.zero(rw.GridSpec.from_cells(8, 0.25), rw.Parameters(1.0))
+    return rw.LagrangianState.zero(rw.GridSpec(8, 0.25), rw.Parameters(1.0))
 
 
 CFG = rw.StepperConfig(dt=0.1)
@@ -139,17 +139,17 @@ def substep_cases():
     for k, (n_half, dxi, gamma) in enumerate(
         [(32, 0.2, 1.0), (64, 0.1, 0.5), (16, 0.3, 2.5), (100, 0.05, -1.0)]
     ):
-        grid = rw.GridSpec.from_cells(n_half, dxi)
+        grid = rw.GridSpec(n_half, dxi)
         cases[f"random{k}"] = random_admissible_state(rng, grid, gamma)
-    s = random_admissible_state(rng, rw.GridSpec.from_cells(32, 0.2), 1.0)
+    s = random_admissible_state(rng, rw.GridSpec(32, 0.2), 1.0)
     zeta = s.zeta.copy()
     zeta[40:44] -= 0.6
     cases["folded"] = s.replace(zeta=zeta)
-    wide = random_admissible_state(rng, rw.GridSpec.from_cells(800, 0.5), 1.0, scale=0.3)
+    wide = random_admissible_state(rng, rw.GridSpec(800, 0.5), 1.0, scale=0.3)
     assert source_terms.kernel_factors(wide.y).down.shape[0] >= 4
     cases["wide"] = wide
     cases["zero"] = zero_state()
-    s = random_admissible_state(rng, rw.GridSpec.from_cells(16, 0.25), 1.0)
+    s = random_admissible_state(rng, rw.GridSpec(16, 0.25), 1.0)
     U, H, v, w = s.U.copy(), s.H.copy(), s.v.copy(), s.w.copy()
     U[::4] = -0.0
     H[0] = -0.0
@@ -554,6 +554,17 @@ class TestEvolve:
         # the report of the start state alone: no substep, no fold
         assert run == stepping.StepReport(min_q=s.q.min(), min_h=s.h.min())
         assert calls == [0.0]
+
+    @pytest.mark.parametrize("start", ["peakon", "folded"])
+    def test_the_start_state_is_observed_with_its_report(self, start):
+        s0 = small_peakon() if start == "peakon" else zero_state().replace(zeta=-2.0 * zero_state().y)
+        reports = []
+        rw.evolve(s0, 0.2, CFG, observers=lambda j, t, st, r: reports.append(r))
+        report = reports[0]
+        assert isinstance(report, stepping.StepReport)
+        assert report.min_q == float(np.min(s0.q)) and report.min_h == float(np.min(s0.h))
+        assert report.max_inv_drift == 0.0 and report.fp_iterations == {}
+        assert report.folded == int(source_terms.is_folded(s0.y)) == (start == "folded")
 
     def test_plan_steps_shortens_final_step(self):
         assert plan_steps(1.0, 0.25) == (4, None)
