@@ -45,7 +45,7 @@ from .observables import (
     DiagnosticsRecorder,
     DiagnosticsRow,
     convergence_order,
-    exact_peakon_error,
+    exact_error,
     sup_graph_error,
 )
 from .experiments import (

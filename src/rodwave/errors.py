@@ -52,6 +52,27 @@ class FixedPointDiverged(RodwaveError):
                             self.smallest_residual)
 
 
+class PositivityLost(RodwaveError):
+    """A converged g1 substep would leave the admissible set.
+
+    Where g1's closed-form denominator 1 - (dt lambda / 2)^2 is <= 0, the
+    midpoint rule maps the cell's real rate lambda to a negative factor:
+    the step keeps the cell's invariant but lands on q < 0 and h < 0.
+    Carries the first such cell, the substep's dt and dt * lambda (>= 2).
+    A smaller dt avoids it.
+    """
+
+    def __init__(self, cell: int, dt: float, dt_lambda: float):
+        self.cell, self.dt, self.dt_lambda = cell, dt, dt_lambda
+        super().__init__(
+            f"the g1 substep of dt={dt} leaves the admissible set at cell {cell}: "
+            f"dt*lambda = {dt_lambda:.4g} >= 2 flips q and h negative; take a smaller dt"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.cell, self.dt, self.dt_lambda)
+
+
 class StepSizeUnderflow(RodwaveError):
     """The adaptive controller drove the step size below the representable floor."""
 

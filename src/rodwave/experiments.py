@@ -45,10 +45,11 @@ import numpy as np
 from .errors import DegenerateFit, RodwaveError
 from .initial_data import KINDS, FineGrid, TravelingWaveSpec, build_from_spec
 from .observables import (
+    EXACT_KINDS,
     DiagnosticsRecorder,
     DiagnosticsRow,
     convergence_order,
-    exact_peakon_error,
+    exact_error,
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
@@ -61,7 +62,8 @@ _GRID_KEYS = ("dxi", "r")
 MAX_STEPS = 10**7
 # converge's dxi sweep runs each grid at dt = dxi / _DXI_PER_DT
 _DXI_PER_DT = 4.0
-# what compare's manifest and converge's report name the reference by
+# what compare's manifest and converge's report name the Richardson
+# reference by; a closed form is named exact_<kind>
 _REFERENCE_METHOD = "richardson_strang"
 
 
@@ -142,9 +144,11 @@ class ExperimentConfig:
     output_stride: int = 1
     schemes: tuple[str, ...] = SCHEMES
     m_ref: int = FineGrid.m_ref
-    # step h of the order-4 reference of compare and converge, as a
-    # multiple of dt (of the smallest swept dt); the reference extrapolates
-    # Strang runs at h and h/2.  Manifests from when the reference was
+    # step h of the order-4 Richardson reference, as a multiple of dt (of
+    # the smallest swept dt); the reference extrapolates Strang runs at h
+    # and h/2.  It applies to converge's dt sweep, and to compare only on a
+    # kind not in observables.EXACT_KINDS: compare measures the others
+    # against their closed form.  Manifests from when the reference was
     # Strang at dt/10 carry 0.1, and from when it was a triple jump of
     # Strang steps carry 0.5: replayed, they run Strang at dt/10 and dt/20,
     # or at dt/2 and dt/4, and extrapolate
@@ -627,27 +631,42 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
     """Run every scheme in cfg.schemes from identical initial data, writing
     into ``out_dir``, which is returned.  Before it builds a state,
-    ``_preflight`` refuses or warns of its runs at ``stepper.dt`` and h.
+    ``_preflight`` refuses or warns of its runs at ``stepper.dt``, and at
+    h when it runs the Richardson reference.
 
-    The summary table reports the final graph distance to a reference, the
-    invariant drift and the minima of q and h over the run.  The reference
-    is ``stepping.richardson_reference`` at h = dt * reference_dt_factor:
-    Strang runs at h and h/2, extrapolated to order 4, which the manifest
-    names under ``"reference"``.  It is not a scheme and gets no row.  Its
-    graph is written to ``reference_graph.csv``, whose I column holds the
-    invariants of the extrapolated state: they are not conserved.  The
-    minima take in t=0 and every state a scheme accepted, the internal
+    The summary table reports each scheme's final error against a
+    reference, the invariant drift and the minima of q and h over the run.
+    The reference is not a scheme and gets no row; the manifest names it
+    under ``"reference"``, and its graph is written to
+    ``reference_graph.csv``.  It is one of two:
+
+    * on a kind with a closed form (``observables.EXACT_KINDS``: smooth,
+      peakon), the exact solution at t_final.  The error is
+      ``observables.exact_error``, max_i |U_i - u(t_final, y_i)|, spatial
+      error included; the graph is the kind's own initial data moved by
+      c * t_final, on the same grid; the manifest's reference is
+      ``{"method": "exact_<kind>", "t": t_final}``.  No reference run is
+      taken.
+    * on any other kind, ``stepping.richardson_reference`` at
+      h = dt * reference_dt_factor: Strang runs at h and h/2, extrapolated
+      to order 4, a time error only.  The error is the graph distance
+      ``observables.sup_graph_error``; the graph's I column holds the
+      invariants of the extrapolated state, which are not conserved; the
+      manifest's reference holds its ``method``, its ``dt`` and the
+      ``solver`` reports of its runs, in the order of ``dt``: the run at h,
+      then the run at h/2.
+
+    The minima take in t=0 and every state a scheme accepted, the internal
     steps of the adaptive comparator included; the drift takes in t=0 and
     each step's end state.  The manifest's ``solver`` maps each scheme to
-    its run's report, as ``run_experiment``'s, and its ``reference`` holds
-    the ``solver`` reports of the reference's runs, in the order of its
-    ``dt``: the run at h, then the run at h/2.
+    its run's report, as ``run_experiment``'s.
 
-    The reference's two runs (``stepping.reference_runs``, the fine run
-    first) and the schemes, in that order, are the jobs of ``_run_jobs``:
-    the caller runs the fine run and every other scheme from the first, the
-    lane's forked child the rest, or the caller all of them on one CPU.
-    Each scheme writes its own subdirectory from whichever process runs it.
+    The Richardson reference's two runs (``stepping.reference_runs``, the
+    fine run first), when it is taken, and the schemes, in that order, are
+    the jobs of ``_run_jobs``: the caller runs every other job from the
+    first, the lane's forked child the rest, or the caller all of them on
+    one CPU.  Each scheme writes its own subdirectory from whichever
+    process runs it.
     The reference graph, the summary, the manifest and the per-scheme lines
     printed unless ``quiet`` come after every job has finished.  A failed
     job fails the call with the error of the first job in that order that
@@ -656,18 +675,32 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     """
     out_dir = Path(out_dir)
     t_start = time.perf_counter()
-    h = cfg.stepper.dt * cfg.reference_dt_factor
+    spec = cfg.wave_spec()
+    h = None if spec.kind in EXACT_KINDS else cfg.stepper.dt * cfg.reference_dt_factor
     _preflight(cfg.t_final, [cfg.stepper.dt], h)
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (fine_x, fine), (coarse_x, coarse), *finals = _run_jobs([
-        *reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=h)),
+    ref_jobs = [] if h is None else reference_runs(
+        state0, cfg.t_final, replace(cfg.stepper, dt=h))
+    results = _run_jobs([
+        *ref_jobs,
         *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
           for scheme in cfg.schemes)])
-    reference = richardson_extrapolate(state0, fine_x, coarse_x)
+    finals = results[len(ref_jobs):]
+    if h is None:
+        moved = replace(spec, x0=spec.x0 + spec.c * cfg.t_final)
+        reference = build_from_spec(moved, state0.grid)
+        errors = [exact_error(state0.with_x(x), spec, cfg.t_final) for x, _ in finals]
+        reference_entry = {"method": f"exact_{spec.kind}", "t": cfg.t_final}
+    else:
+        (fine_x, fine), (coarse_x, coarse) = results[:len(ref_jobs)]
+        reference = richardson_extrapolate(state0, fine_x, coarse_x)
+        errors = [sup_graph_error(state0.with_x(x), reference) for x, _ in finals]
+        reference_entry = {"method": _REFERENCE_METHOD, "dt": [h, h / 2],
+                           "solver": [asdict(coarse), asdict(fine)]}
     write_graph_csv(out_dir / "reference_graph.csv", reference)
-    rows = [(scheme, sup_graph_error(state0.with_x(x), reference), r.max_inv_drift,
-             r.min_q, r.min_h) for scheme, (x, r) in zip(cfg.schemes, finals)]
+    rows = [(scheme, err, r.max_inv_drift, r.min_q, r.min_h)
+            for scheme, err, (_, r) in zip(cfg.schemes, errors, finals)]
     _write_csv(
         out_dir / "summary.csv",
         ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"),
@@ -676,8 +709,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     wall = time.perf_counter() - t_start
     _write_manifest(out_dir, cfg, wall,
                     artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
-                    reference={"method": _REFERENCE_METHOD, "dt": [h, h / 2],
-                               "solver": [asdict(coarse), asdict(fine)]},
+                    reference=reference_entry,
                     solver={scheme: asdict(r) for scheme, (_, r) in zip(cfg.schemes, finals)})
     if not quiet:
         for scheme, err, drift, min_q, min_h in rows:
@@ -706,13 +738,17 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     resolutions of ``cfg.sweep``: its ``dt`` list, its ``dxi`` list, or both.
 
     Time sweeps hold the grid fixed and compare final states (distance_f)
-    against the reference of ``compare_experiment``, Strang runs at h and
-    h/2 extrapolated to order 4, at h = min(dt) * reference_dt_factor
-    (``reference_dt`` in the report).  Every run of a time sweep, and the
-    reference, starts from one initial state.  Space sweeps build each grid's
-    initial state and run it at dt = dxi / 4, and compare against the exact
-    peakon when available, otherwise against the finest run via nearest-xi
-    graph matching.  Before it builds a state, ``_preflight`` refuses or
+    against ``stepping.richardson_reference``, Strang runs at h and h/2
+    extrapolated to order 4, at h = min(dt) * reference_dt_factor
+    (``reference_dt`` in the report), on every kind: a time sweep needs an
+    error in time alone, on a fixed grid, which a closed form does not
+    give.  Every run of a time sweep, and the reference, starts from one
+    initial state.  Space sweeps build each grid's initial state and
+    run it at dt = dxi / 4, and measure ``observables.exact_error`` on a
+    kind with a closed form (``against``: ``exact_smooth`` or
+    ``exact_peakon``), otherwise the distance to the finest run via
+    nearest-xi graph matching (``finest_run``), which leaves one point
+    fewer for the fit.  Before it builds a state, ``_preflight`` refuses or
     warns of its swept runs and h, not of the config's own dt, which no run
     takes.  The manifest's ``solver`` holds each run's ``StepReport``, as
     ``run_experiment``'s: under ``reference`` the reference's runs at h and
@@ -732,9 +768,10 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     dxi_list = list(cfg.sweep.get("dxi", []))
     if not dt_list and not dxi_list:
         raise RodwaveError("converge needs a dt and/or dxi sweep")
-    peakon = cfg.initial_data.get("kind") == "peakon"  # validated: gamma = 1, exact solution known
+    spec = cfg.wave_spec()
+    exact = spec.kind in EXACT_KINDS
     # a fit needs 3 points; a space sweep against its finest run loses one
-    for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if peakon else 4)):
+    for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if exact else 4)):
         if values and len(values) < need:
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
@@ -774,11 +811,8 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
 
     if dxi_list:
         finals = finals[len(dt_list):]
-        if peakon:
-            wave = cfg.wave_spec()
-            errors = [
-                exact_peakon_error(s, cfg.t_final, wave.c, wave.x0) for s in finals
-            ]
+        if exact:
+            errors = [exact_error(s, spec, cfg.t_final) for s in finals]
         else:
             fine_idx = int(np.argmin(dxi_list))
             errors = [
@@ -794,7 +828,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "dt": dxi_dts,
             "error": errors,
             "slope": convergence_order(fit_pairs),
-            "against": "exact_peakon" if peakon else "finest_run",
+            "against": f"exact_{spec.kind}" if exact else "finest_run",
         }
         solver["dxi_sweep"] = [asdict(r) for _, r in results[len(dt_list):]]
 

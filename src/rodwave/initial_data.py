@@ -23,7 +23,8 @@ reconstruct the same Eulerian graph.
 
 The smooth wave and the cuspon solve u'^2 = F(u), and ``travel_distance``
 gives the distance from the crest to height u in closed form: the smooth
-wave inverts it for U cell by cell, and the cuspon, whose U is a closed-form
+wave inverts it for U cell by cell (``smooth_profile``, which is also the
+wave's closed form at any time), and the cuspon, whose U is a closed-form
 function of xi, evaluates it for y.
 """
 
@@ -329,25 +330,33 @@ def travel_distance(u, gamma: float, c: float) -> np.ndarray:
     return x + 2.0 * math.sqrt(-gamma) * np.arctan(r * math.sqrt(-gamma))
 
 
-def make_smooth_tw(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
-    """Smooth decaying traveling wave (gamma < 1), relabeled.
-
-    Each cell's U solves travel_distance(U) = |xi - x0| by a fixed-count
-    bisection in log(U/c), to the last bit; a crest cell holds U = c.
-    w = -sqrt(F(U)) right of the crest and +sqrt(F(U)) left of it, so
-    h = U^2 + w^2 and every per-cell invariant is 0.
-    """
-    s = grid.cells - spec.x0
-    d = np.abs(s)
+def smooth_profile(x, gamma: float, c: float) -> np.ndarray:
+    """The smooth traveling wave of speed c (gamma < 1) at signed distance
+    x from its crest: the u that solves travel_distance(u) = |x|, by a
+    fixed-count bisection in log(u/c), to the last bit; x = 0 gives c.  The
+    wave at time t of one whose crest starts at x0 is
+    smooth_profile(x - x0 - c t)."""
+    d = np.abs(np.asarray(x, dtype=float))
     # gamma < 1 makes the integrand >= 1/z, so travel_distance(c e^-d) >= d
     lo = -d - 1.0
     hi = np.zeros_like(d)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        too_far = travel_distance(spec.c * np.exp(mid), spec.gamma, spec.c) > d
+        too_far = travel_distance(c * np.exp(mid), gamma, c) > d
         lo = np.where(too_far, mid, lo)
         hi = np.where(too_far, hi, mid)
-    U = spec.c * np.exp(hi)
+    return c * np.exp(hi)
+
+
+def make_smooth_tw(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
+    """Smooth decaying traveling wave (gamma < 1), relabeled.
+
+    Each cell's U is ``smooth_profile(xi - x0)``; a crest cell holds U = c.
+    w = -sqrt(F(U)) right of the crest and +sqrt(F(U)) left of it, so
+    h = U^2 + w^2 and every per-cell invariant is 0.
+    """
+    s = grid.cells - spec.x0
+    U = smooth_profile(s, spec.gamma, spec.c)
     w = -np.sign(s) * U * np.sqrt((spec.c - U) / (spec.c - spec.gamma * U))
     return _relabeled_state(U, w, w, grid, spec.gamma)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFit, GridMismatch
+from .initial_data import TravelingWaveSpec, smooth_profile
 from .state import LagrangianState
 from .stepping import StepReport
 
@@ -24,11 +25,23 @@ def sup_graph_error(a: LagrangianState, b: LagrangianState) -> float:
     return float(np.max(np.hypot(a.y - b.y, a.U - b.U)))
 
 
-def exact_peakon_error(
-    state: LagrangianState, t: float, c: float, x0: float = 0.0
-) -> float:
-    """sup_i |U_i - c exp(-|y_i - x0 - c t|)| (graph-aligned, gamma = 1)."""
-    exact = c * np.exp(-np.abs(state.y - x0 - c * t))
+# The kinds of initial data whose solution has a closed form: each is a
+# traveling wave, u(t, x) = profile(x - x0 - c t, spec).
+_PROFILES = {
+    "smooth": lambda s, spec: smooth_profile(s, spec.gamma, spec.c),
+    "peakon": lambda s, spec: spec.c * np.exp(-np.abs(s)),
+}
+EXACT_KINDS = tuple(_PROFILES)
+
+
+def exact_error(state: LagrangianState, spec: TravelingWaveSpec, t: float) -> float | None:
+    """max_i |U_i - u(t, y_i)|, graph-aligned, for u the closed form of the
+    solution from ``spec`` at time t; None for a kind not in
+    ``EXACT_KINDS``, which has none."""
+    profile = _PROFILES.get(spec.kind)
+    if profile is None:
+        return None
+    exact = profile(state.y - spec.x0 - spec.c * t, spec)
     return float(np.max(np.abs(state.U - exact)))
 
 

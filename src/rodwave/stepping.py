@@ -24,9 +24,12 @@ iterate of either sub-flow, converged or not, conserves each I_i to
 roundoff, and the tolerance ``fp_tol`` bounds accuracy alone: the loop
 stops when the change between successive iterates, relative to each
 moving row's size, is at most ``fp_tol``.  That rule is scale-free, as the
-equation is under u -> c u, t -> t/c.  An explicit Euler step and an
-embedded Dormand-Prince 4(5) pair are provided as non-conservative
-comparators.
+equation is under u -> c u, t -> t/c.  Conserving I_i does not keep a cell
+on the admissible side of the cone I_i <= 0: where dt is large against the
+cell's rate, g1's midpoint map flips it onto q < 0 and h < 0, and a g1
+substep then raises ``PositivityLost`` (see ``_g1``).  An explicit Euler
+step and an embedded Dormand-Prince 4(5) pair are provided as
+non-conservative comparators.
 
 The two splitting schemes are plans, tuples of (sub-flow, fraction of dt),
 stepped by one function.
@@ -36,10 +39,13 @@ Every scheme has the same interface,
 ``dt`` (default cfg.dt); ``evolve`` drives any of them.  One rule,
 ``StepReport.merge``, folds substeps into a step and steps into a run, so a
 run's report is no larger than a step's; ``evolve`` alone measures the
-invariant drift, into each step's report.  ``compare`` and ``converge``
-measure against ``richardson_reference``: Strang runs at steps h and h/2,
-built as two jobs by ``reference_runs``, extrapolated to order 4
-(``richardson_extrapolate``).  It is their reference only, not a scheme.
+invariant drift, into each step's report.  ``converge``'s dt sweep, and
+``compare`` on a kind of initial data with no closed form, measure against
+``richardson_reference``: Strang runs at steps h and h/2, built as two jobs
+by ``reference_runs``, extrapolated to order 4 (``richardson_extrapolate``).
+It is their reference only, not a scheme, and it measures the error in
+time alone.  On a kind with a closed form, compare measures against that
+instead (``observables.exact_error``) and runs no reference.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import G1_ROWS, G2_ROWS, vector_field_full
-from .errors import FixedPointDiverged, StepSizeUnderflow
+from .errors import FixedPointDiverged, PositivityLost, StepSizeUnderflow
 from .source_terms import (
     evaluate_source_terms, integrand, integrand_u, is_folded, kernel_factors, kernel_sums,
 )
@@ -147,6 +153,15 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     start-row parts are built once, as w_t = (n_u - P m_u) / (d_u + e P).
     So every iterate, converged or not, conserves each I_i: a quadratic
     invariant of the linear system, which the midpoint rule keeps.
+
+    The denominator is d_u + e P = 1 - (dt/2)^2 lambda^2, for lambda^2 =
+    g ((3 - g) U^2 - 2 P), the square of the linear system's real rate
+    where it is positive.  The midpoint rule maps that rate to
+    (1 + lambda dt/2) / (1 - lambda dt/2), which is negative once
+    dt lambda > 2: there the step keeps I_i but flips (q, w, h) through
+    the origin, onto q < 0 and h < 0.  So the returned guard, called once
+    on the converged iterate, raises ``PositivityLost`` where the least
+    denominator is <= 0.
     """
     g, dxi = state.params.gamma, state.grid.dxi
     U = state.U
@@ -165,6 +180,7 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
     out = np.empty((len(G1_ROWS), state.n_cells))
     v_t, w_t, h_t = out
     w_mid = np.empty(state.n_cells)
+    den = np.empty(state.n_cells)   # the last iterate's d_u + e P
 
     def field(mid):
         v, _, h = mid
@@ -173,9 +189,9 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
         # h_t = (h_u - 2 P) w_mid
         np.multiply(P, m_u, out=w_t)
         np.subtract(n_u, w_t, out=w_t)
-        np.multiply(P, e, out=w_mid)
-        np.add(w_mid, d_u, out=w_mid)
-        np.divide(w_t, w_mid, out=w_t)
+        np.multiply(P, e, out=den)
+        np.add(den, d_u, out=den)
+        np.divide(w_t, den, out=w_t)
         np.multiply(w_t, half_dt, out=w_mid)
         np.add(w_mid, w0, out=w_mid)
         np.multiply(g, w_mid, out=v_t)
@@ -184,7 +200,12 @@ def _g1(state: LagrangianState, y0: np.ndarray, dt: float):
         np.multiply(h_t, w_mid, out=h_t)
         return out
 
-    return field
+    def guard():
+        if den.min() <= 0.0:
+            cell = int(np.argmin(den))
+            raise PositivityLost(cell, dt, 2.0 * math.sqrt(1.0 - den[cell]))
+
+    return field, guard
 
 
 def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
@@ -221,12 +242,13 @@ def _g2(state: LagrangianState, y0: np.ndarray, dt: float):
         np.multiply(h_t, q, out=h_t)
         return out
 
-    return field
+    return field, None
 
 
 # Each sub-flow: the rows it moves, and a function of the substep's state,
 # its start rows and dt that builds the frozen terms once and returns the
-# field.  The field maps the midpoint of the moving rows to their rates,
+# field and a guard, a check of the converged iterate or None.  The field
+# maps the midpoint of the moving rows to their rates,
 # which are Gauss-Seidel ordered: one row's rate comes first from the
 # kernel terms (w under g1, U under g2), and the other rows read it at its
 # updated midpoint.
@@ -268,7 +290,9 @@ def midpoint_substep(
     substep's state is built at the end; g2 also builds one midpoint state
     per iterate, for its kernel evaluation.  Raises FixedPointDiverged when
     no iterate within cfg.fp_max_iter converges, or at once when one is
-    not finite; overflow on the way there raises no warning.
+    not finite; overflow on the way there raises no warning.  Raises
+    PositivityLost when g1's converged iterate would leave the admissible
+    set (see ``_g1``).
     """
     rows, make_field = _SUB_FLOWS[which]
     z = y0 = state.x[rows]
@@ -276,7 +300,7 @@ def midpoint_substep(
     # a diverging iterate overflows, and 1/exp(y - r) in the kernel's
     # factors divides by an underflowed zero: FixedPointDiverged says so
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        field = make_field(state, y0, dt)
+        field, guard = make_field(state, y0, dt)
         for m in range(1, cfg.fp_max_iter + 1):
             rates = field(0.5 * (y0 + z))
             z_next = y0 + dt * rates
@@ -291,6 +315,8 @@ def midpoint_substep(
                 raise FixedPointDiverged(m, residual, first, smallest)
         else:
             raise FixedPointDiverged(cfg.fp_max_iter, residual, first, smallest)
+    if guard is not None:
+        guard()
     # the frozen rows take the update by dt * 0, as in a whole-state step,
     # where it turns a -0.0 into 0.0 for dt > 0
     x = state.x + dt * 0.0

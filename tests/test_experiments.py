@@ -30,6 +30,11 @@ TINY = {
     "output_stride": 2,
     "sweep": {"dt": [0.1, 0.05, 0.025]},
 }
+# TINY's peakon has a closed form, which compare measures against; this
+# kind has none, and compare measures it against the Richardson reference
+PAIR = {"initial_data": {"kind": "peakon_antipeakon", "c": 1.0, "x0": 0.0, "separation": 1.0}}
+# a smooth wave, the other kind with a closed form
+SMOOTH = {"initial_data": {"kind": "smooth", "c": 1.0, "x0": 0.0}, "gamma": 0.2}
 
 
 class Reached(Exception):
@@ -443,7 +448,8 @@ class TestJobLanes:
         monkeypatch.setattr(experiments, "evolve", evolve)
         out = tmp_path / "out"
         with pytest.raises(FixedPointDiverged) as info:
-            rw.compare_experiment(rw.load_config(write_config(tmp_path)), out, quiet=True)
+            rw.compare_experiment(rw.load_config(write_config(tmp_path, **PAIR)), out,
+                                  quiet=True)
         assert (info.value.iterations, info.value.residual) == (50, 1.0)
         assert int((tmp_path / "diverged").read_text()) != os.getpid()
         assert multiprocessing.active_children() == []
@@ -453,7 +459,7 @@ class TestJobLanes:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     def test_compare_equals_a_serial_computation(self, tmp_path, monkeypatch, cpus):
         set_cpus(monkeypatch, cpus)
-        cfg = rw.load_config(write_config(tmp_path))
+        cfg = rw.load_config(write_config(tmp_path, **PAIR))
         out = rw.compare_experiment(cfg, tmp_path / "lanes", quiet=True)
         assert multiprocessing.active_children() == []
         serial = tmp_path / "serial"
@@ -466,6 +472,33 @@ class TestJobLanes:
         for scheme in cfg.schemes:
             x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
             err = rw.sup_graph_error(state0.with_x(x), reference)
+            rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
+        experiments._write_csv(
+            serial / "summary.csv",
+            ("scheme", "graph_error_vs_ref", "max_inv_drift", "min_q", "min_h"), rows)
+        assert len(csv_bytes(out)) == 2 + 2 * len(cfg.schemes)
+        assert csv_bytes(out) == csv_bytes(serial)
+
+    @pytest.mark.parametrize("kind", [{}, SMOOTH], ids=["peakon", "smooth"])
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_compare_against_the_closed_form_equals_a_serial_computation(
+            self, tmp_path, monkeypatch, cpus, kind):
+        set_cpus(monkeypatch, cpus)
+        cfg = rw.load_config(write_config(tmp_path, **kind))
+        out = rw.compare_experiment(cfg, tmp_path / "lanes", quiet=True)
+        assert multiprocessing.active_children() == []
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        state0 = rw.build_initial_state(cfg)
+        # the reference graph is the initial data built with its crest moved
+        # by c * t_final
+        moved = {**cfg.initial_data, "x0": cfg.t_final}
+        reference = rw.build_initial_state(replace(cfg, initial_data=moved))
+        experiments.write_graph_csv(serial / "reference_graph.csv", reference)
+        rows = []
+        for scheme in cfg.schemes:
+            x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
+            err = rw.exact_error(state0.with_x(x), cfg.wave_spec(), cfg.t_final)
             rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",
@@ -491,7 +524,7 @@ class TestJobLanes:
         for dxi in dxis:
             final, _ = rw.evolve(rw.build_initial_state(replace(cfg, dxi=dxi)), cfg.t_final,
                                  replace(cfg.stepper, dt=dxi / 4))
-            dxi_errors.append(rw.exact_peakon_error(final, cfg.t_final, 1.0, 0.0))
+            dxi_errors.append(rw.exact_error(final, cfg.wave_spec(), cfg.t_final))
         expected = {
             "name": "tiny", "scheme": "strang",
             "dt_sweep": {"dt": dts, "error": dt_errors,
@@ -545,7 +578,7 @@ class TestCompareConverge:
         assert np.min(minima) >= 0.0
 
     def test_compare_manifest_replays_the_run(self, tmp_path):
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, **PAIR)
         assert run_cli("compare", "--config", config, "--out", str(tmp_path / "a")) == 0
         manifest = tmp_path / "a" / "tiny_compare" / "manifest.json"
         reference = json.loads(manifest.read_text())["reference"]
@@ -566,6 +599,58 @@ class TestCompareConverge:
         assert {"summary.csv", "reference_graph.csv", "strang/final_graph.csv",
                 "adaptive_rk/diagnostics.csv"} <= set(a)
         assert a == csv_bytes(tmp_path / "b" / "tiny_compare")
+
+    @pytest.mark.parametrize("kind", [{}, SMOOTH], ids=["peakon", "smooth"])
+    def test_compare_names_the_closed_form_it_measures_against(self, tmp_path, kind):
+        config = write_config(tmp_path, **kind)
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path / "a")) == 0
+        manifest = tmp_path / "a" / "tiny_compare" / "manifest.json"
+        name = rw.load_config(config).initial_data["kind"]
+        assert json.loads(manifest.read_text())["reference"] == {
+            "method": f"exact_{name}", "t": 0.25}
+        assert run_cli("compare", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
+        assert csv_bytes(tmp_path / "a" / "tiny_compare") == csv_bytes(
+            tmp_path / "b" / "tiny_compare")
+
+    @pytest.mark.parametrize("kind", [{}, SMOOTH], ids=["peakon", "smooth"])
+    def test_compare_against_a_closed_form_runs_no_reference(self, tmp_path, monkeypatch, kind):
+        # on one CPU every evolve runs in this process, where the wrapper
+        # counts it: only the schemes run, each at dt, none at h or h / 2
+        set_cpus(monkeypatch, {0})
+        taken, real = [], stepping.evolve
+
+        def evolve(state, t_final, cfg, *args, _step=None, **kwargs):
+            taken.append((cfg.scheme, cfg.dt, _step))
+            return real(state, t_final, cfg, *args, _step=_step, **kwargs)
+
+        for module in (experiments, stepping):
+            monkeypatch.setattr(module, "evolve", evolve)
+        cfg = rw.load_config(write_config(tmp_path, **kind))
+        rw.compare_experiment(cfg, tmp_path / "out", quiet=True)
+        assert sorted(taken) == sorted((scheme, 0.1, None) for scheme in rw.SCHEMES)
+        # so a reference step that could not be taken does not refuse it
+        rw.compare_experiment(replace(cfg, reference_dt_factor=1e-300), tmp_path / "out",
+                              quiet=True)
+
+    def test_strang_beats_euler_against_the_smooth_wave(self, tmp_path):
+        config = write_config(tmp_path, **SMOOTH)
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path)) == 0
+        header, *rows = (tmp_path / "tiny_compare" / "summary.csv").read_text().split()
+        error = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+        assert error["strang"] < error["explicit_euler"] / 2
+
+    def test_a_smooth_dxi_sweep_is_measured_against_the_closed_form(self, tmp_path):
+        # three points fit, since none is spent as the reference
+        dxis = [1.0, 0.5, 0.25]
+        cfg = rw.load_config(write_config(tmp_path, **SMOOTH, sweep={"dxi": dxis}))
+        report = rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
+        errors = [rw.exact_error(rw.evolve(rw.build_initial_state(replace(cfg, dxi=dxi)),
+                                           cfg.t_final, replace(cfg.stepper, dt=dxi / 4))[0],
+                                 cfg.wave_spec(), cfg.t_final)
+                  for dxi in dxis]
+        assert report["dxi_sweep"]["against"] == "exact_smooth"
+        assert report["dxi_sweep"]["error"] == errors
+        assert report["dxi_sweep"]["slope"] == rw.convergence_order(zip(dxis, errors))
 
     def test_adaptive_minima_include_initial_state(self, tmp_path):
         # the colliding waves' far cells hold h = 0 at t=0 (q = 1/(1 + e)
@@ -737,7 +822,7 @@ class TestErrors:
             # step counts past MAX_STEPS
             (["run"], {"stepper": {"dt": 1e-300}}),
             (["converge"], {"sweep": {"dt": [0.1, 1e-300, 0.05]}}),
-            (["compare"], {"reference_dt_factor": 1e-300}),
+            (["compare"], {"reference_dt_factor": 1e-300, **PAIR}),
             (["compare", "--scheme", "strang,strang"], {}),
             # a sweep that repeats a value
             (["converge"], {"sweep": {"dxi": [1.0, 0.5, 0.25, 0.25]}}),
@@ -828,8 +913,9 @@ class TestErrors:
     @pytest.mark.parametrize("changes, dt", [
         ({"stepper": {"dt": 1e-300}}, 1e-300),
         ({"sweep": {"dt": [0.1, 1e-300, 0.05]}}, 1e-300),
-        # the reference's fine steps, h / 2 with h = dt * reference_dt_factor
-        ({"reference_dt_factor": 1e-300}, 0.2 * 1e-300 / 2),
+        # the Richardson reference's fine steps, h / 2 with h = dt *
+        # reference_dt_factor, taken on a kind with no closed form
+        ({"reference_dt_factor": 1e-300, **PAIR}, 0.2 * 1e-300 / 2),
         ({"sweep": {"dxi": [0.5, 1e-300, 0.125]}}, 1e-300 / 4)])
     def test_step_count_is_bounded(self, tmp_path, monkeypatch, changes, dt):
         # the config builds; each driver that takes the dt refuses it before
@@ -864,12 +950,14 @@ class TestErrors:
                 rw.run_experiment(replace(cfg, t_final=0.10000005), tmp_path / "b", quiet=True)
 
     def test_step_count_up_to_the_bound_is_accepted(self, tmp_path, monkeypatch):
-        # compare's reference takes its fine steps at h / 2, with h = dt *
-        # reference_dt_factor; a driver that passes its checks builds a state
+        # compare's Richardson reference takes its fine steps at h / 2, with
+        # h = dt * reference_dt_factor; a driver that passes its checks
+        # builds a state
         monkeypatch.setattr(experiments, "build_initial_state", reach)
         assert 2**23 <= experiments.MAX_STEPS < 2**24
         changes = {"t_final": 1.0, "stepper": {"dt": 2.0**-23}, "reference_dt_factor": 2.0}
-        cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
+        cfg = rw.ExperimentConfig.from_dict(
+            merged(rw.BUNDLED["peakon_antipeakon_gamma1"], changes))
         with pytest.raises(Reached):  # 2**23 steps at h / 2 = dt
             rw.compare_experiment(cfg, tmp_path / "out", quiet=True)
         with pytest.raises(ValueError) as info:  # the reference would take 2**24 steps

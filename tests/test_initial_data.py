@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import rodwave as rw
 from rodwave import initial_data
 from rodwave.errors import NonMonotoneConstruction, PhysicalRangeWarning
-from rodwave.initial_data import _CusponCurves, travel_distance
+from rodwave.initial_data import _CusponCurves, smooth_profile, travel_distance
 
 from helpers import admissible
 
@@ -300,6 +300,24 @@ class TestSmoothTravelingWave:
         residual = np.abs(travel_distance(s.U, spec.gamma, spec.c) - d)
         assert np.all(residual <= 1e-13 * np.maximum(1.0, d))
         assert s.U.min() > 0
+
+    @pytest.mark.parametrize("gamma, c, x0", [(0.2, 1.0, 0.0), (0.8, 1.5, 0.1375),
+                                              (-2.0, 0.7, -3.3)])
+    def test_the_builder_is_smooth_profile_on_the_cells(self, gamma, c, x0):
+        spec = rw.TravelingWaveSpec(kind="smooth", gamma=gamma, c=c, x0=x0)
+        U = smooth_profile(self.GRID.cells - x0, gamma, c)
+        assert np.array_equal(U.view(np.uint64), rw.make_smooth_tw(spec, self.GRID).U.view(np.uint64))
+
+    def test_smooth_profile_inverts_the_travel_distance(self):
+        # near the crest u = c - O(x^2), so the last bit of u holds x to
+        # about 1e-16 / x: the points start at x = 0.01
+        right = np.geomspace(1e-2, 30.0, 40)
+        x = np.concatenate((-right[::-1], [0.0], right))
+        for gamma, c in ((0.2, 1.0), (0.9, 2.0), (-5.0, 0.5)):
+            u = smooth_profile(x, gamma, c)
+            assert u[40] == c and np.all(u > 0) and np.array_equal(u, u[::-1])
+            residual = np.abs(travel_distance(u, gamma, c) - np.abs(x))
+            assert np.all(residual <= 1e-12 * np.maximum(1.0, np.abs(x)))
 
     def test_gamma_zero_closed_form(self):
         # at gamma=0 the profile is c*sech^2(x/2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,16 +88,38 @@ class TestSupGraphError:
 
 
 class TestExactPeakonError:
+    PEAKON = rw.TravelingWaveSpec(kind="peakon", gamma=1.0, c=1.0, x0=2.0)
+
     def test_initial_data_is_exact(self):
         grid = rw.GridSpec.from_radius(0.05, 20.0)
         s = rw.make_peakon_pair([(1.0, 0.0)], grid)
-        assert rw.exact_peakon_error(s, 0.0, 1.0) < 1e-14
+        spec = rw.TravelingWaveSpec(kind="peakon", gamma=1.0)
+        assert rw.exact_error(s, spec, 0.0) < 1e-14
 
     def test_offset_and_speed_enter(self):
         grid = rw.GridSpec.from_radius(0.05, 20.0)
         s = rw.make_peakon_pair([(1.0, 2.0)], grid)
-        assert rw.exact_peakon_error(s, 0.0, 1.0, x0=2.0) < 1e-14
-        assert rw.exact_peakon_error(s, 1.0, 1.0, x0=2.0) > 0.1
+        assert rw.exact_error(s, self.PEAKON, 0.0) < 1e-14
+        assert rw.exact_error(s, self.PEAKON, 1.0) > 0.1
+
+    def test_the_wave_moved_by_c_t_is_exact(self):
+        # the builder's peakon at x0 + c t, on the same cells, is the exact
+        # solution at t; and so is the smooth wave's
+        grid = rw.GridSpec.from_radius(0.25, 15.0)
+        smooth = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.5, x0=0.3)
+        for spec in (self.PEAKON, smooth):
+            moved = rw.build_from_spec(replace(spec, x0=spec.x0 + spec.c * 2.0), grid)
+            assert rw.exact_error(moved, spec, 2.0) <= 1e-15
+            assert rw.exact_error(rw.build_from_spec(spec, grid), spec, 2.0) > 0.5
+
+    @pytest.mark.parametrize("spec", [
+        rw.TravelingWaveSpec(kind="cuspon", gamma=5.0),
+        rw.TravelingWaveSpec(kind="peakon_antipeakon", gamma=1.0),
+        rw.TravelingWaveSpec(kind="gaussian_derivative", gamma=0.8)],
+        ids=lambda spec: spec.kind)
+    def test_a_kind_with_no_closed_form_has_no_exact_error(self, spec):
+        s = rw.make_peakon_pair([(1.0, 0.0)], rw.GridSpec.from_radius(0.25, 5.0))
+        assert rw.exact_error(s, spec, 1.0) is None
 
     def test_euler_less_accurate_than_strang(self):
         # smooth-wave comparison against a small-step reference isolates the

@@ -5,17 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rodwave as rw
 from rodwave import source_terms, stepping
 from rodwave.dynamics import G1_ROWS, G2_ROWS
-from rodwave.errors import FixedPointDiverged, StepSizeUnderflow
+from rodwave.errors import FixedPointDiverged, PositivityLost, StepSizeUnderflow
 from rodwave.experiments import build_initial_state, resolve_config
 from rodwave.stepping import (
     _step_two_halves, midpoint_substep, plan_steps, richardson_reference,
 )
 
-from helpers import midpoint_substep_on_states, random_admissible_state, states_equal
+from helpers import (
+    admissible, edge_state, midpoint_substep_on_states, random_admissible_state, states_equal,
+)
 
 
 def small_peakon(dxi=0.1, r=15.0, c=1.0):
@@ -184,6 +188,8 @@ def substep_outcome(substep, state, dt, which):
         out, report = substep(state, dt, which, CFG)
     except FixedPointDiverged as exc:
         return ("diverged", exc.iterations)
+    except PositivityLost as exc:
+        return ("positivity_lost", exc.cell)
     return (out.x.tobytes(), report.fp_iterations, report.final_residual)
 
 
@@ -192,7 +198,13 @@ def check_against_whole_states(which, case, dt):
     with np.errstate(all="ignore"):
         expected = substep_outcome(midpoint_substep_on_states, s, dt, which)
     got = substep_outcome(midpoint_substep, s, dt, which)
-    assert got == expected
+    if got[0] == "positivity_lost":
+        # the guard refuses a converged iterate, which the whole-state
+        # iteration returns: the cell it names has left the admissible set
+        v, h = np.frombuffer(expected[0]).reshape(s.x.shape)[[3, 5], got[1]]
+        assert min(1.0 + v, h) < 0
+    else:
+        assert got == expected
     # g1 solves its linear part in closed form and iterates on P alone,
     # which on some cases converges even at DIVERGING_DT (see
     # TestG1Iteration.test_the_diverging_dt_meets_both_outcomes)
@@ -207,7 +219,8 @@ def check_every_iterate_conserves(which, case, dt):
     s = CASES[case]
     y0 = s.x[rows]
     mid = y0 + np.random.default_rng(7).normal(size=y0.shape)
-    rates = getattr(stepping, f"_{which}")(s, y0, dt)(mid)
+    field, _ = getattr(stepping, f"_{which}")(s, y0, dt)
+    rates = field(mid)
     x = s.x.copy()
     x[rows] = y0 + dt * rates
     new = s.with_x(x)
@@ -264,6 +277,45 @@ class TestG1Iteration:
         g2 = [m for which, m in substeps if which == "g2"]
         assert len(calls) == len(g1) + sum(g2)
         assert min(g1) > 1
+
+
+class TestPositivity:
+    """Where g1's denominator d_u + e P is <= 0, the midpoint rule flips a
+    cell through the origin, onto q < 0 and h < 0, keeping its invariant;
+    the guard refuses the converged iterate there (``PositivityLost``)."""
+
+    def test_a_substep_that_flips_a_cell_raises(self):
+        s = edge_state(np.random.default_rng(27), rw.GridSpec(16, 0.25), 1.0)
+        with pytest.raises(PositivityLost) as info:
+            midpoint_substep(s, 1.0, "g1", CFG)
+        err = info.value
+        assert (err.cell, err.dt) == (15, 1.0) and err.dt_lambda >= 2.0
+        assert f"at cell 15: dt*lambda = {err.dt_lambda:.4g} >= 2" in str(err)
+        # the same iteration without the guard lands there on the other nappe
+        flipped, _ = midpoint_substep_on_states(s, 1.0, "g1", CFG)
+        assert flipped.q[15] < 0 and flipped.h[15] < 0
+        assert np.abs(rw.invariants(flipped) - rw.invariants(s)).max() <= 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(-1.0, 6.0),
+           dt=st.floats(0.01, 1.0), fold=st.sampled_from([0.0, 0.5, 2.0]),
+           step=st.sampled_from([rw.step_strang, rw.step_lie_trotter]))
+    def test_a_step_raises_or_stays_admissible(self, seed, gamma, dt, fold, step):
+        # q = 0 and q near 0 on 30% of the cells, gamma < 0 to past the
+        # physical range, and y folded over up to two cells
+        rng = np.random.default_rng(seed)
+        s = edge_state(rng, rw.GridSpec(int(rng.integers(8, 33)), 0.25), gamma, fold=fold)
+        try:
+            out, _ = step(s, replace(CFG, dt=dt))
+        except (FixedPointDiverged, PositivityLost):
+            return
+        assert admissible(out, floor=0.0)
+
+        def terms(state):
+            return (state.U * state.q) ** 2 + state.w * state.w + np.abs(state.q * state.h)
+
+        drift = np.abs(rw.invariants(out) - rw.invariants(s))
+        assert np.all(drift <= 1e-13 * (1.0 + np.maximum(terms(s), terms(out))))
 
 
 class TestG2Iteration:
