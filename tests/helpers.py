@@ -41,16 +41,16 @@ def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.
     )
 
 
-def edge_state(rng, grid: GridSpec, gamma: float, squeezed: float = 0.3, fold: float = 0.0):
+def edge_state(rng, grid: GridSpec, gamma: float, fold: float = 0.0):
     """``random_admissible_state`` pushed to the edges of the admissible
-    set.  On a ``squeezed`` fraction of the cells q is scaled by f, drawn
-    from [0, 0.05] and 0 on a third of them, and w by sqrt(f), with
+    set.  On 30% of the cells q is scaled by f, drawn from [0, 0.05] and 0
+    on a third of them, and w by sqrt(f), with
     h = U^2 q f + w^2 / q: every I_i stays 0 and h bounded.  With ``fold``
     > 0, y runs back by ``fold`` cells over a block of cells, folding it."""
     s = random_admissible_state(rng, grid, gamma)
     n = grid.n_cells
     f = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 0.05, n))
-    f = np.where(rng.random(n) < squeezed, f, 1.0)
+    f = np.where(rng.random(n) < 0.3, f, 1.0)
     q, U, w = s.q, s.U, s.w
     h = U * U * q * f + w * w / q
     cs = np.cumsum(h)

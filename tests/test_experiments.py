@@ -492,13 +492,14 @@ class TestJobLanes:
         state0 = rw.build_initial_state(cfg)
         # the reference graph is the initial data built with its crest moved
         # by c * t_final
-        moved = {**cfg.initial_data, "x0": cfg.t_final}
+        spec = cfg.wave_spec()
+        moved = {**cfg.initial_data, "x0": spec.x0 + spec.c * cfg.t_final}
         reference = rw.build_initial_state(replace(cfg, initial_data=moved))
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
             x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
-            err = rw.exact_error(state0.with_x(x), cfg.wave_spec(), cfg.t_final)
+            err = rw.exact_error(state0.with_x(x), spec, cfg.t_final)
             rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",

@@ -212,6 +212,11 @@ def check_against_whole_states(which, case, dt):
         assert got[0] == "diverged"
 
 
+def invariant_terms(state):
+    """The size of the terms of each I_i = U^2 q^2 + w^2 - q h."""
+    return (state.U * state.q) ** 2 + state.w * state.w + np.abs(state.q * state.h)
+
+
 def check_every_iterate_conserves(which, case, dt):
     """One field evaluation at a midpoint far from the fixed point keeps
     each I_i, relative to the size of its terms."""
@@ -224,11 +229,7 @@ def check_every_iterate_conserves(which, case, dt):
     x = s.x.copy()
     x[rows] = y0 + dt * rates
     new = s.with_x(x)
-
-    def terms(state):
-        return (state.U * state.q) ** 2 + state.w * state.w + np.abs(state.q * state.h)
-
-    scale = np.maximum(terms(s), terms(new))
+    scale = np.maximum(invariant_terms(s), invariant_terms(new))
     assert np.all(np.abs(rw.invariants(new) - rw.invariants(s)) <= 1e-14 * scale)
 
 
@@ -310,12 +311,8 @@ class TestPositivity:
         except (FixedPointDiverged, PositivityLost):
             return
         assert admissible(out, floor=0.0)
-
-        def terms(state):
-            return (state.U * state.q) ** 2 + state.w * state.w + np.abs(state.q * state.h)
-
         drift = np.abs(rw.invariants(out) - rw.invariants(s))
-        assert np.all(drift <= 1e-13 * (1.0 + np.maximum(terms(s), terms(out))))
+        assert np.all(drift <= 1e-13 * (1.0 + np.maximum(invariant_terms(s), invariant_terms(out))))
 
 
 class TestG2Iteration:
