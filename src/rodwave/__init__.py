@@ -11,7 +11,6 @@ from .state import (
 )
 from .source_terms import (
     SourceTerms,
-    evaluate_source_terms,
     integrand_a,
     source_terms_direct,
     source_terms_fast,
@@ -30,7 +29,6 @@ from .stepping import (
 )
 from .initial_data import (
     EulerianProfile,
-    FineGrid,
     FineLagrangianData,
     TravelingWaveSpec,
     build_from_spec,

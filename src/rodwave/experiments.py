@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateFit, RodwaveError
-from .initial_data import KINDS, FineGrid, TravelingWaveSpec, build_from_spec
+from .initial_data import KINDS, TravelingWaveSpec, build_from_spec
 from .observables import (
     EXACT_KINDS,
     DiagnosticsRecorder,
@@ -143,7 +143,6 @@ class ExperimentConfig:
     t_final: float
     output_stride: int = 1
     schemes: tuple[str, ...] = SCHEMES
-    m_ref: int = FineGrid.m_ref
     # step h of the order-4 Richardson reference, as a multiple of dt (of
     # the smallest swept dt); the reference extrapolates Strang runs at h
     # and h/2.  It applies to converge's dt sweep, and to compare only on a
@@ -183,7 +182,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"sweep.{key}: {', '.join(map(repr, repeated))} named more than once")
         self.grid_spec()
-        FineGrid(m_ref=self.m_ref)
         self.wave_spec()
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
@@ -204,6 +202,12 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
+        # manifests written while the projection's refinement was a key
+        # carry its only value, 16; initial_data.eulerian_to_lagrangian owns it
+        m_ref = d.pop("m_ref", 16)
+        if m_ref != 16:
+            raise ValueError(f"config.m_ref is not a setting, got {m_ref!r}: the "
+                             "projection refines each cell 16 times")
         grid = _read_section(cls, d.pop("grid", {}), "grid", only=_GRID_KEYS)
         stepper = StepperConfig(**_read_section(StepperConfig, d.pop("stepper", {}), "stepper"))
         return cls(**_read_section(cls, d, "config", stepper=stepper, **grid))
@@ -230,7 +234,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_initial_state(cfg: ExperimentConfig) -> LagrangianState:
-    return build_from_spec(cfg.wave_spec(), cfg.grid_spec(), FineGrid(m_ref=cfg.m_ref))
+    return build_from_spec(cfg.wave_spec(), cfg.grid_spec())
 
 
 # ---------------------------------------------------------------------------

@@ -52,17 +52,6 @@ KINDS = {
 
 
 @dataclass(frozen=True)
-class FineGrid:
-    """Sub-cell refinement used to realise the cell averages."""
-
-    m_ref: int = 16
-
-    def __post_init__(self):
-        if self.m_ref < 1:
-            raise ValueError("m_ref must be >= 1")
-
-
-@dataclass(frozen=True)
 class TravelingWaveSpec:
     """Parameters of the initial data of any kind in ``KINDS``.
 
@@ -123,7 +112,8 @@ class EulerianProfile:
         """Two-column numeric text ``x u``.
 
         The first line is a header (ignored); ``#`` lines are comments;
-        columns are separated by whitespace or commas.  Values are linearly
+        columns are separated by whitespace or commas.  Every x and u must
+        be finite, and no x may be listed twice.  Values are linearly
         interpolated and zero outside the samples; the derivative comes
         from central differences.
         """
@@ -135,16 +125,22 @@ class EulerianProfile:
                     continue
                 parts = line.replace(",", " ").split()
                 try:
-                    rows.append((float(parts[0]), float(parts[1])))
+                    row = (float(parts[0]), float(parts[1]))
                 except (ValueError, IndexError):
                     if k == 0:
                         continue  # header line
                     raise ValueError(f"{path}: cannot parse line {k + 1}: {line!r}")
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path}: line {k + 1} is not finite: {line!r}")
+                rows.append(row)
         if len(rows) < 3:
             raise ValueError(f"{path}: fewer than 3 data rows")
         arr = np.array(rows)
         order = np.argsort(arr[:, 0])
         x, u = arr[order, 0], arr[order, 1]
+        repeated = x[1:][x[1:] == x[:-1]]
+        if repeated.size:
+            raise ValueError(f"{path}: x = {float(repeated[0])!r} is listed more than once")
         ux = np.gradient(u, x)
         return cls(
             u=lambda xx: np.interp(xx, x, u, left=0.0, right=0.0),
@@ -169,9 +165,9 @@ class FineLagrangianData:
 
 
 def eulerian_to_lagrangian(
-    profile: EulerianProfile, fine: FineGrid, grid: GridSpec
+    profile: EulerianProfile, grid: GridSpec, m_ref: int = 16
 ) -> FineLagrangianData:
-    """Invert y + E(y) = xi on the fine nodes.
+    """Invert y + E(y) = xi on the fine nodes, ``m_ref`` per cell of ``grid``.
 
     E is the cumulative energy from a trapezoid table on a dense x-grid,
     linearly interpolated, 0 left of the table and E_tot right of it.  y is
@@ -182,12 +178,13 @@ def eulerian_to_lagrangian(
     precision on every node: q is computed as 1/(1 + e(y)) from the same
     evaluations of u, u_x that feed U and w.
     """
-    m = fine.m_ref
-    n_nodes = grid.n_cells * m + 1
+    if m_ref < 1:
+        raise ValueError(f"m_ref must be >= 1, got {m_ref}")
+    n_nodes = grid.n_cells * m_ref + 1
     xi = np.linspace(-grid.r, grid.r, n_nodes)
 
     span = max(profile.support_radius, 1.0)
-    dx = min(1e-3, grid.dxi / (2 * m))
+    dx = min(1e-3, grid.dxi / (2 * m_ref))
     n_x = min(4_000_001, int(math.ceil(2 * span / dx)) + 1)
     x_tab = np.linspace(-span, span, n_x)
     e_tab = profile.u(x_tab) ** 2 + profile.ux(x_tab) ** 2
@@ -207,7 +204,7 @@ def eulerian_to_lagrangian(
     h = 1.0 - q
     w = ux_y * q
     return FineLagrangianData(
-        xi=xi, y=y, U=u_y, H=H, q=q, w=w, h=h, m_ref=m, grid=grid
+        xi=xi, y=y, U=u_y, H=H, q=q, w=w, h=h, m_ref=m_ref, grid=grid
     )
 
 
@@ -490,26 +487,22 @@ def make_cuspon(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     )
 
 
-def _projected(profile, grid: GridSpec, gamma: float, fine: FineGrid) -> LagrangianState:
+def _projected(profile, grid: GridSpec, gamma: float) -> LagrangianState:
     """The generic pipeline: invert on the fine grid, then cell-average."""
-    return project_to_grid(eulerian_to_lagrangian(profile, fine, grid), Parameters(gamma))
+    return project_to_grid(eulerian_to_lagrangian(profile, grid), Parameters(gamma))
 
 
-def make_gaussian_derivative(
-    grid: GridSpec, gamma: float, fine: FineGrid = FineGrid()
-) -> LagrangianState:
+def make_gaussian_derivative(grid: GridSpec, gamma: float) -> LagrangianState:
     """Colliding smooth waves: u0(x) = -x exp(-x^2/2), generic pipeline."""
     profile = EulerianProfile(
         u=lambda x: -x * np.exp(-0.5 * x * x),
         ux=lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x),
         support_radius=9.0,
     )
-    return _projected(profile, grid, gamma, fine)
+    return _projected(profile, grid, gamma)
 
 
-def build_from_spec(
-    spec: TravelingWaveSpec, grid: GridSpec, fine: FineGrid = FineGrid()
-) -> LagrangianState:
+def build_from_spec(spec: TravelingWaveSpec, grid: GridSpec) -> LagrangianState:
     """Build the initial state of a spec of any kind in ``KINDS``."""
     if spec.kind == "smooth":
         return make_smooth_tw(spec, grid)
@@ -521,5 +514,5 @@ def build_from_spec(
         peaks = [(spec.c, spec.x0), (-spec.c, spec.x0 + spec.separation)]
         return make_peakon_pair(peaks, grid, gamma=spec.gamma)
     if spec.kind == "gaussian_derivative":
-        return make_gaussian_derivative(grid, spec.gamma, fine)
-    return _projected(EulerianProfile.from_file(spec.path), grid, spec.gamma, fine)
+        return make_gaussian_derivative(grid, spec.gamma)
+    return _projected(EulerianProfile.from_file(spec.path), grid, spec.gamma)

@@ -191,17 +191,3 @@ def is_folded(y: np.ndarray) -> bool:
     pair with exp(+d)."""
     return bool((y[1:] < y[:-1]).any())
 
-
-def evaluate_source_terms(state: LagrangianState) -> SourceTerms:
-    """The source terms P and Q of ``state``.
-
-    This is the entry for states whose y moves between evaluations: Euler,
-    Dormand-Prince and the g2 midpoint iterates.  g2 enters here on purpose,
-    with one state per iterate, though it holds its rows as arrays: each
-    call is served by ``source_terms_fast``, factor step and sum step
-    together, looked up on this module, so a wrapper installed there sees
-    every evaluation whose y moved.  The g1 substep freezes y and calls the
-    two steps itself.  Whether y is folded is ``is_folded``'s to say, on
-    the states a step accepts.
-    """
-    return source_terms_fast(state)

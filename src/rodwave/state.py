@@ -82,6 +82,8 @@ class GridSpec:
         """Grid whose radius is the closest multiple of dxi to ``r``."""
         if not dxi > 0:
             raise ValueError("dxi must be positive")
+        if not r > 0:
+            raise ValueError(f"r must be positive, got {r}")
         return cls(max(1, int(round(r / dxi))), dxi)
 
     @property

@@ -9,7 +9,7 @@ import numpy as np
 from rodwave import GridSpec, LagrangianState, Parameters, invariants
 from rodwave.dynamics import vector_field_g2
 from rodwave.errors import FixedPointDiverged
-from rodwave.source_terms import evaluate_source_terms, integrand_u
+from rodwave.source_terms import integrand_u, source_terms_fast
 from rodwave.stepping import StepReport
 
 
@@ -110,7 +110,7 @@ def _g1_rates(state, mid, dt):
     w_t = (c0 + c1 w0) / (1 - dt/2 c1); v's and h's rates read w at
     w0 + dt/2 * w_t.  Each term is rounded as ``stepping._g1`` rounds it."""
     g, U, q0, w0, h0 = state.params.gamma, state.U, state.q, state.w, state.h
-    P = evaluate_source_terms(mid).P
+    P = source_terms_fast(mid).P
     a_u = integrand_u(g, U)
     h_u = 3.0 * U * U
     s_u = (0.5 * dt * g) * (0.5 * h_u + a_u)
@@ -128,7 +128,7 @@ def _g2_rates(state, mid, dt):
     """g2's rates at a midpoint state: U's rate from the source terms of
     ``mid``, then the field at a midpoint state holding U's update,
     U0 + dt/2 * U_t."""
-    terms = evaluate_source_terms(mid)
+    terms = source_terms_fast(mid)
     first = vector_field_g2(mid, terms)[1]
     xm = mid.x.copy()
     xm[1] = state.x[1] + 0.5 * dt * first

@@ -14,7 +14,7 @@ def zero_state(gamma=1.0):
 class TestVectorFields:
     def test_zero_state_is_fixed_point(self):
         s = zero_state()
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         for field in (rw.vector_field_g1, rw.vector_field_g2, rw.vector_field_full):
             np.testing.assert_array_equal(field(s, terms), np.zeros((6, 16)))
 
@@ -24,7 +24,7 @@ class TestVectorFields:
         gamma = 0.8
         grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, gamma).replace(U=np.zeros(32))
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         a = rw.integrand_a(s)
         np.testing.assert_allclose(a, 0.5 * gamma * s.h, rtol=1e-15)
         _, U_t, _, v_t, w_t, h_t = rw.vector_field_full(s, terms)
@@ -39,7 +39,7 @@ class TestVectorFields:
         rng = np.random.default_rng(5)
         grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 0.0)
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         zeta_t, U_t, _, v_t, _, h_t = rw.vector_field_full(s, terms)
         np.testing.assert_array_equal(zeta_t, np.zeros(32))
         np.testing.assert_array_equal(v_t, np.zeros(32))
@@ -55,7 +55,7 @@ class TestVectorFields:
         for _ in range(100):
             grid = rw.GridSpec(8, 0.25)
             s = random_admissible_state(rng, grid, rng.uniform(-1.0, 3.0))
-            terms = rw.evaluate_source_terms(s)
+            terms = rw.source_terms_fast(s)
             g1 = rw.vector_field_g1(s, terms)
             g2 = rw.vector_field_g2(s, terms)
             full = rw.vector_field_full(s, terms)
@@ -65,7 +65,7 @@ class TestVectorFields:
         rng = np.random.default_rng(7)
         grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 1.0)
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         zeta_t, U_t, H_t, _, _, _ = rw.vector_field_g1(s, terms)
         np.testing.assert_array_equal(U_t, np.zeros(32))
         np.testing.assert_array_equal(zeta_t, np.zeros(32))
@@ -79,7 +79,7 @@ class TestInvariantDerivative:
         for _ in range(10):
             grid = rw.GridSpec(16, 0.2)
             s = random_admissible_state(rng, grid, rng.uniform(-1.0, 3.0))
-            terms = rw.evaluate_source_terms(s)
+            terms = rw.source_terms_fast(s)
             _, U_t, _, v_t, w_t, h_t = rw.vector_field_full(s, terms)
             q, U, w, h = s.q, s.U, s.w, s.h
             dI = (
@@ -96,7 +96,7 @@ class TestInvariantDerivative:
         rng = np.random.default_rng(9)
         grid = rw.GridSpec(16, 0.2)
         s = random_admissible_state(rng, grid, 1.0)
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         tan = rw.vector_field_full(s, terms)
 
         def fd(eps):
@@ -113,7 +113,7 @@ class TestInvariantDerivative:
 class TestStateAlgebra:
     def test_with_x_keeps_boundary_constants(self):
         s = zero_state().replace(zeta_plus=0.5, H_plus=2.0)
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         tan = rw.vector_field_full(s.replace(U=np.ones(16)), terms)
         out = s.with_x(s.x + 2.0 * tan)
         np.testing.assert_allclose(out.zeta, 2.0 * tan[0])

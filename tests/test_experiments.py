@@ -881,7 +881,8 @@ class TestErrors:
          {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05]}},
          {"schemes": ["strang", 5]}, {"t_final": float("nan")},
          {"grid": {"dxi": float("inf"), "r": 25.0}},
-         {"initial_data": {"kind": "peakon", "c": 1.0, "x0": float("nan")}}],
+         {"initial_data": {"kind": "peakon", "c": 1.0, "x0": float("nan")}},
+         {"grid": {"dxi": 0.25, "r": -25.0}}, {"grid": {"dxi": 0.25, "r": 0.0}}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):
@@ -1030,6 +1031,49 @@ class TestErrors:
     def test_bundled_config_round_trips(self, name):
         cfg = rw.bundled_config(name)
         assert rw.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("rows, named", [
+        ("-1 0.5\n0 nan\n1 0.5", "line 4"),
+        ("-1 0.5\n0 inf\n1 0.5", "line 4"),
+        ("-1 0.5\n0 1\n0 0.9\n1 0.5", "x = 0.0"),
+    ])
+    def test_a_bad_profile_file_is_refused_before_the_run(self, tmp_path, capsys, rows, named):
+        # a non-finite or repeated x reached the solver, which diverged on
+        # NaN after writing a graph of NaNs
+        path = tmp_path / "profile.txt"
+        path.write_text(f"x u\n-2 0\n{rows}\n2 0\n")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, gamma=0.8, initial_data={
+            "kind": "profile_file", "path": str(path)})
+        assert run_cli("run", "--config", config, "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ValueError"
+        assert str(path) in report["message"] and named in report["message"]
+        assert not out.exists()
+
+    def test_a_manifest_that_names_the_refinement_replays(self, tmp_path, capsys):
+        # the config of a manifest written while the projection's refinement
+        # was the key m_ref, whose every manifest holds 16
+        config = {
+            "description": "", "gamma": 0.8, "grid": {"dxi": 0.25, "r": 10.0},
+            "initial_data": {"kind": "gaussian_derivative"}, "m_ref": 16, "name": "gauss",
+            "output_stride": 1, "reference_dt_factor": 0.5,
+            "schemes": ["lie_trotter", "strang", "explicit_euler", "adaptive_rk"],
+            "stepper": {"dt": 0.1, "fp_max_iter": 50, "fp_tol": 1e-08, "rk_abs_tol": 1e-09,
+                        "rk_rel_tol": 1e-06, "scheme": "strang"},
+            "sweep": {}, "t_final": 0.3}
+        runs = {}
+        for name, m_ref in (("old", 16), ("new", None), ("other", 8)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"config": merged(config, {"m_ref": m_ref})}))
+            runs[name] = run_cli("run", "--config", str(path), "--out", str(tmp_path / name))
+        assert (runs["old"], runs["new"]) == (0, 0)
+        assert csv_bytes(tmp_path / "old" / "gauss") == csv_bytes(tmp_path / "new" / "gauss")
+        # any other refinement is refused, not run at 16
+        assert runs["other"] == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ValueError" and "m_ref" in report["message"]
+        assert not (tmp_path / "other").exists()
 
     def test_profile_file_config_round_trips(self, tmp_path):
         path = tmp_path / "profile.txt"

@@ -28,24 +28,29 @@ class TestEulerianToLagrangian:
             support_radius=1.0,
         )
         grid = rw.GridSpec(8, 0.25)
-        data = rw.eulerian_to_lagrangian(profile, rw.FineGrid(4), grid)
+        data = rw.eulerian_to_lagrangian(profile, grid, 4)
         np.testing.assert_allclose(data.y, data.xi, atol=1e-13)
         np.testing.assert_array_equal(data.U, np.zeros_like(data.xi))
         np.testing.assert_allclose(data.H, np.zeros_like(data.xi), atol=1e-13)
         np.testing.assert_allclose(data.q, np.ones_like(data.xi))
+
+    @pytest.mark.parametrize("m_ref", [0, -1])
+    def test_a_refinement_below_one_is_refused(self, m_ref):
+        with pytest.raises(ValueError, match="m_ref must be >= 1"):
+            rw.eulerian_to_lagrangian(peakon_profile(), rw.GridSpec(8, 0.25), m_ref)
 
     def test_peakon_energy_and_far_field(self):
         # total energy of c*e^{-|x|} is 2c^2; far right y -> xi - 2.
         # The energy table samples the kink-node derivative as 0, which
         # biases the tabulated total by one x-step (~1e-3 here).
         grid = rw.GridSpec.from_radius(0.1, 20.0)
-        data = rw.eulerian_to_lagrangian(peakon_profile(), rw.FineGrid(8), grid)
+        data = rw.eulerian_to_lagrangian(peakon_profile(), grid, 8)
         assert data.H[-1] == pytest.approx(2.0, abs=5e-3)
         assert data.y[-1] == pytest.approx(data.xi[-1] - 2.0, abs=5e-3)
 
     def test_pointwise_identities_on_fine_nodes(self):
         grid = rw.GridSpec.from_radius(0.2, 10.0)
-        data = rw.eulerian_to_lagrangian(peakon_profile(), rw.FineGrid(16), grid)
+        data = rw.eulerian_to_lagrangian(peakon_profile(), grid, 16)
         np.testing.assert_allclose(data.q + data.h, 1.0, atol=1e-10)
         lhs = data.q * data.h
         rhs = data.q**2 * data.U**2 + data.w**2
@@ -60,7 +65,7 @@ class TestEulerianToLagrangian:
             ux=lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x),
             support_radius=9.0,
         )
-        data = rw.eulerian_to_lagrangian(profile, rw.FineGrid(8), grid)
+        data = rw.eulerian_to_lagrangian(profile, grid, 8)
 
         def energy_up_to(yv):
             val, _ = quad(
@@ -94,7 +99,7 @@ class TestEulerianToLagrangian:
             )
         span = profile.support_radius
         grid = rw.GridSpec.from_radius(1.0, r)
-        data = rw.eulerian_to_lagrangian(profile, rw.FineGrid(), grid)
+        data = rw.eulerian_to_lagrangian(profile, grid)
         assert np.all(np.diff(data.y) > 0)
         assert np.all(data.H[data.xi < -span] == 0.0)
         # slope 1 past the table: y = xi - E_tot, one value of H
@@ -127,7 +132,7 @@ class TestProjectToGrid:
 
     def test_projected_peakon_identities(self):
         grid = rw.GridSpec.from_radius(0.1, 15.0)
-        data = rw.eulerian_to_lagrangian(peakon_profile(), rw.FineGrid(16), grid)
+        data = rw.eulerian_to_lagrangian(peakon_profile(), grid, 16)
         state = rw.project_to_grid(data, rw.Parameters(1.0))
         # q + h = 1 exactly (averaging the fine identity)
         np.testing.assert_array_equal(state.q + state.h, np.ones(grid.n_cells))
@@ -156,7 +161,7 @@ class TestProjectToGrid:
         profile = peakon_profile()
         states = {
             m: rw.project_to_grid(
-                rw.eulerian_to_lagrangian(profile, rw.FineGrid(m), grid),
+                rw.eulerian_to_lagrangian(profile, grid, m),
                 rw.Parameters(1.0),
             )
             for m in (16, 64, 256)
@@ -221,7 +226,7 @@ class TestRelabelingConsistency:
         for dxi in (0.2, 0.1, 0.05):
             grid = rw.GridSpec.from_radius(dxi, 15.0)
             projected = rw.project_to_grid(
-                rw.eulerian_to_lagrangian(profile, rw.FineGrid(16), grid),
+                rw.eulerian_to_lagrangian(profile, grid, 16),
                 rw.Parameters(1.0),
             )
             sups.append(np.max(np.abs(projected.U - profile.u(projected.y))))
@@ -496,7 +501,7 @@ class TestBuildFromSpec:
     )
     def test_every_kind_builds_admissible_data(self, spec):
         grid = rw.GridSpec.from_radius(0.25, 10.0)
-        s = rw.build_from_spec(spec, grid, rw.FineGrid(8))
+        s = rw.build_from_spec(spec, grid)
         floor = float(np.min(s.q + s.h)) / 2
         assert floor > 0
         assert admissible(s, floor)
@@ -520,11 +525,11 @@ class TestBuildFromSpec:
         path.write_text("x u\n" + "".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), u.tolist())))
         grid = rw.GridSpec.from_radius(0.25, 10.0)
         spec = rw.TravelingWaveSpec(kind="profile_file", gamma=0.8, path=str(path))
-        s = rw.build_from_spec(spec, grid, rw.FineGrid(8))
+        s = rw.build_from_spec(spec, grid)
         assert admissible(s, float(np.min(s.q + s.h)) / 2)
         closed_form = rw.TravelingWaveSpec(kind="gaussian_derivative", gamma=0.8)
         # measured 8.1e-4; a misread column or sign would give O(1)
-        assert rw.distance_f(s, rw.build_from_spec(closed_form, grid, rw.FineGrid(8))) < 4e-3
+        assert rw.distance_f(s, rw.build_from_spec(closed_form, grid)) < 4e-3
 
     def test_profile_file_needs_an_existing_file(self, tmp_path):
         for path in ("", str(tmp_path / "missing.txt")):

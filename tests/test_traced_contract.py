@@ -41,6 +41,7 @@ GONE = [
     "rodwave.stepping.apply_tangent",
     "rodwave.stepping._FIELDS[g1]",
     "rodwave.stepping._FIELDS[g2]",
+    "rodwave.stepping.evaluate_source_terms",
 ]
 
 TINY = {
