@@ -53,8 +53,8 @@ from .observables import (
     sup_graph_error,
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
-from .stepping import (SCHEMES, StepperConfig, evolve, evolve_job, plan_steps,
-                       reference_runs, richardson_extrapolate)
+from .stepping import (SCHEMES, StepperConfig, evolve, plan_steps, reference_runs,
+                       richardson_extrapolate)
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -339,9 +339,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    """One JSON artifact; a NaN or infinity is a ValueError, before any write."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @functools.lru_cache(maxsize=16)
@@ -620,8 +621,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
 
 def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path):
     """Evolve one scheme, recording every step, and write its diagnostics
-    and final graph into ``scheme_dir``.  Returns the final state's array
-    and the run's ``StepReport``, as ``stepping.evolve_job`` does."""
+    and final graph into ``scheme_dir``.  Returns what ``evolve`` returns."""
     scheme_dir.mkdir(parents=True, exist_ok=True)
     recorder = DiagnosticsRecorder()
     state, report = evolve(
@@ -629,7 +629,7 @@ def _run_one_scheme(cfg: ExperimentConfig, state0, scheme: str, scheme_dir: Path
     )
     write_diagnostics_csv(scheme_dir / "diagnostics.csv", recorder.rows)
     write_graph_csv(scheme_dir / "final_graph.csv", state)
-    return state.x, report
+    return state, report
 
 
 def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
@@ -694,14 +694,13 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     if h is None:
         moved = replace(spec, x0=spec.x0 + spec.c * cfg.t_final)
         reference = build_from_spec(moved, state0.grid)
-        errors = [exact_error(state0.with_x(x), spec, cfg.t_final) for x, _ in finals]
+        errors = [exact_error(s, spec, cfg.t_final) for s, _ in finals]
         reference_entry = {"method": f"exact_{spec.kind}", "t": cfg.t_final}
     else:
-        (fine_x, fine), (coarse_x, coarse) = results[:len(ref_jobs)]
-        reference = richardson_extrapolate(state0, fine_x, coarse_x)
-        errors = [sup_graph_error(state0.with_x(x), reference) for x, _ in finals]
+        reference, ref_reports = richardson_extrapolate(results[:len(ref_jobs)])
+        errors = [sup_graph_error(s, reference) for s, _ in finals]
         reference_entry = {"method": _REFERENCE_METHOD, "dt": [h, h / 2],
-                           "solver": [asdict(coarse), asdict(fine)]}
+                           "solver": [asdict(r) for r in ref_reports]}
     write_graph_csv(out_dir / "reference_graph.csv", reference)
     rows = [(scheme, err, r.max_inv_drift, r.min_q, r.min_h)
             for scheme, err, (_, r) in zip(cfg.schemes, errors, finals)]
@@ -752,9 +751,9 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     kind with a closed form (``against``: ``exact_smooth`` or
     ``exact_peakon``), otherwise the distance to the finest run via
     nearest-xi graph matching (``finest_run``), which leaves one point
-    fewer for the fit.  Before it builds a state, ``_preflight`` refuses or
-    warns of its swept runs and h, not of the config's own dt, which no run
-    takes.  The manifest's ``solver`` holds each run's ``StepReport``, as
+    fewer for the fit: the finest run's error is null in the report.
+    Before it builds a state, ``_preflight`` refuses or warns of its swept
+    runs and h, not of the config's own dt, which no run takes.  The manifest's ``solver`` holds each run's ``StepReport``, as
     ``run_experiment``'s: under ``reference`` the reference's runs at h and
     h/2, and under ``dt_sweep`` and ``dxi_sweep`` one per swept run, in the
     order of the report's lists.
@@ -793,15 +792,14 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     runs += [(build_initial_state(replace(cfg, dxi=dxi)), replace(cfg.stepper, dt=dt))
              for dxi, dt in zip(dxi_list, dxi_dts)]
 
-    results = _run_jobs([*ref_jobs, *(functools.partial(evolve_job, s0, cfg.t_final, stepper)
+    results = _run_jobs([*ref_jobs, *(functools.partial(evolve, s0, cfg.t_final, stepper)
                                       for s0, stepper in runs)])
     ref_results, results = results[:len(ref_jobs)], results[len(ref_jobs):]
-    finals = [s0.with_x(x) for (s0, _), (x, _) in zip(runs, results)]
+    finals = [s for s, _ in results]
     solver = {}
 
     if dt_list:
-        (fine_x, fine), (coarse_x, coarse) = ref_results
-        reference = richardson_extrapolate(state0, fine_x, coarse_x)
+        reference, ref_reports = richardson_extrapolate(ref_results)
         errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
         report["dt_sweep"] = {
             "dt": dt_list,
@@ -810,7 +808,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "reference_dt": ref_dt,
             "reference": _REFERENCE_METHOD,
         }
-        solver["reference"] = [asdict(coarse), asdict(fine)]
+        solver["reference"] = [asdict(r) for r in ref_reports]
         solver["dt_sweep"] = [asdict(r) for _, r in results[:len(dt_list)]]
 
     if dxi_list:
@@ -820,13 +818,10 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         else:
             fine_idx = int(np.argmin(dxi_list))
             errors = [
-                _nearest_xi_error(s, finals[fine_idx]) if k != fine_idx else math.nan
+                _nearest_xi_error(s, finals[fine_idx]) if k != fine_idx else None
                 for k, s in enumerate(finals)
             ]
-        # drop the self-comparison entry for the fit
-        fit_pairs = [
-            (d, e) for d, e in zip(dxi_list, errors) if not math.isnan(e)
-        ]
+        fit_pairs = [(d, e) for d, e in zip(dxi_list, errors) if e is not None]
         report["dxi_sweep"] = {
             "dxi": dxi_list,
             "dt": dxi_dts,
@@ -843,7 +838,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         out_dir / "errors.csv",
         ("sweep", "resolution", "error"),
         [
-            (key, float(res), float(err))
+            (key, float(res), math.nan if err is None else float(err))
             for key, col in (("dt_sweep", "dt"), ("dxi_sweep", "dxi")) if key in report
             for res, err in zip(report[key][col], report[key]["error"])
         ],

@@ -86,6 +86,9 @@ class GridSpec:
             raise ValueError(f"r must be positive, got {r}")
         return cls(max(1, int(round(r / dxi))), dxi)
 
+    def __reduce__(self):
+        return GridSpec, (self.n_half, self.dxi)
+
     @property
     def r(self) -> float:
         return self.n_half * self.dxi
@@ -119,7 +122,10 @@ class LagrangianState:
     returns a new state.  Instances can therefore be shared freely across
     threads.  ``y`` is computed once per state and cached, which is sound
     only because ``x`` cannot change: whoever passes an array in (through
-    the constructor or ``with_x``) must not write to it afterwards.
+    the constructor or ``with_x``) must not write to it afterwards.  A
+    pickled copy is rebuilt by the constructors (``Parameters``'s is not
+    run, so it warns of no gamma again): its ``x`` is read-only too, and
+    neither its ``y`` nor its grid's cells are shipped.
     """
 
     x: np.ndarray
@@ -137,6 +143,10 @@ class LagrangianState:
             )
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
+
+    def __reduce__(self):
+        return LagrangianState, (
+            self.x, self.zeta_minus, self.zeta_plus, self.H_plus, self.grid, self.params)
 
     zeta = _row(0, "Position offset, y = xi + zeta.")
     U = _row(1, "Velocity along the characteristic.")

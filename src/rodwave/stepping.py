@@ -42,7 +42,8 @@ run's report is no larger than a step's; ``evolve`` alone measures the
 invariant drift, into each step's report.  ``converge``'s dt sweep, and
 ``compare`` on a kind of initial data with no closed form, measure against
 ``richardson_reference``: Strang runs at steps h and h/2, built as two jobs
-by ``reference_runs``, extrapolated to order 4 (``richardson_extrapolate``).
+by ``reference_runs`` that return what ``evolve`` returns, extrapolated to
+order 4 (``richardson_extrapolate``).
 It is their reference only, not a scheme, and it measures the error in
 time alone.  On a kind with a closed form, compare measures against that
 instead (``observables.exact_error``) and runs no reference.
@@ -407,8 +408,6 @@ def step_adaptive_rk(
     cannot satisfy the tolerances.
     """
     t_target = cfg.dt if dt is None else dt
-    if t_target <= 0:
-        return state, StepReport()
     shape = state.x.shape
 
     def rhs(vec: np.ndarray) -> np.ndarray:
@@ -520,29 +519,22 @@ def evolve(
     return state, run
 
 
-def evolve_job(state: LagrangianState, t_final: float, cfg: StepperConfig, *, _step=None):
-    """``evolve`` as a job of ``_run_jobs``: the final state's array, all
-    of the state that a job sends back, and the run's report."""
-    state, report = evolve(state, t_final, cfg, _step=_step)
-    return state.x, report
-
-
 def reference_runs(state: LagrangianState, t_final: float, cfg: StepperConfig) -> list:
-    """The two runs of ``richardson_reference`` as zero-argument jobs
-    (``evolve_job``), the fine run first: Strang at h = cfg.dt, and each of
-    its steps taken as two Strang steps of half its size."""
-    return [functools.partial(evolve_job, state, t_final, cfg, _step=_step_two_halves),
-            functools.partial(evolve_job, state, t_final, cfg, _step=step_strang)]
+    """The two runs of ``richardson_reference`` as zero-argument jobs, each
+    returning what ``evolve`` returns, the fine run first: it takes each
+    step of the coarse run, Strang at h = cfg.dt, as two Strang steps of
+    half its size."""
+    return [functools.partial(evolve, state, t_final, cfg, _step=_step_two_halves),
+            functools.partial(evolve, state, t_final, cfg, _step=step_strang)]
 
 
-def richardson_extrapolate(
-    state: LagrangianState, fine_x: np.ndarray, coarse_x: np.ndarray
-) -> LagrangianState:
-    """(4 fine - coarse) / 3 of the arrays of ``reference_runs``, on the grid
-    and boundary constants of their start state.  A job's array may come
-    back through a pipe writeable: ``with_x`` makes every state's x
-    read-only."""
-    return state.with_x((4.0 * fine_x - coarse_x) / 3.0)
+def richardson_extrapolate(results) -> tuple[LagrangianState, list[StepReport]]:
+    """From the results of ``reference_runs``, fine first: the reference
+    state, (4 fine - coarse) / 3 on the fine run's grid and boundary
+    constants, and the runs' reports in the order of their dt, the run at
+    h, then the run at h/2."""
+    (fine, fine_report), (coarse, coarse_report) = results
+    return fine.with_x((4.0 * fine.x - coarse.x) / 3.0), [coarse_report, fine_report]
 
 
 def richardson_reference(
@@ -561,5 +553,5 @@ def richardson_reference(
     compare and converge hand the same jobs to their lanes.
     """
     fine, coarse = reference_runs(state, t_final, cfg)
-    coarse_x, _ = coarse()
-    return richardson_extrapolate(state, fine()[0], coarse_x)
+    coarse = coarse()
+    return richardson_extrapolate([fine(), coarse])[0]

@@ -384,6 +384,14 @@ class TestJobLanes:
         assert pids[1] == pids[3] != os.getpid()
         assert multiprocessing.active_children() == []
 
+    def test_a_state_comes_back_from_the_child_read_only(self, two_cpus):
+        state = rw.build_initial_state(rw.ExperimentConfig.from_dict(TINY))
+        results = experiments._run_jobs([lambda: (state, os.getpid())] * 2)
+        (mine, caller), (theirs, child) = results
+        assert caller == os.getpid() != child
+        assert not theirs.x.flags.writeable and not theirs.y.flags.writeable
+        assert theirs.x.tobytes() == mine.x.tobytes()
+
     def test_the_first_error_in_list_order_is_raised(self, two_cpus, tmp_path):
         marker = tmp_path / "job 3 raised"
 
@@ -470,8 +478,8 @@ class TestJobLanes:
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
-            x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
-            err = rw.sup_graph_error(state0.with_x(x), reference)
+            final, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
+            err = rw.sup_graph_error(final, reference)
             rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",
@@ -498,8 +506,8 @@ class TestJobLanes:
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
-            x, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
-            err = rw.exact_error(state0.with_x(x), spec, cfg.t_final)
+            final, run = experiments._run_one_scheme(cfg, state0, scheme, serial / scheme)
+            err = rw.exact_error(final, spec, cfg.t_final)
             rows.append((scheme, err, run.max_inv_drift, run.min_q, run.min_h))
         experiments._write_csv(
             serial / "summary.csv",
@@ -507,37 +515,51 @@ class TestJobLanes:
         assert len(csv_bytes(out)) == 2 + 2 * len(cfg.schemes)
         assert csv_bytes(out) == csv_bytes(serial)
 
+    @pytest.mark.parametrize("kind, sweep", [
+        ({}, {"dt": [0.1, 0.05, 0.025], "dxi": [1.0, 0.5, 0.25]}),
+        # no closed form: the dxi sweep is measured against its finest run
+        (PAIR, {"dxi": [1.0, 0.5, 0.25, 0.125]})], ids=["peakon", "pair"])
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-    def test_converge_equals_a_serial_computation(self, tmp_path, monkeypatch, cpus):
+    def test_converge_equals_a_serial_computation(self, tmp_path, monkeypatch, cpus, kind, sweep):
         set_cpus(monkeypatch, cpus)
-        dts, dxis = [0.1, 0.05, 0.025], [1.0, 0.5, 0.25]
-        cfg = rw.load_config(write_config(tmp_path, sweep={"dt": dts, "dxi": dxis}))
+        cfg = rw.load_config(write_config(tmp_path, sweep=sweep, **kind))
         rw.converge_experiment(cfg, tmp_path / "lanes", quiet=True)
         assert multiprocessing.active_children() == []
-        state0 = rw.build_initial_state(cfg)
-        ref_dt = min(dts) * cfg.reference_dt_factor
-        reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-        dt_errors = [
-            rw.distance_f(rw.evolve(state0, cfg.t_final, replace(cfg.stepper, dt=dt))[0],
-                          reference)
-            for dt in dts]
-        dxi_errors = []
-        for dxi in dxis:
-            final, _ = rw.evolve(rw.build_initial_state(replace(cfg, dxi=dxi)), cfg.t_final,
-                                 replace(cfg.stepper, dt=dxi / 4))
-            dxi_errors.append(rw.exact_error(final, cfg.wave_spec(), cfg.t_final))
-        expected = {
-            "name": "tiny", "scheme": "strang",
-            "dt_sweep": {"dt": dts, "error": dt_errors,
-                         "slope": rw.convergence_order(zip(dts, dt_errors)),
-                         "reference_dt": ref_dt, "reference": "richardson_strang"},
-            "dxi_sweep": {"dxi": dxis, "dt": [d / 4 for d in dxis], "error": dxi_errors,
-                          "slope": rw.convergence_order(zip(dxis, dxi_errors)),
-                          "against": "exact_peakon"},
-        }
+        expected = {"name": "tiny", "scheme": "strang"}
+        if "dt" in sweep:
+            dts = sweep["dt"]
+            state0 = rw.build_initial_state(cfg)
+            ref_dt = min(dts) * cfg.reference_dt_factor
+            reference = richardson_reference(state0, cfg.t_final,
+                                             replace(cfg.stepper, dt=ref_dt))
+            dt_errors = [
+                rw.distance_f(rw.evolve(state0, cfg.t_final, replace(cfg.stepper, dt=dt))[0],
+                              reference)
+                for dt in dts]
+            expected["dt_sweep"] = {"dt": dts, "error": dt_errors,
+                                    "slope": rw.convergence_order(zip(dts, dt_errors)),
+                                    "reference_dt": ref_dt, "reference": "richardson_strang"}
+        dxis = sweep["dxi"]
+        finals = [rw.evolve(rw.build_initial_state(replace(cfg, dxi=dxi)), cfg.t_final,
+                            replace(cfg.stepper, dt=dxi / 4))[0]
+                  for dxi in dxis]
+        if kind:  # the finest run, last, has no error against itself
+            errors = [experiments._nearest_xi_error(s, finals[-1]) for s in finals[:-1]]
+            slope = rw.convergence_order(zip(dxis, errors))
+            errors, against = [*errors, None], "finest_run"
+        else:
+            errors = [rw.exact_error(s, cfg.wave_spec(), cfg.t_final) for s in finals]
+            slope, against = rw.convergence_order(zip(dxis, errors)), "exact_peakon"
+        expected["dxi_sweep"] = {"dxi": dxis, "dt": [d / 4 for d in dxis], "error": errors,
+                                 "slope": slope, "against": against}
         experiments._write_json(tmp_path / "serial.json", expected)
-        assert (tmp_path / "lanes" / "order_report.json").read_bytes() == (
-            tmp_path / "serial.json").read_bytes()
+        report = (tmp_path / "lanes" / "order_report.json").read_bytes()
+        assert report == (tmp_path / "serial.json").read_bytes()
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        json.loads(report, parse_constant=refuse)
 
 
 class TestCompareConverge:
@@ -747,8 +769,9 @@ class TestCompareConverge:
     def test_a_dxi_sweep_is_bound_by_the_steps_its_runs_take(self, tmp_path, monkeypatch):
         # the finest run takes 25000 / 0.025 = 1e6 steps, within MAX_STEPS;
         # a reference at its dt, which converge does not run, would take 2e7
-        monkeypatch.setattr(experiments, "evolve_job",
-                            lambda state, t_final, cfg: (state.x, stepping.StepReport()))
+        # each run evolves to t = 0: its report is its start state's
+        monkeypatch.setattr(experiments, "evolve",
+                            lambda state, t_final, cfg: stepping.evolve(state, 0.0, cfg))
         cfg = rw.load_config(write_config(
             tmp_path, t_final=25000.0, reference_dt_factor=0.1, sweep={"dxi": [0.4, 0.2, 0.1]}))
         report = rw.converge_experiment(cfg, tmp_path / "out", quiet=True)
@@ -764,6 +787,76 @@ class TestCompareConverge:
             "overlay.gp", "waterfall.gp", "energy_density.gp"}
         assert {p.name for p in (tmp_path / "tiny_compare").glob("*.gp")} == {
             "overlay.gp", "energy_density.gp"}
+
+
+class TestCli:
+    def test_list_experiments_names_and_describes_each(self, capsys):
+        assert cli.main(["list-experiments"]) == 0
+        assert [line.split(None, 1) for line in capsys.readouterr().out.splitlines()] == [
+            [name, d["description"]] for name, d in rw.BUNDLED.items()]
+
+    def test_the_out_root_defaults_to_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--config", write_config(tmp_path)) == 0
+        assert (tmp_path / "env" / "tiny" / "manifest.json").is_file()
+        assert not (tmp_path / "rodwave_runs").exists()
+
+    def test_emit_plots_prints_its_paths_unless_quiet(self, tmp_path, capsys):
+        assert run_cli("run", "--config", write_config(tmp_path), "--out", str(tmp_path)) == 0
+        run_dir = tmp_path / "tiny"
+        assert cli.main(["emit-plots", str(run_dir)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run_dir / name) for name in ("overlay.gp", "waterfall.gp", "energy_density.gp")]
+        assert run_cli("emit-plots", str(run_dir)) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("layout, message", [
+        ("empty", "no manifest.json in {}"), ("converge", "{} has no graph snapshots to plot")])
+    def test_emit_plots_refuses_a_directory_it_cannot_plot(
+            self, tmp_path, capsys, layout, message):
+        target = tmp_path / "empty"
+        target.mkdir()
+        if layout == "converge":
+            config = write_config(tmp_path, sweep={"dxi": [0.5, 0.25, 0.125]})
+            assert run_cli("converge", "--config", config, "--out", str(tmp_path)) == 0
+            target = tmp_path / "tiny_converge"
+        assert run_cli("emit-plots", str(target)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RodwaveError", "message": message.format(target)}
+        assert list(target.glob("*.gp")) == []
+
+    def test_converge_with_no_sweep_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("converge", "--config", write_config(tmp_path, sweep={}),
+                       "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RodwaveError", "message": "converge needs a dt and/or dxi sweep"}
+        assert not out.exists()
+
+    def test_compare_prints_each_scheme_unless_quiet(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert cli.main(["compare", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        _, *rows = (tmp_path / "a" / "tiny_compare" / "summary.csv").read_text().splitlines()
+        expected = []
+        for row in rows:
+            scheme, err, drift, min_q, min_h = row.split(",")
+            expected.append(f"[tiny] {scheme:>14}: err={float(err):.4e} "
+                            f"inv_drift={float(drift):.3e} min_q={float(min_q):.3e} "
+                            f"min_h={float(min_h):.3e}")
+        assert capsys.readouterr().out.splitlines() == expected and len(expected) == 4
+        assert run_cli("compare", "--config", config, "--out", str(tmp_path / "b")) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_converge_prints_each_slope_unless_quiet(self, tmp_path, capsys):
+        config = write_config(tmp_path, sweep={"dt": [0.1, 0.05, 0.025],
+                                               "dxi": [0.5, 0.25, 0.125]})
+        assert cli.main(["converge", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "tiny_converge" / "order_report.json").read_text())
+        assert capsys.readouterr().out.splitlines() == [
+            f"[tiny] {key}: slope={report[key]['slope']:.3f}" for key in ("dt_sweep", "dxi_sweep")]
+        assert run_cli("converge", "--config", config, "--out", str(tmp_path / "b")) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestErrors:
@@ -882,7 +975,9 @@ class TestErrors:
          {"schemes": ["strang", 5]}, {"t_final": float("nan")},
          {"grid": {"dxi": float("inf"), "r": 25.0}},
          {"initial_data": {"kind": "peakon", "c": 1.0, "x0": float("nan")}},
-         {"grid": {"dxi": 0.25, "r": -25.0}}, {"grid": {"dxi": 0.25, "r": 0.0}}],
+         {"grid": {"dxi": 0.25, "r": -25.0}}, {"grid": {"dxi": 0.25, "r": 0.0}},
+         # a section that is not an object, and a peakon off gamma = 1
+         {"stepper": 5}, {"gamma": 0.5}],
     )
     def test_config_validation(self, changes):
         with pytest.raises(ValueError):

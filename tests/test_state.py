@@ -1,3 +1,6 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,41 @@ class TestLagrangianState:
         for positions in (g.cells, s.y):
             with pytest.raises(ValueError):
                 positions[0] = 1.0
+
+
+class TestPickle:
+    """A state crosses a process boundary by pickle, and comes back whole."""
+
+    @staticmethod
+    def read_state(gamma=1.0):
+        """A state whose cached y and grid cells have been read."""
+        s = random_admissible_state(np.random.default_rng(7), rw.GridSpec(50, 0.2), gamma)
+        s.y, s.grid.cells
+        return s
+
+    def test_a_copy_is_read_only_and_equal(self):
+        s = self.read_state()
+        copy = pickle.loads(pickle.dumps(s))
+        for array in (copy.x, copy.y, copy.grid.cells):
+            assert not array.flags.writeable
+        assert copy.x.tobytes() == s.x.tobytes() and copy.y.tobytes() == s.y.tobytes()
+        assert copy.grid == s.grid and copy.grid.cells.tobytes() == s.grid.cells.tobytes()
+        assert copy.params == s.params
+        assert (copy.zeta_minus, copy.zeta_plus, copy.H_plus) == (
+            s.zeta_minus, s.zeta_plus, s.H_plus)
+        assert s.H_plus > 0 and s.zeta_minus != 0 and s.zeta_plus != 0
+
+    def test_a_pickle_ships_no_cache(self):
+        s = self.read_state()
+        assert len(pickle.dumps(s)) <= len(pickle.dumps(s.x)) + 512
+
+    def test_unpickling_does_not_warn_of_gamma_again(self):
+        with pytest.warns(PhysicalRangeWarning):
+            s = self.read_state(gamma=5.0)
+        data = pickle.dumps(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pickle.loads(data).params.gamma == 5.0
 
 
 class TestInvariants:

@@ -613,6 +613,11 @@ class TestAdaptiveRK:
         out, report = rw.step_adaptive_rk(state0, cfg.stepper, 0.1)
         assert report.accepted == 1 and not report.folded
 
+    def test_a_zero_step_returns_the_state_with_an_empty_report(self):
+        s = small_peakon()
+        out, report = rw.step_adaptive_rk(s, CFG, 0.0)
+        assert out is s and report == rw.StepReport()
+
     def test_step_size_underflow(self):
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.1, rk_rel_tol=1e-300, rk_abs_tol=1e-300)
