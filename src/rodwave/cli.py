@@ -107,7 +107,7 @@ def main(argv=None) -> int:
             experiments.converge_experiment(cfg, out_root / f"{cfg.name}_converge",
                                             quiet=args.quiet)
         return 0
-    except (RodwaveError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (RodwaveError, ValueError, KeyError, OSError) as err:
         json.dump(
             {"error": type(err).__name__, "message": str(err)},
             sys.stderr,

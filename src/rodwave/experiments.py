@@ -166,21 +166,25 @@ class ExperimentConfig:
         if repeated:
             # each scheme writes its own subdirectory and summary row
             raise ValueError(f"schemes: {', '.join(repeated)} named more than once")
-        unknown = sorted(set(self.sweep) - {"dt", "dxi"})
+        checks = {"dt": lambda v: replace(self.stepper, dt=v),
+                  "dxi": lambda v: GridSpec.from_radius(v, self.r)}
+        unknown = sorted(set(self.sweep) - set(checks))
         if unknown:
             raise ValueError(f"sweep: unknown keys {unknown}; a sweep has dt and dxi")
         # each sweep entry goes through the validator of what it sets, and
         # appears once: a repeated dxi measures 0 against the finest run, and
-        # a repeated dt counts one point twice in the fit
-        for key, check in (("dt", lambda v: replace(self.stepper, dt=v)),
-                           ("dxi", lambda v: GridSpec.from_radius(v, self.r))):
-            values = _cast("tuple[float, ...]", self.sweep.get(key, []), f"sweep.{key}")
+        # a repeated dt counts one point twice in the fit.  The config keeps
+        # the floats it checked, so a JSON 1 is written 1.0 everywhere
+        sweep = {}
+        for key, values in self.sweep.items():
+            values = sweep[key] = list(_cast("tuple[float, ...]", values, f"sweep.{key}"))
             for v in values:
-                check(v)
+                checks[key](v)
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(
                     f"sweep.{key}: {', '.join(map(repr, repeated))} named more than once")
+        object.__setattr__(self, "sweep", sweep)
         self.grid_spec()
         self.wave_spec()
         if self.output_stride < 1:
@@ -339,8 +343,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    """One JSON artifact; a NaN or infinity is a ValueError, before any write."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """One JSON artifact, each dataclass in ``obj`` written as its
+    ``asdict``; a NaN or infinity is a ValueError, before any write."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=asdict)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -479,22 +484,25 @@ class _Lane:
         self.busy_s += busy
 
 
-def _run_jobs(jobs: list) -> list:
-    """The results of ``jobs``, zero-argument callables, in list order.
+def _run_jobs(*groups: list) -> list[list]:
+    """The results of ``groups``, lists of zero-argument callables: one
+    list per group, in list order.
 
-    The caller runs the jobs at even indices, and a ``_Lane`` whose forked
-    child inherits ``jobs`` runs those at odd indices, sent by index; their
-    results must pickle.  On one CPU the caller runs them all, the odd ones
-    first.  Once the lane is joined, the exception of the first job in list
-    order that raised is raised; one from the child comes back pickled,
-    without its traceback."""
+    The caller runs the jobs at even indices of the groups joined in order,
+    and a ``_Lane`` whose forked child inherits them runs those at odd
+    indices, sent by index; their results must pickle.  On one CPU the
+    caller runs them all, the odd ones first.  Once the lane is joined, the
+    exception of the first job in list order that raised is raised; one
+    from the child comes back pickled, without its traceback."""
+    jobs = list(itertools.chain(*groups))
     with _Lane(lambda k: jobs[k](), "a forked job lane") as lane:
         for k in range(1, len(jobs), 2):
             lane.send(k)
         mine = [_attempt(job) for job in jobs[::2]]
     results = [None] * len(jobs)
     results[::2], results[1::2] = mine, lane.results
-    return _raise_first(results)
+    results = iter(_raise_first(results))
+    return [list(itertools.islice(results, len(group))) for group in groups]
 
 
 def write_diagnostics_csv(path: Path, rows) -> None:
@@ -508,10 +516,12 @@ def _version_string() -> str:
     per process: neither can change while the module is loaded."""
     from importlib import metadata  # slow to import, and only a manifest needs it
 
+    from . import __version__
+
     try:
         base = metadata.version("rodwave")
     except Exception:
-        base = "0.1.0+local"
+        base = f"{__version__}+local"
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -608,7 +618,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: Path, quiet: bool = False) ->
                                "snapshots": [s[3] for s in snapshots]},
                     timings={"graph_writer_busy_s": writer.busy_s,
                              "graph_writer_wait_s": writer.wait_s},
-                    solver=asdict(report))
+                    solver=report)
     if not quiet:
         rows = recorder.rows
         print(
@@ -686,21 +696,19 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     out_dir.mkdir(parents=True, exist_ok=True)
     ref_jobs = [] if h is None else reference_runs(
         state0, cfg.t_final, replace(cfg.stepper, dt=h))
-    results = _run_jobs([
-        *ref_jobs,
-        *(functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
-          for scheme in cfg.schemes)])
-    finals = results[len(ref_jobs):]
+    ref_results, finals = _run_jobs(
+        ref_jobs, [functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
+                   for scheme in cfg.schemes])
     if h is None:
         moved = replace(spec, x0=spec.x0 + spec.c * cfg.t_final)
         reference = build_from_spec(moved, state0.grid)
         errors = [exact_error(s, spec, cfg.t_final) for s, _ in finals]
         reference_entry = {"method": f"exact_{spec.kind}", "t": cfg.t_final}
     else:
-        reference, ref_reports = richardson_extrapolate(results[:len(ref_jobs)])
+        reference, ref_reports = richardson_extrapolate(ref_results)
         errors = [sup_graph_error(s, reference) for s, _ in finals]
         reference_entry = {"method": _REFERENCE_METHOD, "dt": [h, h / 2],
-                           "solver": [asdict(r) for r in ref_reports]}
+                           "solver": ref_reports}
     write_graph_csv(out_dir / "reference_graph.csv", reference)
     rows = [(scheme, err, r.max_inv_drift, r.min_q, r.min_h)
             for scheme, err, (_, r) in zip(cfg.schemes, errors, finals)]
@@ -713,7 +721,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     _write_manifest(out_dir, cfg, wall,
                     artifacts={"summary": "summary.csv", "schemes": list(cfg.schemes)},
                     reference=reference_entry,
-                    solver={scheme: asdict(r) for scheme, (_, r) in zip(cfg.schemes, finals)})
+                    solver={scheme: r for scheme, (_, r) in zip(cfg.schemes, finals)})
     if not quiet:
         for scheme, err, drift, min_q, min_h in rows:
             print(
@@ -721,19 +729,6 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
                 f"min_q={min_q:.3e} min_h={min_h:.3e}"
             )
     return out_dir
-
-
-def _nearest_xi_error(coarse: LagrangianState, fine: LagrangianState) -> float:
-    """Graph error between grids: match coarse cells into the fine grid by
-    nearest xi (a harness convention for cross-grid comparisons)."""
-    idx = np.clip(
-        np.rint((coarse.grid.cells - fine.grid.cells[0]) / fine.grid.dxi).astype(int),
-        0,
-        fine.n_cells - 1,
-    )
-    return float(
-        np.max(np.hypot(coarse.y - fine.y[idx], coarse.U - fine.U[idx]))
-    )
 
 
 def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> dict:
@@ -749,14 +744,15 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     initial state.  Space sweeps build each grid's initial state and
     run it at dt = dxi / 4, and measure ``observables.exact_error`` on a
     kind with a closed form (``against``: ``exact_smooth`` or
-    ``exact_peakon``), otherwise the distance to the finest run via
-    nearest-xi graph matching (``finest_run``), which leaves one point
-    fewer for the fit: the finest run's error is null in the report.
-    Before it builds a state, ``_preflight`` refuses or warns of its swept
-    runs and h, not of the config's own dt, which no run takes.  The manifest's ``solver`` holds each run's ``StepReport``, as
-    ``run_experiment``'s: under ``reference`` the reference's runs at h and
-    h/2, and under ``dt_sweep`` and ``dxi_sweep`` one per swept run, in the
-    order of the report's lists.
+    ``exact_peakon``), otherwise ``observables.sup_graph_error`` against the
+    finest run, matching each cell to that grid's nearest in xi
+    (``finest_run``), which leaves one point fewer for the fit: the finest
+    run's error is null in the report.  Before it builds a state,
+    ``_preflight`` refuses or warns of its swept runs and h, not of the
+    config's own dt, which no run takes.  The manifest's ``solver`` holds
+    each run's ``StepReport``, as ``run_experiment``'s: under ``reference``
+    the reference's runs at h and h/2, and under ``dt_sweep`` and
+    ``dxi_sweep`` one per swept run, in the order of the report's lists.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -782,25 +778,22 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     dxi_dts = [dxi / _DXI_PER_DT for dxi in dxi_list]
     _preflight(cfg.t_final, [*dt_list, *dxi_dts], ref_dt)
 
-    # the start state and stepper of each run: the dt sweep's, then the dxi
-    # sweep's, after the reference's two
-    runs, ref_jobs = [], []
+    def run(state0, dt):
+        return functools.partial(evolve, state0, cfg.t_final, replace(cfg.stepper, dt=dt))
+
+    ref_jobs, dt_jobs = [], []
     if dt_list:
         state0 = build_initial_state(cfg)
-        runs = [(state0, replace(cfg.stepper, dt=dt)) for dt in dt_list]
         ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
-    runs += [(build_initial_state(replace(cfg, dxi=dxi)), replace(cfg.stepper, dt=dt))
-             for dxi, dt in zip(dxi_list, dxi_dts)]
-
-    results = _run_jobs([*ref_jobs, *(functools.partial(evolve, s0, cfg.t_final, stepper)
-                                      for s0, stepper in runs)])
-    ref_results, results = results[:len(ref_jobs)], results[len(ref_jobs):]
-    finals = [s for s, _ in results]
+        dt_jobs = [run(state0, dt) for dt in dt_list]
+    dxi_jobs = [run(build_initial_state(replace(cfg, dxi=dxi)), dt)
+                for dxi, dt in zip(dxi_list, dxi_dts)]
+    ref_results, dt_runs, dxi_runs = _run_jobs(ref_jobs, dt_jobs, dxi_jobs)
     solver = {}
 
     if dt_list:
         reference, ref_reports = richardson_extrapolate(ref_results)
-        errors = [distance_f(s, reference) for s in finals[:len(dt_list)]]
+        errors = [distance_f(s, reference) for s, _ in dt_runs]
         report["dt_sweep"] = {
             "dt": dt_list,
             "error": errors,
@@ -808,19 +801,17 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "reference_dt": ref_dt,
             "reference": _REFERENCE_METHOD,
         }
-        solver["reference"] = [asdict(r) for r in ref_reports]
-        solver["dt_sweep"] = [asdict(r) for _, r in results[:len(dt_list)]]
+        solver["reference"] = ref_reports
+        solver["dt_sweep"] = [r for _, r in dt_runs]
 
     if dxi_list:
-        finals = finals[len(dt_list):]
+        finals = [s for s, _ in dxi_runs]
         if exact:
             errors = [exact_error(s, spec, cfg.t_final) for s in finals]
         else:
             fine_idx = int(np.argmin(dxi_list))
-            errors = [
-                _nearest_xi_error(s, finals[fine_idx]) if k != fine_idx else None
-                for k, s in enumerate(finals)
-            ]
+            errors = [sup_graph_error(s, finals[fine_idx]) if k != fine_idx else None
+                      for k, s in enumerate(finals)]
         fit_pairs = [(d, e) for d, e in zip(dxi_list, errors) if e is not None]
         report["dxi_sweep"] = {
             "dxi": dxi_list,
@@ -829,16 +820,15 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
             "slope": convergence_order(fit_pairs),
             "against": f"exact_{spec.kind}" if exact else "finest_run",
         }
-        solver["dxi_sweep"] = [asdict(r) for _, r in results[len(dt_list):]]
+        solver["dxi_sweep"] = [r for _, r in dxi_runs]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "order_report.json", report)
-    # float(): a sweep read from JSON may hold ints, written as 1.0, not 1
     _write_csv(
         out_dir / "errors.csv",
         ("sweep", "resolution", "error"),
         [
-            (key, float(res), math.nan if err is None else float(err))
+            (key, res, math.nan if err is None else float(err))
             for key, col in (("dt_sweep", "dt"), ("dxi_sweep", "dxi")) if key in report
             for res, err in zip(report[key][col], report[key]["error"])
         ],

@@ -447,7 +447,8 @@ class _CusponCurves:
         bad = np.nonzero(slopes > 1e-12)[0]
         if bad.size:
             raise NonMonotoneConstruction(
-                f"y_xi < 0 near xi = {xs[1:][bad[0]]:.4g}; adjust the blend interval"
+                f"y_xi < 0 near xi = {xs[1:][bad[0]]:.4g} with the blend interval "
+                f"({self.a}, {self.b}); move it toward the crest (smaller a and b)"
             )
 
 

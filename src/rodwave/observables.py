@@ -19,10 +19,15 @@ from .stepping import StepReport
 
 
 def sup_graph_error(a: LagrangianState, b: LagrangianState) -> float:
-    """max_i of the Euclidean distance between matched graph points."""
-    if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-    return float(np.max(np.hypot(a.y - b.y, a.U - b.U)))
+    """max_i of the Euclidean distance between matched graph points: each
+    cell of ``a`` is matched to the cell of ``b``'s grid nearest its xi
+    (clipped to that grid), which on one grid is the same cell.  ``b``'s
+    grid may not be coarser than ``a``'s."""
+    if b.grid.dxi > a.grid.dxi:
+        raise GridMismatch(f"{b.grid} is coarser than {a.grid}")
+    nearest = np.rint((a.grid.cells - b.grid.cells[0]) / b.grid.dxi).astype(int)
+    idx = np.clip(nearest, 0, b.n_cells - 1)
+    return float(np.max(np.hypot(a.y - b.y[idx], a.U - b.U[idx])))
 
 
 # The kinds of initial data whose solution has a closed form: each is a

@@ -145,9 +145,32 @@ class TestWriters:
     def test_integer_sweep_resolutions_are_written_as_floats(self, tmp_path):
         config = write_config(tmp_path, sweep={"dxi": [1, 0.5, 0.25]})
         assert run_cli("converge", "--config", config, "--out", str(tmp_path)) == 0
-        rows = (tmp_path / "tiny_converge" / "errors.csv").read_text().splitlines()
+        out = tmp_path / "tiny_converge"
+        rows = (out / "errors.csv").read_text().splitlines()
         assert [r.split(",")[:2] for r in rows[1:]] == [
             ["dxi_sweep", "1.0"], ["dxi_sweep", "0.5"], ["dxi_sweep", "0.25"]]
+        # the order report and the manifest's config write the same floats
+        report = json.loads((out / "order_report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        for dxis in (report["dxi_sweep"]["dxi"], manifest["config"]["sweep"]["dxi"]):
+            assert dxis == [1.0, 0.5, 0.25] and all(type(d) is float for d in dxis)
+
+    def test_the_package_version_is_the_project_version(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(rw.__file__).parents[2] / "pyproject.toml", "rb") as fh:
+            assert rw.__version__ == tomllib.load(fh)["project"]["version"]
+        # a checkout that is not installed names the same version
+        from importlib import metadata
+
+        def not_installed(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(metadata, "version", not_installed)
+        experiments._version_string.cache_clear()
+        try:
+            assert experiments._version_string().startswith(f"rodwave {rw.__version__}+local")
+        finally:
+            experiments._version_string.cache_clear()
 
     def test_version_names_the_package_checkout(self, tmp_path, monkeypatch):
         monkeypatch.chdir(Path(experiments.__file__).parent)
@@ -377,7 +400,7 @@ class TestJobLanes:
     child those at odd indices."""
 
     def test_results_in_list_order_from_both_lanes(self, two_cpus):
-        results = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
+        (results,) = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
         assert [k for k, _ in results] == list(range(5))
         pids = [pid for _, pid in results]
         assert pids[::2] == [os.getpid()] * 3
@@ -386,7 +409,7 @@ class TestJobLanes:
 
     def test_a_state_comes_back_from_the_child_read_only(self, two_cpus):
         state = rw.build_initial_state(rw.ExperimentConfig.from_dict(TINY))
-        results = experiments._run_jobs([lambda: (state, os.getpid())] * 2)
+        (results,) = experiments._run_jobs([lambda: (state, os.getpid())] * 2)
         (mine, caller), (theirs, child) = results
         assert caller == os.getpid() != child
         assert not theirs.x.flags.writeable and not theirs.y.flags.writeable
@@ -441,7 +464,7 @@ class TestJobLanes:
             monkeypatch.delattr(os, "sched_getaffinity")
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
         no_fork(monkeypatch)
-        results = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
+        (results,) = experiments._run_jobs([functools.partial(pid_of, k) for k in range(5)])
         assert results == [(k, os.getpid()) for k in range(5)]
         assert multiprocessing.active_children() == []
 
@@ -544,7 +567,7 @@ class TestJobLanes:
                             replace(cfg.stepper, dt=dxi / 4))[0]
                   for dxi in dxis]
         if kind:  # the finest run, last, has no error against itself
-            errors = [experiments._nearest_xi_error(s, finals[-1]) for s in finals[:-1]]
+            errors = [rw.sup_graph_error(s, finals[-1]) for s in finals[:-1]]
             slope = rw.convergence_order(zip(dxis, errors))
             errors, against = [*errors, None], "finest_run"
         else:
@@ -1110,6 +1133,35 @@ class TestErrors:
         # meets without passing through the JSON reader
         with pytest.raises(ValueError):
             replace(rw.bundled_config("peakon_c1"), **changes)
+
+    def test_an_unknown_bundled_name_points_to_list_experiments(self):
+        with pytest.raises(KeyError, match="nope.*list-experiments"):
+            rw.bundled_config("nope")
+
+    def test_a_config_file_that_is_not_json_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert set(report) == {"error", "message"} and report["error"] == "JSONDecodeError"
+        assert not out.exists()
+
+    def test_a_null_blend_is_the_default_blend(self, tmp_path):
+        cuspon = {"kind": "cuspon", "c": 1.0, "x0": 0.0}
+        plain = rw.ExperimentConfig.from_dict(merged(TINY, {"gamma": 5.0, "initial_data": cuspon}))
+        config = write_config(tmp_path, gamma=5.0, initial_data={**cuspon, "blend": None})
+        null = rw.load_config(config)
+        assert null.wave_spec().blend is None
+        a, b = rw.build_initial_state(plain), rw.build_initial_state(null)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.zeta_minus, a.zeta_plus, a.H_plus) == (b.zeta_minus, b.zeta_plus, b.H_plus)
+        # its manifest writes the null, and replays the run
+        assert run_cli("run", "--config", config, "--out", str(tmp_path / "a")) == 0
+        manifest = tmp_path / "a" / "tiny" / "manifest.json"
+        assert json.loads(manifest.read_text())["config"]["initial_data"]["blend"] is None
+        assert run_cli("run", "--config", str(manifest), "--out", str(tmp_path / "b")) == 0
+        assert csv_bytes(tmp_path / "a" / "tiny") == csv_bytes(tmp_path / "b" / "tiny")
 
     def test_blend_pair_is_read_as_floats(self):
         changes = {"gamma": 5.0, "initial_data": {"kind": "cuspon", "blend": [0.05, 0.25]}}

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,6 +414,23 @@ class TestCuspon:
                 ),
                 rw.GridSpec.from_radius(0.1, 25.0),
             )
+
+    @pytest.mark.parametrize("gamma, c", [(5.0, 0.1), (5.0, 0.01), (10.0, 0.5)])
+    def test_a_low_crest_needs_a_blend_nearer_it(self, gamma, c):
+        # the default window reaches past where the crest parabola
+        # c/gamma - xi^2 falls below the tail (c/gamma) exp(-xi), so U rises
+        # inside it; the error names the window and which way to move it
+        grid = rw.GridSpec.from_radius(0.1, 25.0)
+        spec = rw.TravelingWaveSpec(kind="cuspon", gamma=gamma, c=c)
+        a, b = spec.blend_resolved
+        with pytest.raises(NonMonotoneConstruction) as info:
+            rw.build_from_spec(spec, grid)
+        assert f"blend interval ({a}, {b}); move it toward the crest (smaller a and b)" in str(
+            info.value)
+        s = math.sqrt(c / gamma)
+        state = rw.build_from_spec(replace(spec, blend=(0.02 * s, 0.05 * s)), grid)
+        assert state.U.max() == pytest.approx(c / gamma, rel=1e-12)
+        assert np.all(np.diff(state.y) >= 0)
 
     def test_blend_bounds_validated(self):
         with pytest.raises(NonMonotoneConstruction):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,18 @@ class TestSupGraphError:
         b = zero_state(4, 0.5)
         with pytest.raises(GridMismatch):
             rw.sup_graph_error(a, b)
+
+    def test_a_finer_grid_is_matched_by_nearest_xi(self):
+        # the coarse grid reaches past the fine one at its left end, where
+        # the nearest fine cell is the first
+        coarse = rw.make_peakon_pair([(1.0, 0.3)], rw.GridSpec.from_radius(0.4, 5.2))
+        fine = rw.make_peakon_pair([(1.0, 0.0)], rw.GridSpec.from_radius(0.05, 5.0))
+        assert coarse.grid.cells[0] < fine.grid.cells[0]
+        distances = []
+        for i, xi in enumerate(coarse.grid.cells):
+            j = int(np.argmin(np.abs(fine.grid.cells - xi)))
+            distances.append(math.hypot(coarse.y[i] - fine.y[j], coarse.U[i] - fine.U[j]))
+        assert rw.sup_graph_error(coarse, fine) == max(distances) > 0.1
 
     def test_pseudometric(self):
         rng = np.random.default_rng(13)
