@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -87,7 +86,7 @@ class TestSupGraphError:
         distances = []
         for i, xi in enumerate(coarse.grid.cells):
             j = int(np.argmin(np.abs(fine.grid.cells - xi)))
-            distances.append(math.hypot(coarse.y[i] - fine.y[j], coarse.U[i] - fine.U[j]))
+            distances.append(np.hypot(coarse.y[i] - fine.y[j], coarse.U[i] - fine.U[j]))
         assert rw.sup_graph_error(coarse, fine) == max(distances) > 0.1
 
     def test_pseudometric(self):
