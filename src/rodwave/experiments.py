@@ -46,6 +46,7 @@ from .errors import DegenerateFit, RodwaveError
 from .initial_data import KINDS, TravelingWaveSpec, build_from_spec
 from .observables import (
     EXACT_KINDS,
+    MIN_FIT_POINTS,
     DiagnosticsRecorder,
     DiagnosticsRow,
     convergence_order,
@@ -54,7 +55,7 @@ from .observables import (
 )
 from .state import GridSpec, LagrangianState, distance_f, invariants
 from .stepping import (SCHEMES, StepperConfig, evolve, plan_steps, reference_runs,
-                       richardson_extrapolate)
+                       reference_step, richardson_extrapolate)
 
 _GRID_KEYS = ("dxi", "r")
 # the most steps one evolve of a run may take: more is a mistyped dt, and
@@ -143,8 +144,9 @@ class ExperimentConfig:
     t_final: float
     output_stride: int = 1
     schemes: tuple[str, ...] = SCHEMES
-    # step h of the order-4 Richardson reference, as a multiple of dt (of
-    # the smallest swept dt); the reference extrapolates Strang runs at h
+    # nominal step h of the order-4 Richardson reference, as a multiple of
+    # dt (of the smallest swept dt), shortened to whole steps by
+    # stepping.reference_step; the reference extrapolates Strang runs at h
     # and h/2.  It applies to converge's dt sweep, and to compare only on a
     # kind not in observables.EXACT_KINDS: compare measures the others
     # against their closed form.  Manifests from when the reference was
@@ -553,9 +555,9 @@ def _write_manifest(run_dir: Path, cfg: ExperimentConfig, wall: float, **entries
 
 def _preflight(t_final: float, dts, h: float | None = None) -> None:
     """Before a driver builds a state: refuse an evolve to t_final of more
-    than ``MAX_STEPS`` steps at one of ``dts``, its runs' dts, or at h/2, the
-    fine step of its reference at h; then warn, at the line that called the
-    driver, of each of ``dts`` whose last step ``plan_steps`` shortens."""
+    than ``MAX_STEPS`` steps at one of ``dts``, its runs' dts, or at h/2 for
+    the nominal step h of its reference; then warn, at the line that called
+    the driver, of each of ``dts`` whose last step ``plan_steps`` shortens."""
     for dt in (*dts, *(() if h is None else (h / 2,))):
         steps = t_final / dt if dt else math.inf
         if steps > MAX_STEPS:
@@ -646,7 +648,7 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     """Run every scheme in cfg.schemes from identical initial data, writing
     into ``out_dir``, which is returned.  Before it builds a state,
     ``_preflight`` refuses or warns of its runs at ``stepper.dt``, and at
-    h when it runs the Richardson reference.
+    the nominal h when it runs the Richardson reference.
 
     The summary table reports each scheme's final error against a
     reference, the invariant drift and the minima of q and h over the run.
@@ -661,14 +663,14 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
       c * t_final, on the same grid; the manifest's reference is
       ``{"method": "exact_<kind>", "t": t_final}``.  No reference run is
       taken.
-    * on any other kind, ``stepping.richardson_reference`` at
-      h = dt * reference_dt_factor: Strang runs at h and h/2, extrapolated
-      to order 4, a time error only.  The error is the graph distance
-      ``observables.sup_graph_error``; the graph's I column holds the
-      invariants of the extrapolated state, which are not conserved; the
-      manifest's reference holds its ``method``, its ``dt`` and the
-      ``solver`` reports of its runs, in the order of ``dt``: the run at h,
-      then the run at h/2.
+    * on any other kind, Strang runs at h and h/2, for h =
+      ``stepping.reference_step(t_final, dt * reference_dt_factor)``,
+      extrapolated to order 4, a time error only.  The error is the graph
+      distance ``observables.sup_graph_error``; the graph's I column holds
+      the invariants of the extrapolated state, which are not conserved;
+      the manifest's reference holds its ``method``, its ``dt`` and the
+      ``solver`` reports of its runs, in the order of ``dt``: the run at
+      h, then the run at h/2.
 
     The minima take in t=0 and every state a scheme accepted, the internal
     steps of the adaptive comparator included; the drift takes in t=0 and
@@ -694,8 +696,10 @@ def compare_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False
     _preflight(cfg.t_final, [cfg.stepper.dt], h)
     state0 = build_initial_state(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ref_jobs = [] if h is None else reference_runs(
-        state0, cfg.t_final, replace(cfg.stepper, dt=h))
+    ref_jobs = []
+    if h is not None:
+        h = reference_step(cfg.t_final, h)
+        ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=h))
     ref_results, finals = _run_jobs(
         ref_jobs, [functools.partial(_run_one_scheme, cfg, state0, scheme, out_dir / scheme)
                    for scheme in cfg.schemes])
@@ -736,8 +740,8 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     resolutions of ``cfg.sweep``: its ``dt`` list, its ``dxi`` list, or both.
 
     Time sweeps hold the grid fixed and compare final states (distance_f)
-    against ``stepping.richardson_reference``, Strang runs at h and h/2
-    extrapolated to order 4, at h = min(dt) * reference_dt_factor
+    against Strang runs at h and h/2 extrapolated to order 4, for h =
+    ``stepping.reference_step(t_final, min(dt) * reference_dt_factor)``
     (``reference_dt`` in the report), on every kind: a time sweep needs an
     error in time alone, on a fixed grid, which a closed form does not
     give.  Every run of a time sweep, and the reference, starts from one
@@ -748,11 +752,12 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     finest run, matching each cell to that grid's nearest in xi
     (``finest_run``), which leaves one point fewer for the fit: the finest
     run's error is null in the report.  Before it builds a state,
-    ``_preflight`` refuses or warns of its swept runs and h, not of the
-    config's own dt, which no run takes.  The manifest's ``solver`` holds
-    each run's ``StepReport``, as ``run_experiment``'s: under ``reference``
-    the reference's runs at h and h/2, and under ``dt_sweep`` and
-    ``dxi_sweep`` one per swept run, in the order of the report's lists.
+    ``_preflight`` refuses or warns of its swept runs and the nominal h,
+    not of the config's own dt, which no run takes.  The manifest's
+    ``solver`` holds each run's ``StepReport``, as ``run_experiment``'s:
+    under ``reference`` the reference's runs at h and h/2, and under
+    ``dt_sweep`` and ``dxi_sweep`` one per swept run, in the order of the
+    report's lists.
 
     The reference's two runs (``stepping.reference_runs``, with a dt
     sweep), then each swept run, in that order, are the jobs of
@@ -769,8 +774,9 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
         raise RodwaveError("converge needs a dt and/or dxi sweep")
     spec = cfg.wave_spec()
     exact = spec.kind in EXACT_KINDS
-    # a fit needs 3 points; a space sweep against its finest run loses one
-    for key, values, need in (("dt", dt_list, 3), ("dxi", dxi_list, 3 if exact else 4)):
+    # a space sweep against its finest run spends one value on the reference
+    need_dxi = MIN_FIT_POINTS if exact else MIN_FIT_POINTS + 1
+    for key, values, need in (("dt", dt_list, MIN_FIT_POINTS), ("dxi", dxi_list, need_dxi)):
         if values and len(values) < need:
             raise DegenerateFit(f"a {key} sweep needs >= {need} values, got {len(values)}")
     report: dict = {"name": cfg.name, "scheme": cfg.stepper.scheme}
@@ -784,6 +790,7 @@ def converge_experiment(cfg: ExperimentConfig, out_dir: Path, quiet: bool = Fals
     ref_jobs, dt_jobs = [], []
     if dt_list:
         state0 = build_initial_state(cfg)
+        ref_dt = reference_step(cfg.t_final, ref_dt)
         ref_jobs = reference_runs(state0, cfg.t_final, replace(cfg.stepper, dt=ref_dt))
         dt_jobs = [run(state0, dt) for dt in dt_list]
     dxi_jobs = [run(build_initial_state(replace(cfg, dxi=dxi)), dt)

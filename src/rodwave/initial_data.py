@@ -4,8 +4,7 @@ Each kind of initial data is an entry of ``KINDS``, which names the keys
 its config section holds besides ``kind``: smooth and peakon read c and x0,
 cuspon also blend, peakon_antipeakon also separation, gaussian_derivative
 none, and profile_file the path of a two-column ``x u`` text file.
-``build_from_spec`` builds every kind, by one of two routes from an
-Eulerian velocity profile u0:
+``build_from_spec`` builds every kind, by one of three routes:
 
 * the generic pipeline: tabulate the cumulative energy E, take y on a fine
   sub-grid as the exact inverse of the tabulated map y -> y + E(y) = xi,
@@ -18,7 +17,13 @@ Eulerian velocity profile u0:
   exact on the nose (per-cell invariant identically zero); used for the
   peakons and the smooth wave.
 
-Both routes land in the admissible set; they differ by a relabeling and
+* a closed-form parameterisation in xi, for the cuspon alone
+  (``make_cuspon``): U is a closed-form function of xi, y comes from
+  ``travel_distance`` of U, and q from the analytic y_xi of
+  ``_CusponCurves``, never from differencing.
+
+The first two start from an Eulerian velocity profile u0.  All three land
+in the admissible set; the first two differ by a relabeling and
 reconstruct the same Eulerian graph.
 
 The smooth wave and the cuspon solve u'^2 = F(u), and ``travel_distance``
@@ -111,23 +116,25 @@ class EulerianProfile:
     def from_file(cls, path) -> "EulerianProfile":
         """Two-column numeric text ``x u``.
 
-        The first line is a header (ignored); ``#`` lines are comments;
-        columns are separated by whitespace or commas.  Every x and u must
-        be finite, and no x may be listed twice.  Values are linearly
-        interpolated and zero outside the samples; the derivative comes
-        from central differences.
+        ``#`` lines and blank lines are comments.  The first other line is
+        a header, skipped, unless it parses as two numbers; any later line
+        that does not is refused.  Columns are separated by whitespace or
+        commas.  Every x and u must be finite, and no x may be listed
+        twice.  Values are linearly interpolated and zero outside the
+        samples; the derivative comes from central differences.
         """
-        rows = []
+        rows, first = [], None  # the index of the first line not blank or a comment
         with open(path) as fh:
             for k, line in enumerate(fh):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                first = k if first is None else first
                 parts = line.replace(",", " ").split()
                 try:
                     row = (float(parts[0]), float(parts[1]))
                 except (ValueError, IndexError):
-                    if k == 0:
+                    if k == first:
                         continue  # header line
                     raise ValueError(f"{path}: cannot parse line {k + 1}: {line!r}")
                 if not all(map(math.isfinite, row)):

@@ -38,6 +38,9 @@ _PROFILES = {
 }
 EXACT_KINDS = tuple(_PROFILES)
 
+# the fewest (resolution, error) points ``convergence_order`` fits a slope to
+MIN_FIT_POINTS = 3
+
 
 def exact_error(state: LagrangianState, spec: TravelingWaveSpec, t: float) -> float | None:
     """max_i |U_i - u(t, y_i)|, graph-aligned, for u the closed form of the
@@ -51,10 +54,11 @@ def exact_error(state: LagrangianState, spec: TravelingWaveSpec, t: float) -> fl
 
 
 def convergence_order(points) -> float:
-    """Least-squares slope of log(error) against log(resolution)."""
+    """Least-squares slope of log(error) against log(resolution), over at
+    least ``MIN_FIT_POINTS`` points."""
     pts = [(float(r), float(e)) for r, e in points]
-    if len(pts) < 3:
-        raise DegenerateFit(f"need >= 3 points, got {len(pts)}")
+    if len(pts) < MIN_FIT_POINTS:
+        raise DegenerateFit(f"need >= {MIN_FIT_POINTS} points, got {len(pts)}")
     res = np.array([p[0] for p in pts])
     err = np.array([p[1] for p in pts])
     if np.any(res <= 0) or np.any(err <= 0):

@@ -41,19 +41,19 @@ Every scheme has the same interface,
 run's report is no larger than a step's; ``evolve`` alone measures the
 invariant drift, into each step's report.  ``converge``'s dt sweep, and
 ``compare`` on a kind of initial data with no closed form, measure against
-``richardson_reference``: Strang runs at steps h and h/2, built as two jobs
-by ``reference_runs`` that return what ``evolve`` returns, extrapolated to
-order 4 (``richardson_extrapolate``).
-It is their reference only, not a scheme, and it measures the error in
-time alone.  On a kind with a closed form, compare measures against that
-instead (``observables.exact_error``) and runs no reference.
+an order-4 Richardson reference: two plain Strang runs, at h and h/2
+(``reference_runs``), with h from ``reference_step`` so that neither run
+shortens a step, extrapolated by ``richardson_extrapolate``.  It is their
+reference only, not a scheme, and it measures the error in time alone.  On
+a kind with a closed form, compare measures against that instead
+(``observables.exact_error``) and runs no reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -357,17 +357,6 @@ def step_strang(
     return _step_plan(STRANG, state, cfg, dt)
 
 
-def _step_two_halves(
-    state: LagrangianState, cfg: StepperConfig, dt: float | None = None
-) -> tuple[LagrangianState, StepReport]:
-    """Two Strang steps of dt/2: the fine run of ``richardson_reference``,
-    whose steps are then the coarse run's halved, a short last step too."""
-    dt = cfg.dt if dt is None else dt
-    half, r1 = step_strang(state, cfg, dt / 2)
-    state, r2 = step_strang(half, cfg, dt / 2)
-    return state, r1.merge(r2)
-
-
 def step_explicit_euler(
     state: LagrangianState, cfg: StepperConfig, dt: float | None = None
 ) -> tuple[LagrangianState, StepReport]:
@@ -469,40 +458,42 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float | None]:
     return n_full, (rem if rem > 1e-9 * max(1.0, t_final) else None)
 
 
+def reference_step(t_final: float, h: float) -> float:
+    """The step of the Richardson reference for a nominal step h: h itself
+    when ``plan_steps(t_final, h)`` shortens no step, else t_final /
+    (n_full + 1), the largest step below h that covers t_final in whole
+    steps."""
+    n_full, last = plan_steps(t_final, h)
+    return h if last is None else t_final / (n_full + 1)
+
+
 def evolve(
     state: LagrangianState,
     t_final: float,
     cfg: StepperConfig,
     observers=(),
     observe_stride: int = 1,
-    *,
-    _step=None,
 ):
     """Drive the time loop, invoking observers along the way.
 
-    Observers are callables obs(step_index, t, state, report) invoked at
-    t=0, after every ``observe_stride``-th step, and at the final step.
-    Each gets a StepReport: at t=0 the start state's, ``_ended`` of it;
-    after a step that step's, its ``max_inv_drift`` set to
+    ``observers`` is a sequence of callables obs(step_index, t, state,
+    report), invoked at t=0, after every ``observe_stride``-th step, and at
+    the final step.  Each gets a StepReport: at t=0 the start state's,
+    ``_ended`` of it; after a step that step's, its ``max_inv_drift`` set to
     max_i |I_i - I_i(0)| of the step's end state.  Returns (final state,
     the run's StepReport): the start state's report merged with each
     step's report as it comes.  Fully deterministic for a given
     configuration.
-
-    ``_step`` is private to the package: a step function to drive in place
-    of cfg.scheme's, for the reference that is not in ``SCHEMES``.
     """
     if t_final < 0:
         raise ValueError("t_final must be >= 0")
     if observe_stride < 1:
         raise ValueError(f"observe_stride must be >= 1, got {observe_stride}")
-    if callable(observers):
-        observers = (observers,)
     _, run = _ended(state, StepReport())
     for obs in observers:
         obs(0, 0.0, state, run)
     # Looked up at call time, so a replaced module-level stepper is used.
-    step = _step or globals()[f"step_{cfg.scheme}"]
+    step = globals()[f"step_{cfg.scheme}"]
     I0 = invariants(state)
     n_full, last = plan_steps(t_final, cfg.dt)
     n_steps = n_full + (last is not None)
@@ -520,38 +511,26 @@ def evolve(
 
 
 def reference_runs(state: LagrangianState, t_final: float, cfg: StepperConfig) -> list:
-    """The two runs of ``richardson_reference`` as zero-argument jobs, each
-    returning what ``evolve`` returns, the fine run first: it takes each
-    step of the coarse run, Strang at h = cfg.dt, as two Strang steps of
-    half its size."""
-    return [functools.partial(evolve, state, t_final, cfg, _step=_step_two_halves),
-            functools.partial(evolve, state, t_final, cfg, _step=step_strang)]
+    """The two runs of the order-4 Richardson reference at h = cfg.dt, as
+    zero-argument jobs, each returning what ``evolve`` returns: Strang at
+    h/2 (the fine run, first) and at h, whatever cfg.scheme names.
+
+    Strang with midpoint sub-flows is symmetric, so its global error holds
+    even powers of the step only, and one Richardson step cancels the h^2
+    term, provided the fine run takes each of the coarse run's steps halved
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.9).  Both runs are plain
+    Strang runs, so that holds when neither shortens a last step: take h
+    from ``reference_step``."""
+    strang = replace(cfg, scheme="strang")
+    return [functools.partial(evolve, state, t_final, replace(strang, dt=strang.dt / 2)),
+            functools.partial(evolve, state, t_final, strang)]
 
 
 def richardson_extrapolate(results) -> tuple[LagrangianState, list[StepReport]]:
     """From the results of ``reference_runs``, fine first: the reference
     state, (4 fine - coarse) / 3 on the fine run's grid and boundary
     constants, and the runs' reports in the order of their dt, the run at
-    h, then the run at h/2."""
+    h, then the run at h/2.  The reference is an extrapolated state, not
+    one the flow reaches: its invariants are not conserved."""
     (fine, fine_report), (coarse, coarse_report) = results
     return fine.with_x((4.0 * fine.x - coarse.x) / 3.0), [coarse_report, fine_report]
-
-
-def richardson_reference(
-    state: LagrangianState, t_final: float, cfg: StepperConfig
-) -> LagrangianState:
-    """The state at t_final of the order-4 reference of compare and converge.
-
-    Strang with midpoint sub-flows is symmetric, so its global error holds
-    even powers of the step h = cfg.dt only, and one Richardson step,
-    (4 S(h/2) - S(h)) / 3, cancels the h^2 term (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.9).  The fine run halves each of the coarse run's
-    steps rather than planning its own, so that the cancellation holds when
-    t_final is not a multiple of h.  The result is an extrapolated state,
-    not one the flow reaches: its invariants are not conserved.  Here the
-    two runs of ``reference_runs`` run in turn, the coarse run first;
-    compare and converge hand the same jobs to their lanes.
-    """
-    fine, coarse = reference_runs(state, t_final, cfg)
-    coarse = coarse()
-    return richardson_extrapolate([fine(), coarse])[0]

@@ -1,8 +1,9 @@
-"""Shared test utilities: random admissible states, comparison metrics and
+"""Shared test utilities: random admissible states, comparison metrics,
 the whole-state midpoint iteration the midpoint substep is checked
-against."""
+against, and the Richardson reference computed serially."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from rodwave import GridSpec, LagrangianState, Parameters, invariants
 from rodwave.dynamics import vector_field_g2
 from rodwave.errors import FixedPointDiverged
 from rodwave.source_terms import integrand_u, source_terms_fast
-from rodwave.stepping import StepReport
+from rodwave.stepping import StepReport, reference_runs, reference_step, richardson_extrapolate
 
 
 def random_admissible_state(rng, grid: GridSpec, gamma: float, scale: float = 1.0):
@@ -60,6 +61,13 @@ def edge_state(rng, grid: GridSpec, gamma: float, fold: float = 0.0):
     return s.replace(zeta=zeta, v=q * f - 1.0, w=w * np.sqrt(f), h=h,
                      H=grid.dxi * np.concatenate(([0.0], cs[:-1])),
                      H_plus=float(grid.dxi * cs[-1]))
+
+
+def serial_reference(state: LagrangianState, t_final: float, cfg, h: float) -> LagrangianState:
+    """The Richardson reference compare and converge take at the nominal
+    step h, its two runs taken in this process, the fine run first."""
+    runs = reference_runs(state, t_final, replace(cfg, dt=reference_step(t_final, h)))
+    return richardson_extrapolate([run() for run in runs])[0]
 
 
 def admissible(state: LagrangianState, floor: float, tol: float = 1e-10) -> bool:

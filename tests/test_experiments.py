@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -14,8 +15,9 @@ import pytest
 
 import rodwave as rw
 from rodwave import cli, experiments, stepping
-from rodwave.errors import FixedPointDiverged, RodwaveError
-from rodwave.stepping import richardson_reference
+from rodwave.errors import FixedPointDiverged, PhysicalRangeWarning, RodwaveError
+
+from helpers import serial_reference
 
 # TINY's t_final is deliberately not a multiple of dt
 pytestmark = pytest.mark.filterwarnings("ignore:t_final=.*not a multiple:UserWarning")
@@ -209,15 +211,15 @@ class TestGraphWriter:
     def failing_evolve(self, monkeypatch, at_step):
         """Make ``run_experiment``'s evolve raise FixedPointDiverged at step
         ``at_step``, after writing the graphs of the steps before it."""
-        calls = []
+        calls, real = [], stepping.step_strang
 
         def step(state, cfg, dt):
             calls.append(dt)
             if len(calls) == at_step:
                 raise FixedPointDiverged(50, 1.0, 2.0, 1.0)
-            return stepping.step_strang(state, cfg, dt)
+            return real(state, cfg, dt)
 
-        monkeypatch.setattr(experiments, "evolve", functools.partial(stepping.evolve, _step=step))
+        monkeypatch.setattr(stepping, "step_strang", step)
 
     def observed_run(self, tmp_path, monkeypatch, graphs, **changes):
         """Run TINY with ``changes`` into ``tmp_path / "run"``, and check
@@ -496,8 +498,8 @@ class TestJobLanes:
         serial = tmp_path / "serial"
         serial.mkdir()
         state0 = rw.build_initial_state(cfg)
-        h = cfg.stepper.dt * cfg.reference_dt_factor
-        reference = richardson_reference(state0, cfg.t_final, replace(cfg.stepper, dt=h))
+        reference = serial_reference(state0, cfg.t_final, cfg.stepper,
+                                     cfg.stepper.dt * cfg.reference_dt_factor)
         experiments.write_graph_csv(serial / "reference_graph.csv", reference)
         rows = []
         for scheme in cfg.schemes:
@@ -552,9 +554,8 @@ class TestJobLanes:
         if "dt" in sweep:
             dts = sweep["dt"]
             state0 = rw.build_initial_state(cfg)
-            ref_dt = min(dts) * cfg.reference_dt_factor
-            reference = richardson_reference(state0, cfg.t_final,
-                                             replace(cfg.stepper, dt=ref_dt))
+            ref_dt = stepping.reference_step(cfg.t_final, min(dts) * cfg.reference_dt_factor)
+            reference = serial_reference(state0, cfg.t_final, cfg.stepper, ref_dt)
             dt_errors = [
                 rw.distance_f(rw.evolve(state0, cfg.t_final, replace(cfg.stepper, dt=dt))[0],
                               reference)
@@ -608,18 +609,21 @@ class TestCompareConverge:
 
     @pytest.mark.parametrize(
         "name", ["peakon_antipeakon_gamma1", "collision_smooth", "peakon_antipeakon_gamma5"])
-    @pytest.mark.parametrize(
-        "step", [stepping.step_strang, stepping.step_lie_trotter, stepping._step_two_halves])
-    def test_positivity_across_the_collision(self, name, step):
+    @pytest.mark.parametrize("scheme, dt_factor", [
+        ("strang", 1.0), ("lie_trotter", 1.0),
+        # the Richardson reference's fine run at h = dt
+        ("strang", 0.5)])
+    def test_positivity_across_the_collision(self, name, scheme, dt_factor):
         # each collision folds y: between t = 1 and t = 2.6 at gamma = 1
         # and 0.8, from t = 0.2 on at gamma = 5
         cfg = rw.bundled_config(name)
+        dt = cfg.stepper.dt * dt_factor
         minima = []
         _, run = rw.evolve(
-            rw.build_initial_state(cfg), 3.0, cfg.stepper, _step=step,
-            observers=lambda j, t, s, r: minima.append((s.q.min(), s.h.min())))
-        assert len(minima) == 31 and run.folded > 0
-        # the run's report holds the states between two halves of a step too
+            rw.build_initial_state(cfg), 3.0, replace(cfg.stepper, scheme=scheme, dt=dt),
+            observers=(lambda j, t, s, r: minima.append((s.q.min(), s.h.min())),))
+        assert len(minima) == round(3.0 / dt) + 1 and run.folded > 0
+        # the run's report holds every state it accepted
         minima.append((run.min_q, run.min_h))
         assert np.min(minima) >= 0.0
 
@@ -665,18 +669,34 @@ class TestCompareConverge:
         set_cpus(monkeypatch, {0})
         taken, real = [], stepping.evolve
 
-        def evolve(state, t_final, cfg, *args, _step=None, **kwargs):
-            taken.append((cfg.scheme, cfg.dt, _step))
-            return real(state, t_final, cfg, *args, _step=_step, **kwargs)
+        def evolve(state, t_final, cfg, *args, **kwargs):
+            taken.append((cfg.scheme, cfg.dt))
+            return real(state, t_final, cfg, *args, **kwargs)
 
         for module in (experiments, stepping):
             monkeypatch.setattr(module, "evolve", evolve)
         cfg = rw.load_config(write_config(tmp_path, **kind))
         rw.compare_experiment(cfg, tmp_path / "out", quiet=True)
-        assert sorted(taken) == sorted((scheme, 0.1, None) for scheme in rw.SCHEMES)
+        assert sorted(taken) == sorted((scheme, 0.1) for scheme in rw.SCHEMES)
         # so a reference step that could not be taken does not refuse it
         rw.compare_experiment(replace(cfg, reference_dt_factor=1e-300), tmp_path / "out",
                               quiet=True)
+
+    def test_a_reference_step_that_leaves_a_short_step_is_shortened(self, tmp_path):
+        # h = 0.1 * 0.3 = 0.03 leaves 0.02 after 6 steps to t_final = 0.2:
+        # the reference takes 7 steps of 0.2 / 7 and 14 of 0.1 / 7
+        cfg = replace(rw.bundled_config("peakon_antipeakon_gamma5"), reference_dt_factor=0.3,
+                      t_final=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", PhysicalRangeWarning)
+            rw.compare_experiment(cfg, tmp_path / "out", quiet=True)
+        reference = json.loads((tmp_path / "out" / "manifest.json").read_text())["reference"]
+        assert reference["dt"] == [0.2 / 7, 0.1 / 7]
+        assert stepping.plan_steps(0.2, 0.2 / 7) == (7, None)
+        assert stepping.plan_steps(0.2, 0.1 / 7) == (14, None)
+        # three substeps per Strang step
+        assert fp_substeps(reference["solver"]) == [21, 42]
 
     def test_strang_beats_euler_against_the_smooth_wave(self, tmp_path):
         config = write_config(tmp_path, **SMOOTH)
@@ -1034,8 +1054,13 @@ class TestErrors:
         ({"stepper": {"dt": 1e-300}}, 1e-300),
         ({"sweep": {"dt": [0.1, 1e-300, 0.05]}}, 1e-300),
         # the Richardson reference's fine steps, h / 2 with h = dt *
-        # reference_dt_factor, taken on a kind with no closed form
+        # reference_dt_factor (of the least swept dt), taken on a kind with
+        # no closed form, and bounded before reference_step shortens h:
         ({"reference_dt_factor": 1e-300, **PAIR}, 0.2 * 1e-300 / 2),
+        # h underflows to 0,
+        ({"reference_dt_factor": 5e-324, **PAIR}, 0.0),
+        # or t_final / h overflows
+        ({"reference_dt_factor": 1e-304, "t_final": 1e5, **PAIR}, 0.2 * 1e-304 / 2),
         ({"sweep": {"dxi": [0.5, 1e-300, 0.125]}}, 1e-300 / 4)])
     def test_step_count_is_bounded(self, tmp_path, monkeypatch, changes, dt):
         # the config builds; each driver that takes the dt refuses it before
@@ -1044,12 +1069,16 @@ class TestErrors:
         cfg = rw.ExperimentConfig.from_dict(merged(rw.BUNDLED["peakon_c1"], changes))
         drivers = {"stepper": (rw.run_experiment, rw.compare_experiment),
                    "sweep": (rw.converge_experiment,),
-                   "reference_dt_factor": (rw.compare_experiment,)}[next(iter(changes))]
+                   "reference_dt_factor": (rw.compare_experiment, rw.converge_experiment),
+                   }[next(iter(changes))]
+        if "reference_dt_factor" in changes:  # converge's h: at the least swept dt, 0.2
+            cfg = replace(cfg, sweep={"dt": [0.8, 0.4, 0.2]})
+        steps = cfg.t_final / dt if dt else math.inf
         for driver in drivers:
             with pytest.raises(ValueError) as info:
                 driver(cfg, tmp_path / "out", quiet=True)
-            assert str(info.value) == (f"t_final=5.0 at dt={dt} takes {5.0 / dt:.3g} steps, "
-                                       f"more than {experiments.MAX_STEPS}")
+            assert str(info.value) == (f"t_final={cfg.t_final} at dt={dt} takes {steps:.3g} "
+                                       f"steps, more than {experiments.MAX_STEPS}")
             assert not (tmp_path / "out").exists()
 
     def test_run_warns_of_the_short_last_step_that_plan_steps_takes(self, tmp_path, monkeypatch):

@@ -505,6 +505,16 @@ class TestProfileFiles:
         with pytest.raises(ValueError, match="line 3"):
             rw.EulerianProfile.from_file(path)
 
+    def test_comments_may_come_before_the_header(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("# made by hand\nx u\n-1 0\n0 1\n1 0\n")
+        profile = rw.EulerianProfile.from_file(path)
+        assert profile.u(np.array([-0.5, 0.0, 0.5])).tolist() == [0.5, 1.0, 0.5]
+        # a second line that is not two numbers is still refused
+        path.write_text("# made by hand\n\nx u\nx u\n-1 0\n0 1\n1 0\n")
+        with pytest.raises(ValueError, match="cannot parse line 4: 'x u'"):
+            rw.EulerianProfile.from_file(path)
+
 
 class TestBuildFromSpec:
     @pytest.mark.parametrize(

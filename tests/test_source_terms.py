@@ -274,7 +274,7 @@ class TestFolded:
         assert source_terms.is_folded(out.y)
         cfg = rw.StepperConfig(dt=0.01, scheme="explicit_euler")
         steps = []
-        _, run = rw.evolve(s, 0.01, cfg, observers=lambda j, t, st, r: steps.append(r))
+        _, run = rw.evolve(s, 0.01, cfg, observers=(lambda j, t, st, r: steps.append(r),))
         assert steps[1].folded == 1
         # the run counts its folded start state and the step's end state
         assert run.folded == 2

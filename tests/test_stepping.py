@@ -13,12 +13,11 @@ from rodwave import source_terms, stepping
 from rodwave.dynamics import G1_ROWS, G2_ROWS
 from rodwave.errors import FixedPointDiverged, PositivityLost, StepSizeUnderflow
 from rodwave.experiments import build_initial_state, resolve_config
-from rodwave.stepping import (
-    _step_two_halves, midpoint_substep, plan_steps, richardson_reference,
-)
+from rodwave.stepping import midpoint_substep, plan_steps, reference_runs, reference_step
 
 from helpers import (
-    admissible, edge_state, midpoint_substep_on_states, random_admissible_state, states_equal,
+    admissible, edge_state, midpoint_substep_on_states, random_admissible_state,
+    serial_reference, states_equal,
 )
 
 
@@ -449,7 +448,7 @@ class TestSplittingSteps:
 
         _, run = rw.evolve(
             build_initial_state(cfg), cfg.t_final, replace(cfg.stepper, scheme=scheme),
-            observers=observe)
+            observers=(observe,))
         assert flags[1:] == ends[1:]
         assert run.folded == sum(ends) and 0 < sum(ends) < len(ends) - 1
 
@@ -501,22 +500,22 @@ class TestStoppingRule:
         drift = []
         _, run = rw.evolve(
             s, cfg.t_final, replace(cfg.stepper, fp_tol=1e-4),
-            observers=lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()))
+            observers=(lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()),))
         assert max(drift) <= 1e-12
         assert run.min_q >= 0 and run.min_h >= 0
 
 
 class TestRichardsonReference:
     """The order-4 reference compare and converge measure against: Strang
-    runs at h and h/2, extrapolated.  The fine run's step, two Strang steps
-    of dt/2, is symmetric and conserves the invariants."""
+    runs at h and h/2, extrapolated, with h from ``reference_step`` so that
+    neither run shortens a step.  The fine run is symmetric and conserves
+    the invariants."""
 
     @staticmethod
     def change_per_halving(t_final):
         spec = rw.TravelingWaveSpec(kind="smooth", gamma=0.2, c=1.0)
         s = rw.make_smooth_tw(spec, rw.GridSpec.from_radius(0.5, 10.0))
-        finals = [richardson_reference(s, t_final, rw.StepperConfig(dt=dt))
-                  for dt in (0.4, 0.2, 0.1)]
+        finals = [serial_reference(s, t_final, CFG, dt) for dt in (0.4, 0.2, 0.1)]
         coarse, fine = (rw.distance_f(a, b) for a, b in zip(finals, finals[1:]))
         return coarse / fine
 
@@ -526,16 +525,30 @@ class TestRichardsonReference:
         assert self.change_per_halving(2.0) >= 12
 
     def test_fourth_order_when_t_final_is_not_a_multiple_of_dt(self):
-        # measured ratio 14.8; a fine run that plans its own steps, and so
-        # leaves the short last step whole, gives 3.8
+        # h is 1.93 / 5, / 10 and / 20: measured ratio 15.5; a fine run that
+        # plans its own steps at the nominal h, and so leaves the short last
+        # step whole, gives 3.8
         assert self.change_per_halving(1.93) >= 12
 
+    @pytest.mark.parametrize("t_final, h, n", [
+        (2.0, 0.1, 20), (0.0, 0.1, 0), (0.25, 0.1, 3), (1.93, 0.4, 5), (0.2, 0.03, 7),
+        (7.0, 0.3, 24)])
+    def test_the_step_is_the_largest_up_to_h_in_whole_steps(self, t_final, h, n):
+        step = reference_step(t_final, h)
+        assert step == (h if plan_steps(t_final, h)[1] is None else t_final / n)
+        # neither run shortens a step, and one step fewer would exceed h
+        assert plan_steps(t_final, step) == (n, None)
+        assert plan_steps(t_final, step / 2) == (2 * n, None)
+        assert step <= h and (n < 2 or t_final / (n - 1) > h)
+
     def test_fine_run_is_strang_at_half_the_step(self):
-        # T/h is an integer: the halved steps are the steps of Strang at h/2
+        # whatever scheme the stepper names, the runs are Strang at h / 2
+        # and at h, bit for bit
         s = small_peakon()
-        fine, _ = rw.evolve(s, 1.0, rw.StepperConfig(dt=0.2), _step=_step_two_halves)
-        strang, _ = rw.evolve(s, 1.0, rw.StepperConfig(dt=0.1))
-        assert states_equal(fine, strang) and fine.x.tobytes() == strang.x.tobytes()
+        runs = reference_runs(s, 1.0, rw.StepperConfig(dt=0.2, scheme="lie_trotter"))
+        for (out, _), dt in zip((run() for run in runs), (0.1, 0.2)):
+            strang, _ = rw.evolve(s, 1.0, rw.StepperConfig(dt=dt))
+            assert out.x.tobytes() == strang.x.tobytes()
 
     def test_fine_run_halves_each_coarse_step(self, monkeypatch):
         dts = []
@@ -546,29 +559,31 @@ class TestRichardsonReference:
             return original(state, cfg, dt)
 
         monkeypatch.setattr(stepping, "step_strang", recorded)
-        richardson_reference(small_peakon(), 0.25, rw.StepperConfig(dt=0.1))
-        n_full, last = plan_steps(0.25, 0.1)
-        steps = [0.1] * n_full + [last]
-        assert len(steps) == 3 and steps[-1] < 0.1
-        # the coarse run, then two steps of dt_j/2 for each coarse dt_j
-        assert dts == steps + [d / 2 for d in steps for _ in range(2)]
+        # 0.25 is not a multiple of 0.1: h = 0.25 / 3
+        h = reference_step(0.25, 0.1)
+        for run in reference_runs(small_peakon(), 0.25, rw.StepperConfig(dt=h)):
+            run()
+        # the fine run, then the coarse: each takes whole steps
+        assert h == 0.25 / 3 and dts == [h / 2] * 6 + [h] * 3
 
     def test_time_symmetry(self):
-        # a symmetric composition of symmetric steps, at the fixed point
-        s = small_peakon()
-        cfg = rw.StepperConfig(dt=0.2, fp_tol=1e-12)
-        forward, _ = _step_two_halves(s, cfg)
-        back, _ = _step_two_halves(forward, cfg, dt=-cfg.dt)
-        assert rw.distance_f(back, s) <= 1e-10
+        # the fine run's steps, a symmetric composition of symmetric
+        # substeps, at the fixed point: two forward, two back
+        state = s = small_peakon()
+        cfg = rw.StepperConfig(dt=0.1, fp_tol=1e-12)
+        for dt in (0.1, 0.1, -0.1, -0.1):
+            state, _ = rw.step_strang(state, cfg, dt)
+        assert rw.distance_f(state, s) <= 1e-10
 
     def test_invariant_drift_through_a_collision(self):
-        # the peakon-antipeakon pair collides at t ~ 1.36; measured drift 1.7e-13
+        # the peakon-antipeakon pair collides at t ~ 1.36; the fine run of
+        # the reference at h = 0.2, measured drift 1.8e-15
         s = rw.make_peakon_pair([(1.0, 0.0), (-1.0, 1.0)], rw.GridSpec.from_radius(0.1, 15.0))
         I0 = rw.invariants(s)
         drift = []
-        rw.evolve(s, 2.0, rw.StepperConfig(dt=0.2), _step=_step_two_halves,
-                  observers=lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()))
-        assert len(drift) == 11 and max(drift) <= 1e-12
+        rw.evolve(s, 2.0, rw.StepperConfig(dt=0.1), observers=(
+            lambda j, t, st, r: drift.append(np.abs(rw.invariants(st) - I0).max()),))
+        assert len(drift) == 21 and max(drift) <= 1e-12
 
 
 class TestAdaptiveRK:
@@ -629,7 +644,7 @@ class TestEvolve:
     def test_zero_time_returns_input(self):
         s = small_peakon()
         calls = []
-        out, run = rw.evolve(s, 0.0, CFG, observers=lambda j, t, st, r: calls.append(t))
+        out, run = rw.evolve(s, 0.0, CFG, observers=(lambda j, t, st, r: calls.append(t),))
         assert states_equal(out, s)
         # the report of the start state alone: no substep, no fold
         assert run == stepping.StepReport(min_q=s.q.min(), min_h=s.h.min())
@@ -639,7 +654,7 @@ class TestEvolve:
     def test_the_start_state_is_observed_with_its_report(self, start):
         s0 = small_peakon() if start == "peakon" else zero_state().replace(zeta=-2.0 * zero_state().y)
         reports = []
-        rw.evolve(s0, 0.2, CFG, observers=lambda j, t, st, r: reports.append(r))
+        rw.evolve(s0, 0.2, CFG, observers=(lambda j, t, st, r: reports.append(r),))
         report = reports[0]
         assert isinstance(report, stepping.StepReport)
         assert report.min_q == float(np.min(s0.q)) and report.min_h == float(np.min(s0.h))
@@ -665,7 +680,7 @@ class TestEvolve:
 
         monkeypatch.setattr(stepping, "step_strang", recorded)
         _, run = rw.evolve(small_peakon(), 1.05, rw.StepperConfig(dt=0.1),
-                           observers=lambda j, t, st, r: times.append(t))
+                           observers=(lambda j, t, st, r: times.append(t),))
         n_full, last = plan_steps(1.05, 0.1)
         assert dts == [0.1] * n_full + [last] and n_full == 10
         # the run's report merges each step's once
@@ -677,8 +692,8 @@ class TestEvolve:
     def test_observer_stride(self):
         s = small_peakon()
         times = []
-        rw.evolve(s, 1.0, rw.StepperConfig(dt=0.1), observers=lambda j, t, st, r: times.append(round(t, 10)),
-                  observe_stride=5)
+        rw.evolve(s, 1.0, rw.StepperConfig(dt=0.1),
+                  observers=(lambda j, t, st, r: times.append(round(t, 10)),), observe_stride=5)
         assert times == [0.0, 0.5, 1.0]
 
     def test_determinism_bitwise(self):
@@ -701,7 +716,7 @@ class TestEvolve:
         s = small_peakon()
         cfg = rw.StepperConfig(dt=0.25, scheme="adaptive_rk")
         steps = []
-        out, run = rw.evolve(s, 0.5, cfg, observers=lambda j, t, st, r: steps.append(r))
+        out, run = rw.evolve(s, 0.5, cfg, observers=(lambda j, t, st, r: steps.append(r),))
         assert len(steps) == 3
         assert all(r.accepted >= 1 for r in steps[1:])
         assert run.accepted == sum(r.accepted for r in steps[1:])
@@ -711,7 +726,7 @@ class TestEvolve:
         cfg = rw.StepperConfig(dt=0.01, scheme=scheme)
         minima = []
         _, run = rw.evolve(small_peakon(dxi=0.5, r=10.0), 3.0, cfg,
-                           observers=lambda j, t, st, r: minima.append((st.q.min(), st.h.min())))
+                           observers=(lambda j, t, st, r: minima.append((st.q.min(), st.h.min())),))
         assert len(minima) == 301
         assert sum(run.fp_iterations.values()) == substeps * 300
         assert len(run.fp_iterations) <= cfg.fp_max_iter
@@ -731,5 +746,5 @@ class TestEvolve:
             rw.evolve(small_peakon(), -1.0, CFG)
         seen = []
         with pytest.raises(ValueError):
-            rw.evolve(small_peakon(), 0.5, CFG, lambda *obs: seen.append(obs), observe_stride=0)
+            rw.evolve(small_peakon(), 0.5, CFG, (lambda *obs: seen.append(obs),), observe_stride=0)
         assert seen == []  # rejected before the t=0 observation
